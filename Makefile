@@ -1,15 +1,18 @@
 GO ?= go
 
-.PHONY: all build test bench bench-large race vet faults fuzz recovery obs hierarchical backends storage-faults tenancy paperrepro verify
+.PHONY: all build test bench bench-large race vet faults fuzz recovery obs hierarchical backends storage-faults tenancy paperrepro loc verify
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# Tier-1: the correctness gate.
+# Tier-1: the correctness gate, at one core and at several — results may not
+# depend on the host (a flag defaulting to the core count once made this
+# suite red on every multi-core box).
 test:
-	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=4 $(GO) test -count=1 ./...
 
 vet:
 	$(GO) vet ./...
@@ -136,7 +139,18 @@ tenancy: vet
 	$(GO) test ./internal/tenancy/... -count=1 -v
 	$(GO) test ./internal/cli/ -run 'TestSpecEqualsFlags' -count=1
 
+# Non-test, non-comment, non-blank Go lines per package — the size metric the
+# roadmap tracks; its target direction is down.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
+		printf '%6d  %s\n' $$n .$${d#$(CURDIR)}; \
+	done | sort -k2 | awk '{print; t += $$1} END {printf "%6d  total\n", t}'
+
 # The full verification sweep: tier-1 build+test, vet, the tenancy gate,
-# and a transcript regeneration so paperrepro_output.txt can't drift from
-# the code.
+# the benchmark harness's own tests (bench/ is a module of its own, so
+# ./... does not reach it), a transcript regeneration so
+# paperrepro_output.txt can't drift from the code, and the size table.
 verify: all vet tenancy paperrepro
+	$(GO) test -C bench ./...
+	@$(MAKE) --no-print-directory loc

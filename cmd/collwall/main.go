@@ -13,10 +13,6 @@
 //	collwall scenarios  baseline vs ParColl under fault scenarios (-scenario, default all)
 //	collwall gantt      per-rank timeline of one run at -procs ranks
 //
-// The pre-subcommand spellings (-sweep, -overlap, -failures NAME, -gantt N,
-// bare -scenario NAME) still work as deprecated aliases for one release and
-// print a warning naming the subcommand to use instead.
-//
 // Observability: every mode accepts -trace-out and -metrics. Both run one
 // instrumented tile write at the mode's -procs/-groups (under -scenario's
 // plan when one is named), export it as a Perfetto/Chrome trace_event JSON
@@ -44,7 +40,7 @@ var modes = []string{"wall", "sweep", "overlap", "failures", "scenarios", "gantt
 
 // dispatch splits the argument list into a subcommand and the remaining
 // flag arguments. An argument list that does not start with a known
-// subcommand comes back with mode "" — the legacy flag-driven surface.
+// subcommand comes back with mode "", which runs the default.
 func dispatch(args []string) (mode string, rest []string) {
 	if len(args) > 0 {
 		for _, m := range modes {
@@ -56,34 +52,10 @@ func dispatch(args []string) (mode string, rest []string) {
 	return "", args
 }
 
-// legacyMode maps the pre-subcommand flag surface onto a mode name and the
-// flag that selected it ("" when the plain default ran — no deprecation to
-// warn about). Precedence matches the historical if-chain: gantt, overlap,
-// sweep, failures, scenario.
-func legacyMode(gantt int, failures string, sweep, overlap bool, scenario string) (mode, flagName string) {
-	switch {
-	case gantt > 0:
-		return "gantt", "-gantt"
-	case overlap:
-		return "overlap", "-overlap"
-	case sweep:
-		return "sweep", "-sweep"
-	case failures != "":
-		return "failures", "-failures"
-	case scenario != "":
-		return "scenarios", "-scenario"
-	}
-	return "wall", ""
-}
-
 func main() {
 	mode, rest := dispatch(os.Args[1:])
 	maxProcs := flag.Int("maxprocs", 512, "largest process count to profile")
 	minProcs := flag.Int("minprocs", 16, "smallest process count to profile")
-	gantt := flag.Int("gantt", 0, "deprecated alias for `collwall gantt` with this many ranks")
-	failures := flag.String("failures", "", "deprecated alias for `collwall failures -scenario NAME`")
-	sweep := flag.Bool("sweep", false, "deprecated alias for `collwall sweep`")
-	overlap := flag.Bool("overlap", false, "deprecated alias for `collwall overlap`")
 	groups := flag.Int("groups", 8, "ParColl subgroup count for the sweep, overlap, failures and scenarios modes")
 	severities := flag.String("severities", "0,1,2,4,8", "comma-separated severity levels for the sweep mode")
 	ratios := flag.String("ratios", "0,0.25,0.5,1,2", "comma-separated compute/IO ratios for the overlap mode")
@@ -94,21 +66,7 @@ func main() {
 	flag.CommandLine.Parse(rest)
 	c.ResolveSpec("")
 
-	ganttN := c.Procs
 	scenName := c.Scenario
-	if mode == "" {
-		var legacyFlag string
-		mode, legacyFlag = legacyMode(*gantt, *failures, *sweep, *overlap, c.Scenario)
-		if legacyFlag != "" {
-			fmt.Fprintf(os.Stderr, "warning: selecting the mode with %s is deprecated; use `collwall %s` (alias kept for one release)\n", legacyFlag, mode)
-		}
-		if *gantt > 0 {
-			ganttN = *gantt
-		}
-		if *failures != "" {
-			scenName = *failures
-		}
-	}
 	if scenName == "" {
 		scenName = "all"
 	}
@@ -118,7 +76,7 @@ func main() {
 
 	switch mode {
 	case "gantt":
-		renderGantt(c, ganttN)
+		renderGantt(c, c.Procs)
 	case "overlap":
 		runOverlap(c, *groups, *steps, cli.ParseFloats("ratio", *ratios))
 	case "sweep":

@@ -6,7 +6,7 @@ import (
 )
 
 // TestDispatch pins the subcommand surface: each mode name routes, anything
-// else (including flag-first invocations) falls through to the legacy path.
+// else (including flag-first invocations) falls through to the default mode.
 func TestDispatch(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -28,40 +28,6 @@ func TestDispatch(t *testing.T) {
 		mode, rest := dispatch(tc.args)
 		if mode != tc.mode || !reflect.DeepEqual(rest, tc.rest) {
 			t.Errorf("dispatch(%v) = (%q, %v), want (%q, %v)", tc.args, mode, rest, tc.mode, tc.rest)
-		}
-	}
-}
-
-// TestLegacyMode pins the deprecated-alias mapping (kept for one release):
-// each old flag selects the same mode it used to, with the historical
-// precedence, and reports which flag triggered it for the warning.
-func TestLegacyMode(t *testing.T) {
-	cases := []struct {
-		gantt          int
-		failures       string
-		sweep, overlap bool
-		scenario       string
-		mode, flagName string
-	}{
-		{0, "", false, false, "", "wall", ""},
-		{16, "", false, false, "", "gantt", "-gantt"},
-		{0, "", false, true, "", "overlap", "-overlap"},
-		{0, "", true, false, "", "sweep", "-sweep"},
-		{0, "all", false, false, "", "failures", "-failures"},
-		{0, "", false, false, "one-straggler", "scenarios", "-scenario"},
-		// Historical precedence: gantt wins over everything, overlap over
-		// sweep, sweep over failures, failures over scenario.
-		{16, "all", true, true, "x", "gantt", "-gantt"},
-		{0, "all", true, true, "x", "overlap", "-overlap"},
-		{0, "all", true, false, "x", "sweep", "-sweep"},
-		{0, "all", false, false, "x", "failures", "-failures"},
-	}
-	for _, tc := range cases {
-		mode, flagName := legacyMode(tc.gantt, tc.failures, tc.sweep, tc.overlap, tc.scenario)
-		if mode != tc.mode || flagName != tc.flagName {
-			t.Errorf("legacyMode(%d, %q, %v, %v, %q) = (%q, %q), want (%q, %q)",
-				tc.gantt, tc.failures, tc.sweep, tc.overlap, tc.scenario,
-				mode, flagName, tc.mode, tc.flagName)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -55,7 +54,7 @@ func Register(defaultProcs int) *Common {
 	flag.BoolVar(&c.JSON, "json", false, "emit JSON instead of tables")
 	flag.Int64Var(&c.Seed, "seed", 1, "simulation seed")
 	flag.IntVar(&c.Procs, "procs", defaultProcs, "number of simulated processes")
-	flag.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0),
+	flag.IntVar(&c.Workers, "workers", 1,
 		"simulation engine workers: 1 runs the serial scheduler, >1 the parallel one (results are bit-identical either way)")
 	flag.IntVar(&c.PEsPerNode, "pes-per-node", cluster.DefaultConfig().PEsPerNode,
 		"simulated PEs per node (2 = the paper's dual-core XT4 nodes; up to 64 models fat multicore nodes)")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mpi"
+	"repro/internal/nbio"
 	"repro/internal/perf"
 	"repro/internal/storage"
 )
@@ -20,11 +21,17 @@ import (
 //  3. request dissemination — alltoallv of per-aggregator request lists
 //  4. interleaved phases of data exchange and file I/O — ntimes rounds,
 //     each opening a cb_buffer-sized window per aggregator; every round is
-//     synchronized by a dense alltoall of transfer sizes
+//     synchronized by an agreement on transfer sizes
 //
-// Steps 1–3 and the per-round size alltoall are collective operations; the
-// time spent in them is the "synchronization" of the paper's breakdown and
-// the source of the collective wall.
+// Steps 1–3 and the per-round agreement are collective operations; the time
+// spent in them is the "synchronization" of the paper's breakdown and the
+// source of the collective wall.
+//
+// Every collective entry point — blocking or split, write or read, flat or
+// two-level, healthy or resilient — is one call value driven through the
+// one round loop in call.run (DESIGN.md §9, "Round driver"). What differs
+// between them is chosen once, in File.begin, and recorded as fields of the
+// call; the phases below branch on those fields only.
 
 // clip is a physical extent plus the matching position in the caller's
 // data buffer.
@@ -33,34 +40,102 @@ type clip struct {
 	dataPos int64
 }
 
-// plan is the per-call state of one collective operation.
-type plan struct {
-	myReq  [][]clip       // per aggregator: my extents in its FD
-	others map[int][]clip // aggregators only: per source comm rank
-	fdLo   []int64        // per aggregator: file domain start
-	fdHi   []int64        // per aggregator: file domain end
-	stLoc  int64          // this aggregator's first touched offset
-	endLoc int64          // this aggregator's last touched offset (exclusive)
-	ntimes int
-	cb     int64
-	h      *hplan // two-level scratch; nil on the flat path (see hier.go)
+// stream is this rank's request list inside one domain plus the cursor that
+// walks it in offset order as the rounds consume it.
+type stream struct {
+	req  []clip
+	seg  int
+	used int64 // bytes consumed of req[seg]
 }
 
-// window returns this aggregator's file window for the given round; rounds
-// past its own touched range are empty.
-func (p *plan) window(round int) (int64, int64) {
-	if p.stLoc >= p.endLoc {
+// move carries the stream's next len(wire) bytes between the caller's buffer
+// and a wire payload: out of user when gather (the write up-flow), into it
+// otherwise (the read delivery).
+func (s *stream) move(user, wire []byte, gather bool) {
+	for len(wire) > 0 {
+		if s.seg >= len(s.req) {
+			panic("mpiio: round obligation exceeds request stream")
+		}
+		cl := s.req[s.seg]
+		k := min(cl.ln-s.used, int64(len(wire)))
+		u := user[cl.dataPos+s.used : cl.dataPos+s.used+k]
+		if gather {
+			copy(wire, u)
+		} else {
+			copy(u, wire)
+		}
+		wire = wire[k:]
+		if s.used += k; s.used == cl.ln {
+			s.seg++
+			s.used = 0
+		}
+	}
+}
+
+// domain is a contiguous file range that one rank stages in a collective
+// buffer and moves to or from storage one cb-sized window per round: an
+// aggregator's file domain or, after a failover, a slice of a dead
+// aggregator's remainder annexed by a survivor (recover.go). The bounds are
+// common knowledge wherever the struct exists; everything from others down
+// is the owner's staging state.
+type domain struct {
+	lo, hi int64 // touched range [lo, hi): st_loc and end_loc in ROMIO's terms
+	start  int   // round of its first window
+	annex  bool  // travels on the annex data tag
+
+	others map[int][]clip     // per source comm rank: its extents in [lo, hi)
+	win    [][]clip           // per source: others clipped to the round's window
+	want   []int              // per source: bytes of win, what the round moves
+	active int                // sources with want > 0
+	w0, w1 int64              // the round's window
+	buf    []byte             // staging buffer, origin w0
+	dirty  []datatype.Segment // extents of buf the round touches
+}
+
+// window returns the domain's file window for the given round; rounds
+// outside its own touched range are empty.
+func (d *domain) window(round int, cb int64) (int64, int64) {
+	if d.lo >= d.hi || round < d.start {
 		return 0, 0
 	}
-	w0 := p.stLoc + int64(round)*p.cb
-	w1 := w0 + p.cb
-	if w1 > p.endLoc {
-		w1 = p.endLoc
-	}
+	w0 := d.lo + int64(round-d.start)*cb
+	w1 := min(w0+cb, d.hi)
 	if w0 >= w1 {
 		return 0, 0
 	}
 	return w0, w1
+}
+
+// open advances the owner's staging state to the given round: the window,
+// every source's clips inside it, and how many bytes each will move.
+func (d *domain) open(round int, cb int64) {
+	d.w0, d.w1 = d.window(round, cb)
+	clear(d.want)
+	d.active = 0
+	for src, cl := range d.others {
+		c := clipWindowInto(d.win[src][:0], cl, d.w0, d.w1)
+		d.win[src] = c
+		if n := clipBytes(c); n > 0 {
+			d.want[src] = int(n)
+			d.active++
+		}
+	}
+}
+
+// extentsIn appends the pieces of every source's request inside [w0, w1) —
+// from the plan alone, with no communication. That locality is what lets a
+// pipelined read prefetch round k+1's window before that round's size
+// agreement confirms it: the confirmation is redundant for the owner's own
+// read set.
+func (d *domain) extentsIn(dst []datatype.Segment, w0, w1 int64) []datatype.Segment {
+	for _, cl := range d.others {
+		for _, c := range cl {
+			if o, e := max(c.off, w0), min(c.off+c.ln, w1); o < e {
+				dst = append(dst, datatype.Segment{Off: o, Len: e - o})
+			}
+		}
+	}
+	return dst
 }
 
 const maxI64 = int64(^uint64(0) >> 1)
@@ -98,10 +173,151 @@ func computeFDs(minSt, maxEnd int64, nag int, stripe int64) (fdLo, fdHi []int64)
 	return fdLo, fdHi
 }
 
-// buildPlan runs protocol steps 1–3 for this rank's physical segments.
-func (f *File) buildPlan(segs []datatype.Segment) *plan {
-	r, comm := f.r, f.comm
-	p := &plan{cb: f.hints.cb()}
+// control is where a call's small control collectives run: the communicator
+// itself, or the node hierarchy standing in for it on the two-level path.
+type control interface {
+	AllgatherInt64s(vals []int64) [][]int64
+	AllreduceInt64(vals []int64, op mpi.Op) []int64
+}
+
+// call is the state of one collective operation, from the plan through the
+// last round; a split collective's request carries it from Begin to End.
+type call struct {
+	f *File
+
+	// How the call runs, chosen once in File.begin.
+	write     bool       // direction
+	pipelined bool       // split collective: async I/O on two staging buffers
+	hier      *hierState // exchange topology: nil is flat, else through node leaders
+	ft        *ftState   // size agreement: nil is healthy, else heartbeats with failover
+	ctl       control
+
+	data []byte // write: the caller's bytes; read: the result
+
+	// The plan (protocol steps 1–3). streams, owners and due run in
+	// parallel: one entry per aggregator, then one per annex.
+	fdLo, fdHi []int64  // per aggregator: file domain
+	streams    []stream // my requests inside each domain
+	owners     []int    // comm rank staging each domain
+	due        []int    // bytes this round moves between me and each owner
+	cb         int64
+	ntimes     int
+
+	myAgg   int       // my index in the aggregator list, or -1
+	main    domain    // my own file domain (aggregators only)
+	annexes []*domain // every annex, in creation order (bounds only unless owned)
+	owned   []*domain // the domains I stage: main while my role lives, then my annexes
+
+	want, owe []int // dense agreement: bytes per source I expect / per owner I owe
+	tag       int   // the round's data tag
+
+	stage [2][]byte        // staging buffers: one blocking, two pipelined
+	ioreq [2]*nbio.Request // pipelined: the I/O tail last issued on each buffer
+
+	pieces []piece          // flush/fill scratch, reused across rounds
+	exts   []storage.Extent // vectored-call scratch
+	bufs   [][]byte
+}
+
+// begin starts a collective call: it chooses how the call runs, plans it,
+// and drives its rounds. Blocking entry points finish it on the spot; split
+// ones hand it to a request (split.go).
+//
+// This is the one place the mode is decided. Direction and pipelining are
+// the entry point's; the exchange topology was fixed at open (f.hier); the
+// size agreement follows from the fault plan. Two combinations fall back
+// here rather than run as themselves: a call that needs the resilient
+// agreement never pipelines (the storage seam has no asynchronous Try call
+// to flush through) and never runs two-level (open does not build the
+// hierarchy under such a plan — failover re-elects aggregators mid-call,
+// which would need leader-level heartbeats). Resilient reads do not run
+// rounds at all: collective read scheduling assumes every aggregator
+// serves, so they fall back to independent I/O.
+func (f *File) begin(write, pipelined bool, logOff int64, data []byte) *call {
+	f.seq++
+	c := &call{f: f, write: write, pipelined: pipelined, data: data, ctl: f.comm, myAgg: f.aggIndex()}
+	segs := f.view.Map(logOff, int64(len(data)))
+	pre := prefixes(segs)
+	if f.hier != nil {
+		c.hier = &hierState{fileHier: f.hier}
+		c.ctl = f.hier.h
+	}
+	if f.recoveryOn() {
+		c.pipelined = false
+		if !write || f.degraded {
+			// A degraded handle's collective machinery stays retired
+			// (file.go); its writes go out independently too.
+			f.independent(write, segs, pre, data)
+			return c
+		}
+		c.ft = newFTState(f, segs, pre)
+	}
+	c.plan(segs, pre)
+	if c.ft == nil {
+		c.run()
+	} else {
+		if c.carryDead() {
+			c.run()
+		}
+		c.settle()
+	}
+	return c
+}
+
+// run is the round loop: every round agrees on transfer sizes, then moves
+// one window per domain — exchange then storage for a write, storage then
+// exchange for a read.
+func (c *call) run() {
+	f := c.f
+	for round := 0; round < c.ntimes; round++ {
+		c.tag = f.dataTag(round)
+		f.roundStall()
+		c.agree(round)
+		if c.ft != nil && !c.absorbDeaths(round) {
+			return // failover budget exhausted; settle rewrites independently
+		}
+		if c.write {
+			c.exchange(round)
+			c.flushRound(round)
+		} else {
+			c.fillRound(round)
+			c.serve(round)
+			if !c.pipelined || round < c.ntimes-1 {
+				c.deliver(round)
+			}
+		}
+	}
+}
+
+// finish completes the call: a pipelined read's final delivery was left
+// pending so compute after Begin overlaps it (tag and due still hold that
+// round's state), and whatever I/O tails are still in flight are waited out.
+func (c *call) finish() {
+	if c.pipelined && !c.write && c.ntimes > 0 {
+		c.deliver(c.ntimes - 1)
+	}
+	nbio.Waitall(c.ioreq[:]...)
+	c.f.absorbProf()
+}
+
+// release returns the call's staging buffers to the arena.
+func (c *call) release() {
+	for _, b := range c.stage {
+		if b != nil {
+			perf.PutBuf(b)
+		}
+	}
+	for _, x := range c.annexes {
+		if x.buf != nil {
+			perf.PutBuf(x.buf)
+		}
+	}
+}
+
+// plan runs protocol steps 1–3 for this rank's physical segments.
+func (c *call) plan(segs []datatype.Segment, pre []int64) {
+	f, r, comm := c.f, c.f.r, c.f.comm
+	c.cb = f.hints.cb()
 
 	// Step 1: gather every process's file range. [sync]
 	st, end := maxI64, int64(0)
@@ -109,113 +325,106 @@ func (f *File) buildPlan(segs []datatype.Segment) *plan {
 		st, end = segs[0].Off, segs[len(segs)-1].End()
 	}
 	old := r.SetClass(mpi.ClassSync)
-	var ranges [][]int64
-	if f.hier != nil {
-		ranges = f.hier.h.AllgatherInt64s([]int64{st, end})
-	} else {
-		ranges = comm.AllgatherInt64s([]int64{st, end})
-	}
+	ranges := c.ctl.AllgatherInt64s([]int64{st, end})
 	r.SetClass(old)
 
 	minSt, maxEnd := maxI64, int64(0)
 	for _, rg := range ranges {
-		if rg[0] < minSt {
-			minSt = rg[0]
-		}
-		if rg[1] > maxEnd {
-			maxEnd = rg[1]
-		}
+		minSt = min(minSt, rg[0])
+		maxEnd = max(maxEnd, rg[1])
 	}
 	if minSt >= maxEnd {
-		return p // nobody has data
+		return // nobody has data
 	}
 
 	// Step 2: partition [minSt, maxEnd) into file domains.
-	stripe := int64(0)
-	if !f.hints.NoFDAlign {
-		stripe = f.lf.Stripe().Size
-	}
 	nag := len(f.aggs)
-	p.fdLo, p.fdHi = computeFDs(minSt, maxEnd, nag, stripe)
+	c.fdLo, c.fdHi = computeFDs(minSt, maxEnd, nag, f.fdStripe())
 
 	// My requests per aggregator (ADIOI_Calc_my_req).
-	pre := prefixes(segs)
-	p.myReq = make([][]clip, nag)
-	for a := 0; a < nag; a++ {
-		p.myReq[a] = clipSegs(segs, pre, p.fdLo[a], p.fdHi[a])
+	c.streams = make([]stream, nag)
+	for a := range c.streams {
+		c.streams[a].req = clipSegs(segs, pre, c.fdLo[a], c.fdHi[a])
 	}
+	c.owners = f.aggs[:nag:nag]
+	ints := make([]int, 2*comm.Size()+nag)
+	c.want, c.owe, c.due = ints[:comm.Size()], ints[comm.Size():2*comm.Size()], ints[2*comm.Size():]
 
 	// Step 3: disseminate request lists to aggregators
 	// (ADIOI_Calc_others_req). Two-level mode funnels them through node
 	// leaders instead, so only merged lists cross the NIC (hier.go). [sync]
-	if f.hier != nil {
-		f.hierDisseminate(p)
+	d := &c.main
+	if c.hier != nil {
+		c.hierDisseminate()
 	} else {
 		send := make([][]byte, comm.Size())
 		for a, cr := range f.aggs {
-			if len(p.myReq[a]) > 0 {
-				send[cr] = encClips(p.myReq[a])
+			if len(c.streams[a].req) > 0 {
+				send[cr] = encClips(c.streams[a].req)
 			}
 		}
 		old = r.SetClass(mpi.ClassSync)
 		got := comm.Alltoallv(send, f.hints.AlltoallvAlgo)
 		r.SetClass(old)
-		if f.isAggregator() {
-			p.others = make(map[int][]clip)
-			for src, b := range got {
-				if len(b) > 0 {
-					p.others[src] = decClips(b)
-				}
-			}
+		if c.myAgg >= 0 {
+			d.others = make(map[int][]clip)
 		}
-		// The request lists were arena-encoded by encClips and are fully
-		// decoded now; this rank owns every received block (ownership
-		// transfer).
-		for _, b := range got {
+		// The request lists were arena-encoded by encClips; once decoded this
+		// rank owns every received block (ownership transfer).
+		for src, b := range got {
 			if len(b) > 0 {
+				if c.myAgg >= 0 {
+					d.others[src] = decClips(b)
+				}
 				perf.PutBuf(b)
 			}
 		}
 	}
 
-	// Round count: each aggregator covers its *touched* range (st_loc to
-	// end_loc, as ROMIO calls them) in collective-buffer steps; the global
-	// round count is agreed via allreduce(max). [sync]
+	// Round count: each aggregator covers its *touched* range in
+	// collective-buffer steps; the global round count is agreed via
+	// allreduce(max). [sync]
 	local := int64(0)
-	if f.isAggregator() {
-		p.stLoc, p.endLoc = maxI64, int64(0)
-		for _, cl := range p.others {
-			for _, c := range cl {
-				if c.off < p.stLoc {
-					p.stLoc = c.off
-				}
-				if c.off+c.ln > p.endLoc {
-					p.endLoc = c.off + c.ln
-				}
+	if c.myAgg >= 0 {
+		d.want = c.want
+		d.win = make([][]clip, comm.Size())
+		d.lo, d.hi = maxI64, 0
+		for _, cl := range d.others {
+			for _, cp := range cl {
+				d.lo = min(d.lo, cp.off)
+				d.hi = max(d.hi, cp.off+cp.ln)
 			}
 		}
-		if p.stLoc < p.endLoc {
-			local = (p.endLoc - p.stLoc + p.cb - 1) / p.cb
+		if d.lo < d.hi {
+			local = (d.hi - d.lo + c.cb - 1) / c.cb
 		}
+		c.stage[0] = perf.GetBuf(int(c.cb))
+		if c.pipelined {
+			c.stage[1] = perf.GetBuf(int(c.cb))
+		}
+		d.buf = c.stage[0]
+		c.owned = append(c.owned, d)
 	}
 	old = r.SetClass(mpi.ClassSync)
-	var nt []int64
-	if f.hier != nil {
-		nt = f.hier.h.AllreduceInt64([]int64{local}, mpi.OpMax)
-	} else {
-		nt = comm.AllreduceInt64([]int64{local}, mpi.OpMax)
-	}
+	c.ntimes = int(c.ctl.AllreduceInt64([]int64{local}, mpi.OpMax)[0])
 	r.SetClass(old)
-	p.ntimes = int(nt[0])
-	return p
+}
+
+// fdStripe returns the stripe size file-domain boundaries align to, or zero
+// when alignment is hinted off.
+func (f *File) fdStripe() int64 {
+	if f.hints.NoFDAlign {
+		return 0
+	}
+	return f.lf.Stripe().Size
 }
 
 // roundStall applies the fault plan's per-round compute noise, if any,
-// before a round's synchronizing alltoall: with the configured probability
-// the rank stalls (OS noise, a page fault storm, a heavy-tail event) and
-// every other member of the synchronization group ends up waiting for it.
-// The draw comes from the rank's proc-local seeded RNG, so runs under a
-// plan are bit-identical to each other.
+// before a round's size agreement: with the configured probability the rank
+// stalls (OS noise, a page fault storm, a heavy-tail event) and every other
+// member of the synchronization group ends up waiting for it. The draw
+// comes from the rank's proc-local seeded RNG, so runs under a plan are
+// bit-identical to each other.
 func (f *File) roundStall() {
 	if f.run.Fault == nil {
 		return
@@ -224,8 +433,6 @@ func (f *File) roundStall() {
 		f.r.Compute(d)
 	}
 }
-
-func (f *File) isAggregator() bool { return f.aggIndex() >= 0 }
 
 // aggIndex returns this rank's position in the aggregator list, or -1.
 func (f *File) aggIndex() int {
@@ -242,686 +449,366 @@ func (f *File) dataTag(round int) int {
 	return 100 + (f.seq%61)*1024 + round%1024
 }
 
+// tagOf returns the round's data tag for a domain: annex traffic travels on
+// its own tag so it can never be matched against a main-domain receive.
+func (c *call) tagOf(annex bool, round int) int {
+	if annex {
+		return c.f.annexDataTag(round)
+	}
+	return c.tag
+}
+
 // WriteAtAll is a collective write: all communicator members must call it.
 // logOff and data are interpreted through each rank's file view.
-//
-// The round loop is assembled from the same resumable phase methods the
-// split-collective path (split.go) pipelines; run back to back they perform
-// the statements of the original monolithic loop in the original order, so
-// blocking-mode results are bit-identical.
 func (f *File) WriteAtAll(logOff int64, data []byte) {
-	if f.recoveryOn() {
-		f.writeAtAllFT(logOff, data)
-		return
-	}
-	s := f.beginWrite(logOff, data)
-	for round := 0; round < s.p.ntimes; round++ {
-		s.syncRound(round)
-		s.exchangeRound(round)
-		s.ioRound(round)
-	}
-	perf.PutBuf(s.buf)
-	f.absorbProf()
-}
-
-// wstate is the resumable per-call state of one collective write: the plan,
-// the collective window buffer, and the round-loop scratch, split out so the
-// blocking loop and the split-collective pipeline share one implementation.
-type wstate struct {
-	f      *File
-	data   []byte
-	p      *plan
-	buf    []byte // current round's staging buffer (split mode swaps it)
-	isAgg  bool
-	cursor []streamCursor // per-aggregator cursor into my request stream
-
-	want     []int          // want[src] = bytes I (as aggregator) expect this round
-	owe      []int          // owe[cr] = bytes aggregator cr expects from me
-	winClips [][]clip       // per source; backing arrays reused across rounds
-	extents  []datatype.Segment
-
-	tag     int   // current round's user tag
-	w0, w1  int64 // current round's window
-	nActive int   // sources sending to me this round
-}
-
-// beginWrite runs protocol steps 1–3 and allocates the round-loop state.
-// The collective window buffer and the scratch are reused across all
-// rounds; the window buffer comes from the arena (lustre copies written
-// bytes into its page store, so nothing retains slices of buf past the
-// call).
-func (f *File) beginWrite(logOff int64, data []byte) *wstate {
-	f.seq++
-	segs := f.view.Map(logOff, int64(len(data)))
-	p := f.buildPlan(segs)
-	return &wstate{
-		f:        f,
-		data:     data,
-		p:        p,
-		buf:      perf.GetBuf(int(p.cb)),
-		isAgg:    f.isAggregator(),
-		cursor:   make([]streamCursor, len(f.aggs)),
-		want:     make([]int, f.comm.Size()),
-		owe:      make([]int, f.comm.Size()),
-		winClips: make([][]clip, f.comm.Size()),
-	}
-}
-
-// syncRound is the round's global synchronization point: the aggregator
-// announces how much it expects from each source this round; the dense
-// alltoall tells every process its send obligation. [sync]
-func (s *wstate) syncRound(round int) {
-	f, r, comm := s.f, s.f.r, s.f.comm
-	s.tag = f.dataTag(round)
-	f.roundStall()
-	clear(s.want)
-	s.nActive = 0
-	s.w0, s.w1 = 0, 0
-	if s.isAgg {
-		s.w0, s.w1 = s.p.window(round)
-		for src, cl := range s.p.others {
-			c := clipWindowInto(s.winClips[src][:0], cl, s.w0, s.w1)
-			s.winClips[src] = c
-			if n := clipBytes(c); n > 0 {
-				s.want[src] = int(n)
-				s.nActive++
-			}
-		}
-	}
-	t0 := r.Now()
-	old := r.SetClass(mpi.ClassSync)
-	if f.hier != nil {
-		// Two-level: leaders exchange round windows, everyone derives its
-		// obligations locally — no comm-wide alltoall (see hier.go).
-		f.hierWindows(s.p, s.w0, s.w1)
-	} else {
-		comm.AlltoallIntsInto(s.owe, s.want)
-	}
-	r.SetClass(old)
-	f.traceRound("round-sync", t0, r.Now(), round)
-}
-
-// exchangeRound sends this rank's obligations and, on aggregators, receives
-// and scatters the round's incoming data into the staging buffer.
-// [exchange]
-func (s *wstate) exchangeRound(round int) {
-	f, r, comm := s.f, s.f.r, s.f.comm
-	t0 := r.Now()
-	old := r.SetClass(mpi.ClassExchange)
-	if f.hier != nil {
-		f.hierSendUp(s) // member -> leader -> aggregator (hier.go)
-	} else {
-		for a, cr := range f.aggs {
-			if n := s.owe[cr]; n > 0 {
-				payload := s.cursor[a].take(s.p.myReq[a], s.data, int64(n))
-				comm.SendWeighted(cr, s.tag, payload, scaled(len(payload), f.scale))
-			}
-		}
-	}
-	if s.isAgg {
-		s.extents = s.extents[:0]
-		for i := 0; i < s.nActive; i++ {
-			msg, st := comm.Recv(mpi.AnySource, s.tag)
-			cl := s.winClips[st.Source]
-			if clipBytes(cl) != int64(len(msg)) {
-				panic(fmt.Sprintf("mpiio: round %d expected %d bytes from %d, got %d",
-					round, clipBytes(cl), st.Source, len(msg)))
-			}
-			var pos int64
-			for _, c := range cl {
-				copy(s.buf[c.off-s.w0:c.off-s.w0+c.ln], msg[pos:pos+c.ln])
-				s.extents = append(s.extents, datatype.Segment{Off: c.off, Len: c.ln})
-				pos += c.ln
-			}
-			perf.PutBuf(msg) // arena-built by the sender's take
-		}
-	}
-	r.SetClass(old)
-	f.traceRound("round-exchange", t0, r.Now(), round)
-}
-
-// ioRound writes the coalesced dirty extents, translating logical extents
-// to physical segments when an intermediate view is active, and charges the
-// completion wait. [io]
-func (s *wstate) ioRound(round int) {
-	if !s.isAgg {
-		return
-	}
-	f, r := s.f, s.f.r
-	t0 := r.Now()
-	if f.vec {
-		// Native list-I/O: the whole round's dirty set is one vectored call
-		// — one request round-trip per touched target instead of an RPC per
-		// extent (DESIGN.md §14).
-		if exts, bufs := s.vecWriteArgs(); len(exts) > 0 {
-			f.lf.WritevAt(r, exts, bufs)
-		}
-		f.traceRound("round-io", t0, r.Now(), round)
-		return
-	}
-	if f.xlate == nil {
-		for _, ext := range mergeOverlapsInPlace(s.extents) {
-			f.lf.WriteAt(r, ext.Off, s.buf[ext.Off-s.w0:ext.Off-s.w0+ext.Len])
-		}
-	} else {
-		var chunks []physChunk
-		for _, ext := range mergeOverlapsInPlace(s.extents) {
-			pos := ext.Off - s.w0
-			for _, ph := range f.xlate.Phys(ext.Off, ext.Len) {
-				chunks = append(chunks, physChunk{off: ph.Off, data: s.buf[pos : pos+ph.Len]})
-				pos += ph.Len
-			}
-		}
-		// Physically adjacent chunks (often from neighboring processes'
-		// joined segments) merge into single writes.
-		for _, run := range mergeChunks(chunks) {
-			f.lf.WriteAt(r, run.off, run.data)
-		}
-	}
-	f.traceRound("round-io", t0, r.Now(), round)
-}
-
-// ioRoundAsync is ioRound's nonblocking twin: the same writes issued
-// through lustre's async path, booking identical NIC/OST resources but
-// charging nothing. It returns the virtual completion time of the slowest
-// write; the split-collective pipeline accounts the tail (hidden or
-// exposed) when the staging buffer is next reused or at WriteAllEnd.
-func (s *wstate) ioRoundAsync(round int) float64 {
-	f, r := s.f, s.f.r
-	t0 := r.Now()
-	done := t0
-	if f.vec {
-		if exts, bufs := s.vecWriteArgs(); len(exts) > 0 {
-			if d := f.lf.WritevAtAsync(r, exts, bufs); d > done {
-				done = d
-			}
-		}
-		f.traceRound("round-io", t0, done, round)
-		return done
-	}
-	if f.xlate == nil {
-		for _, ext := range mergeOverlapsInPlace(s.extents) {
-			if d := f.lf.WriteAtAsync(r, ext.Off, s.buf[ext.Off-s.w0:ext.Off-s.w0+ext.Len]); d > done {
-				done = d
-			}
-		}
-	} else {
-		var chunks []physChunk
-		for _, ext := range mergeOverlapsInPlace(s.extents) {
-			pos := ext.Off - s.w0
-			for _, ph := range f.xlate.Phys(ext.Off, ext.Len) {
-				chunks = append(chunks, physChunk{off: ph.Off, data: s.buf[pos : pos+ph.Len]})
-				pos += ph.Len
-			}
-		}
-		for _, run := range mergeChunks(chunks) {
-			if d := f.lf.WriteAtAsync(r, run.off, run.data); d > done {
-				done = d
-			}
-		}
-	}
-	f.traceRound("round-io", t0, done, round)
-	return done
-}
-
-// vecWriteArgs assembles the round's merged dirty extents (translated to
-// physical segments when an intermediate view is active) into one vectored
-// write's argument lists. Only the list-I/O path calls it, so the scalar
-// backends' flush loop stays allocation-identical.
-func (s *wstate) vecWriteArgs() ([]storage.Extent, [][]byte) {
-	f := s.f
-	merged := mergeOverlapsInPlace(s.extents)
-	if f.xlate == nil {
-		exts := make([]storage.Extent, 0, len(merged))
-		bufs := make([][]byte, 0, len(merged))
-		for _, ext := range merged {
-			exts = append(exts, storage.Extent{Off: ext.Off, Len: ext.Len})
-			bufs = append(bufs, s.buf[ext.Off-s.w0:ext.Off-s.w0+ext.Len])
-		}
-		return exts, bufs
-	}
-	var chunks []physChunk
-	for _, ext := range merged {
-		pos := ext.Off - s.w0
-		for _, ph := range f.xlate.Phys(ext.Off, ext.Len) {
-			chunks = append(chunks, physChunk{off: ph.Off, data: s.buf[pos : pos+ph.Len]})
-			pos += ph.Len
-		}
-	}
-	runs := mergeChunks(chunks)
-	exts := make([]storage.Extent, 0, len(runs))
-	bufs := make([][]byte, 0, len(runs))
-	for _, run := range runs {
-		exts = append(exts, storage.Extent{Off: run.off, Len: int64(len(run.data))})
-		bufs = append(bufs, run.data)
-	}
-	return exts, bufs
-}
-
-// vecRead issues one vectored read for the merged extents into buf (window
-// origin w0), translating through an intermediate view when active and
-// scattering the returned buffers into place. async selects the Async
-// variant and returns its virtual completion time; the blocking variant
-// charges the clock and returns the advanced now.
-func (s *rstate) vecRead(buf []byte, w0 int64, merged []datatype.Segment, async bool) float64 {
-	f, r := s.f, s.f.r
-	var exts []storage.Extent
-	var runs []mergedRun
-	if f.xlate == nil {
-		exts = make([]storage.Extent, 0, len(merged))
-		for _, ext := range merged {
-			exts = append(exts, storage.Extent{Off: ext.Off, Len: ext.Len})
-		}
-	} else {
-		var chunks []physChunk
-		for _, ext := range merged {
-			pos := ext.Off - w0
-			for _, ph := range f.xlate.Phys(ext.Off, ext.Len) {
-				chunks = append(chunks, physChunk{off: ph.Off, data: buf[pos : pos+ph.Len]})
-				pos += ph.Len
-			}
-		}
-		runs = mergeRuns(chunks)
-		exts = make([]storage.Extent, 0, len(runs))
-		for _, run := range runs {
-			exts = append(exts, storage.Extent{Off: run.off, Len: run.n})
-		}
-	}
-	if len(exts) == 0 {
-		return r.Now()
-	}
-	var got [][]byte
-	var done float64
-	if async {
-		got, done = f.lf.ReadvAtAsync(r, exts)
-	} else {
-		got = f.lf.ReadvAt(r, exts)
-		done = r.Now()
-	}
-	if f.xlate == nil {
-		for i, ext := range exts {
-			copy(buf[ext.Off-w0:ext.Off-w0+ext.Len], got[i])
-		}
-	} else {
-		for i, run := range runs {
-			for _, c := range run.parts {
-				copy(c.data, got[i][c.off-run.off:c.off-run.off+int64(len(c.data))])
-			}
-		}
-	}
-	return done
-}
-
-// streamCursor walks a rank's per-aggregator request list in offset order,
-// yielding the next n data bytes on demand.
-type streamCursor struct {
-	seg  int
-	used int64 // bytes consumed of clip[seg]
-}
-
-// take returns an arena buffer; the receiving aggregator releases it with
-// perf.PutBuf after scattering (ownership transfer via Send).
-func (c *streamCursor) take(req []clip, data []byte, n int64) []byte {
-	return c.takeAppend(perf.GetBuf(int(n))[:0], req, data, n)
-}
-
-// takeAppend is take appending into out — the two-level up-flow drains
-// several aggregators' streams into one member payload this way.
-func (c *streamCursor) takeAppend(out []byte, req []clip, data []byte, n int64) []byte {
-	for n > 0 {
-		if c.seg >= len(req) {
-			panic("mpiio: send obligation exceeds request stream")
-		}
-		cl := req[c.seg]
-		avail := cl.ln - c.used
-		take := avail
-		if take > n {
-			take = n
-		}
-		start := cl.dataPos + c.used
-		out = append(out, data[start:start+take]...)
-		c.used += take
-		n -= take
-		if c.used == cl.ln {
-			c.seg++
-			c.used = 0
-		}
-	}
-	return out
+	c := f.begin(true, false, logOff, data)
+	c.finish()
+	c.release()
 }
 
 // ReadAtAll is a collective read of n logical bytes at logOff through each
-// rank's view. All communicator members must call it. Like WriteAtAll, the
-// loop is assembled from the phase methods split.go pipelines.
+// rank's view. All communicator members must call it.
 func (f *File) ReadAtAll(logOff, n int64) []byte {
-	if f.recoveryOn() {
-		return f.readAtAllFT(logOff, n)
-	}
-	s := f.beginRead(logOff, n)
-	for round := 0; round < s.p.ntimes; round++ {
-		s.syncRound(round)
-		s.ioRound(round)
-		s.serveRound(round)
-		s.recvRound(round)
-	}
-	perf.PutBuf(s.buf)
-	f.absorbProf()
-	return s.out
+	c := f.begin(false, false, logOff, make([]byte, n))
+	c.finish()
+	c.release()
+	return c.data
 }
 
-// rstate mirrors wstate for collective reads.
-type rstate struct {
-	f      *File
-	out    []byte
-	p      *plan
-	buf    []byte
-	isAgg  bool
-	cursor []streamCursor
-
-	give     []int // give[src] = bytes I (as aggregator) deliver this round
-	due      []int // due[cr] = bytes aggregator cr will send me
-	winClips [][]clip
-	extents  []datatype.Segment
-
-	tag    int
-	w0, w1 int64
-}
-
-func (f *File) beginRead(logOff, n int64) *rstate {
-	f.seq++
-	segs := f.view.Map(logOff, n)
-	p := f.buildPlan(segs)
-	return &rstate{
-		f:        f,
-		out:      make([]byte, n),
-		p:        p,
-		buf:      perf.GetBuf(int(p.cb)), // reused across rounds
-		isAgg:    f.isAggregator(),
-		cursor:   make([]streamCursor, len(f.aggs)),
-		give:     make([]int, f.comm.Size()),
-		due:      make([]int, f.comm.Size()),
-		winClips: make([][]clip, f.comm.Size()),
+// agree is the round's synchronization point: every owner opens its window,
+// and the call's agreement strategy tells every rank how many bytes it moves
+// to or from each owner this round. [sync]
+func (c *call) agree(round int) {
+	f, r := c.f, c.f.r
+	if c.ft != nil {
+		c.markDead(round)
 	}
-}
-
-// syncRound: the aggregator announces how much it will deliver to each
-// requester this round. [sync]
-func (s *rstate) syncRound(round int) {
-	f, r, comm := s.f, s.f.r, s.f.comm
-	s.tag = f.dataTag(round)
-	f.roundStall()
-	clear(s.give)
-	s.w0, s.w1 = 0, 0
-	if s.isAgg {
-		s.w0, s.w1 = s.p.window(round)
-		for src, cl := range s.p.others {
-			c := clipWindowInto(s.winClips[src][:0], cl, s.w0, s.w1)
-			s.winClips[src] = c
-			if n := clipBytes(c); n > 0 {
-				s.give[src] = int(n)
-			}
-		}
+	for _, d := range c.owned {
+		d.open(round, c.cb)
 	}
 	t0 := r.Now()
 	old := r.SetClass(mpi.ClassSync)
-	if f.hier != nil {
-		f.hierWindows(s.p, s.w0, s.w1)
-	} else {
-		comm.AlltoallIntsInto(s.due, s.give)
+	switch {
+	case c.ft != nil:
+		// Heartbeats with a watchdog: a dead aggregator is observable
+		// (recover.go).
+		c.heartbeat(round)
+	case c.hier != nil:
+		// Two-level: leaders exchange round windows, everyone derives its
+		// obligations locally — no comm-wide alltoall (hier.go).
+		c.hierWindows()
+	default:
+		// The dense alltoall: each aggregator announces how much it expects
+		// from (or will deliver to) every source.
+		f.comm.AlltoallIntsInto(c.owe, c.want)
+		for i, cr := range c.owners {
+			c.due[i] = c.owe[cr]
+		}
 	}
 	r.SetClass(old)
 	f.traceRound("round-sync", t0, r.Now(), round)
 }
 
-// windowExtents computes the merged extents every source requests inside
-// the given round's window — purely from the plan, with no communication.
-// That locality is what lets the split-collective pipeline prefetch round
-// k+1's window before round k's alltoall confirms it: the confirmation is
-// redundant for the aggregator's own read set.
-func (s *rstate) windowExtents(round int, scratch []datatype.Segment) []datatype.Segment {
-	w0, w1 := s.p.window(round)
-	if w0 >= w1 {
-		return nil
+// exchange is a write round's data movement: every rank sends what it owes
+// and each owner receives and scatters the round's incoming data into its
+// staging buffer. A pipelined call first waits out the write that last used
+// the buffer it is about to refill — whatever tail the intervening rounds'
+// agreement and exchange did not absorb is exposed there. [exchange]
+func (c *call) exchange(round int) {
+	f, r, comm := c.f, c.f.r, c.f.comm
+	if c.myAgg >= 0 {
+		c.main.buf = c.claim(round)
 	}
-	exts := scratch[:0]
-	for _, cl := range s.p.others {
-		for _, c := range cl {
-			if c.off+c.ln <= w0 || c.off >= w1 {
-				continue
-			}
-			o, e := c.off, c.off+c.ln
-			if o < w0 {
-				o = w0
-			}
-			if e > w1 {
-				e = w1
-			}
-			exts = append(exts, datatype.Segment{Off: o, Len: e - o})
-		}
-	}
-	return mergeOverlapsInPlace(exts)
-}
-
-// ioRound reads the union of requested extents into the staging buffer.
-// [io]
-func (s *rstate) ioRound(round int) {
-	if !s.isAgg {
-		return
-	}
-	f, r := s.f, s.f.r
 	t0 := r.Now()
-	s.extents = s.extents[:0]
-	for src := range s.give {
-		if s.give[src] == 0 {
-			continue
-		}
-		for _, c := range s.winClips[src] {
-			s.extents = append(s.extents, datatype.Segment{Off: c.off, Len: c.ln})
-		}
-	}
-	if f.vec {
-		s.vecRead(s.buf, s.w0, mergeOverlapsInPlace(s.extents), false)
-		f.traceRound("round-io", t0, r.Now(), round)
-		return
-	}
-	if f.xlate == nil {
-		for _, ext := range mergeOverlapsInPlace(s.extents) {
-			copy(s.buf[ext.Off-s.w0:ext.Off-s.w0+ext.Len], f.lf.ReadAt(r, ext.Off, ext.Len))
-		}
+	old := r.SetClass(mpi.ClassExchange)
+	if c.hier != nil {
+		c.hierSendUp() // member -> leader -> aggregator (hier.go)
 	} else {
-		// Gather the physical chunks backing the logical extents, read
-		// merged runs once, and scatter into the logical buf.
-		var chunks []physChunk
-		for _, ext := range mergeOverlapsInPlace(s.extents) {
-			pos := ext.Off - s.w0
-			for _, ph := range f.xlate.Phys(ext.Off, ext.Len) {
-				chunks = append(chunks, physChunk{off: ph.Off, data: s.buf[pos : pos+ph.Len]})
-				pos += ph.Len
-			}
-		}
-		for _, run := range mergeRuns(chunks) {
-			got := f.lf.ReadAt(r, run.off, run.n)
-			for _, c := range run.parts {
-				copy(c.data, got[c.off-run.off:c.off-run.off+int64(len(c.data))])
+		for i := range c.streams {
+			if n := c.due[i]; n > 0 {
+				payload := perf.GetBuf(n) // released by the owner after scattering
+				c.streams[i].move(c.data, payload, true)
+				comm.SendWeighted(c.owners[i], c.tagOf(i >= len(f.aggs), round), payload, scaled(n, f.scale))
 			}
 		}
 	}
-	f.traceRound("round-io", t0, r.Now(), round)
+	for _, d := range c.owned {
+		d.dirty = d.dirty[:0]
+		tag, src := c.tagOf(d.annex, round), -1
+		for n := d.active; n > 0; n-- {
+			var msg []byte
+			if c.ft == nil {
+				var st mpi.Status
+				msg, st = comm.Recv(mpi.AnySource, tag)
+				src = st.Source
+			} else {
+				// Resilient rounds receive directed, in ascending source
+				// order: deterministic counts, no wildcard.
+				for src++; d.want[src] == 0; src++ {
+				}
+				msg, _ = comm.Recv(src, tag)
+			}
+			if d.want[src] != len(msg) {
+				panic(fmt.Sprintf("mpiio: round %d expected %d bytes from %d, got %d",
+					round, d.want[src], src, len(msg)))
+			}
+			var pos int64
+			for _, cp := range d.win[src] {
+				copy(d.buf[cp.off-d.w0:cp.off-d.w0+cp.ln], msg[pos:pos+cp.ln])
+				d.dirty = append(d.dirty, datatype.Segment{Off: cp.off, Len: cp.ln})
+				pos += cp.ln
+			}
+			perf.PutBuf(msg)
+		}
+	}
+	r.SetClass(old)
+	f.traceRound("round-exchange", t0, r.Now(), round)
 }
 
-// ioRoundAsyncInto is the prefetching twin of ioRound: it reads the given
-// round's window — computed locally via windowExtents, so it can run
-// before that round's alltoall — into buf through lustre's async path and
-// returns the virtual completion time without charging it. buf's window
-// origin is the target round's own w0.
-func (s *rstate) ioRoundAsyncInto(buf []byte, round int) float64 {
-	f, r := s.f, s.f.r
+// claim returns the staging buffer the round uses, first waiting out the I/O
+// request that last used it. Blocking calls have one buffer and no requests.
+func (c *call) claim(round int) []byte {
+	b := 0
+	if c.pipelined {
+		b = round % 2
+	}
+	if q := c.ioreq[b]; q != nil {
+		q.Wait()
+		c.ioreq[b] = nil
+	}
+	return c.stage[b]
+}
+
+// flushRound writes every owned domain's dirty extents. Non-aggregators of
+// a healthy call have nothing to write and emit no span; the resilient loop,
+// where any rank may come to own an annex, emits one on every rank. [io]
+func (c *call) flushRound(round int) {
+	if len(c.owned) == 0 && c.ft == nil {
+		return
+	}
+	f, r := c.f, c.f.r
 	t0 := r.Now()
 	done := t0
-	w0, _ := s.p.window(round)
-	exts := s.windowExtents(round, nil)
-	if f.vec {
-		if d := s.vecRead(buf, w0, exts, true); d > done {
-			done = d
-		}
-		f.traceRound("round-io", t0, done, round)
-		return done
-	}
-	if f.xlate == nil {
-		for _, ext := range exts {
-			got, d := f.lf.ReadAtAsync(r, ext.Off, ext.Len)
-			copy(buf[ext.Off-w0:ext.Off-w0+ext.Len], got)
-			if d > done {
-				done = d
-			}
-		}
-	} else {
-		var chunks []physChunk
-		for _, ext := range exts {
-			pos := ext.Off - w0
-			for _, ph := range f.xlate.Phys(ext.Off, ext.Len) {
-				chunks = append(chunks, physChunk{off: ph.Off, data: buf[pos : pos+ph.Len]})
-				pos += ph.Len
-			}
-		}
-		for _, run := range mergeRuns(chunks) {
-			got, d := f.lf.ReadAtAsync(r, run.off, run.n)
-			for _, c := range run.parts {
-				copy(c.data, got[c.off-run.off:c.off-run.off+int64(len(c.data))])
-			}
-			if d > done {
-				done = d
-			}
-		}
+	for _, d := range c.owned {
+		done = max(done, c.flush(d))
 	}
 	f.traceRound("round-io", t0, done, round)
-	return done
+	if c.pipelined {
+		// Not charged here: the tail is accounted, hidden or exposed, when
+		// the staging buffer is next claimed or at End.
+		c.ioreq[round%2] = f.tailReq(done)
+	}
 }
 
-// serveRound sends each requester its pieces of the staging buffer.
-// [exchange]
-func (s *rstate) serveRound(round int) {
-	if !s.isAgg {
+// fillRound brings the round's window into the owner's staging buffer. A
+// blocking call reads it now and pays for it; a pipelined call keeps one
+// window of read-ahead in flight in the idle buffer — issued before this
+// round is served, so the read overlaps this round's serve and delivery and
+// the next round's agreement — and waits out only the current window's tail.
+// [io]
+func (c *call) fillRound(round int) {
+	if c.myAgg < 0 {
 		return
 	}
-	f, r, comm := s.f, s.f.r, s.f.comm
-	t0 := r.Now()
-	old := r.SetClass(mpi.ClassExchange)
-	for src := 0; src < comm.Size(); src++ {
-		if s.give[src] == 0 {
-			continue
-		}
-		cl := s.winClips[src]
-		payload := perf.GetBuf(int(clipBytes(cl)))[:0]
-		for _, c := range cl {
-			payload = append(payload, s.buf[c.off-s.w0:c.off-s.w0+c.ln]...)
-		}
-		comm.SendWeighted(src, s.tag, payload, scaled(len(payload), f.scale))
+	ahead := 0
+	if c.pipelined {
+		ahead = 1
 	}
-	r.SetClass(old)
-	f.traceRound("round-exchange", t0, r.Now(), round)
+	// Windows up to round+ahead must have been issued; round 0 primes the
+	// pipe, every later round issues exactly one.
+	k := round + ahead
+	if round == 0 {
+		k = 0
+	}
+	for ; k <= round+ahead && k < c.ntimes; k++ {
+		b := k % (ahead + 1)
+		c.ioreq[b] = c.f.tailReq(c.fill(&c.main, k, c.stage[b]))
+	}
+	c.main.buf = c.claim(round)
 }
 
-// recvRound receives my pieces and scatters them into the output buffer
-// via the request-stream cursor. [exchange]
-func (s *rstate) recvRound(round int) {
-	f, r, comm := s.f, s.f.r, s.f.comm
-	t0 := r.Now()
-	old := r.SetClass(mpi.ClassExchange)
-	if f.hier != nil {
-		f.hierRecvDown(s) // aggregator -> leader -> member (hier.go)
-	} else {
-		for a, cr := range f.aggs {
-			if s.due[cr] == 0 {
-				continue
-			}
-			msg, _ := comm.Recv(cr, s.tag)
-			s.cursor[a].place(s.p.myReq[a], s.out, msg)
-			perf.PutBuf(msg) // arena-built by the serving aggregator
-		}
-	}
-	r.SetClass(old)
-	f.traceRound("round-exchange", t0, r.Now(), round)
-}
-
-// place scatters msg into out following the request stream, the inverse of
-// take.
-func (c *streamCursor) place(req []clip, out, msg []byte) {
-	var pos int64
-	n := int64(len(msg))
-	for n > 0 {
-		if c.seg >= len(req) {
-			panic("mpiio: delivery exceeds request stream")
-		}
-		cl := req[c.seg]
-		avail := cl.ln - c.used
-		take := avail
-		if take > n {
-			take = n
-		}
-		start := cl.dataPos + c.used
-		copy(out[start:start+take], msg[pos:pos+take])
-		c.used += take
-		pos += take
-		n -= take
-		if c.used == cl.ln {
-			c.seg++
-			c.used = 0
-		}
-	}
-}
-
-// physChunk is one logical-buffer slice destined for (or sourced from) a
+// piece is one slice of a staging buffer destined for (or sourced from) a
 // physical file offset.
-type physChunk struct {
+type piece struct {
 	off  int64
 	data []byte
 }
 
-// mergedRun is a contiguous physical range assembled from chunks.
-type mergedRun struct {
-	off   int64
-	n     int64
-	data  []byte      // writes: assembled bytes
-	parts []physChunk // reads: destinations to scatter into
-}
-
-func sortChunks(chunks []physChunk) {
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].off < chunks[j].off })
-}
-
-// mergeChunks assembles physically contiguous chunks into single write
-// runs (chunks never overlap: the logical extents were already merged and
-// the translation is injective).
-func mergeChunks(chunks []physChunk) []mergedRun {
-	sortChunks(chunks)
-	var out []mergedRun
-	for _, c := range chunks {
-		if n := len(out); n > 0 && out[n-1].off+out[n-1].n == c.off {
-			out[n-1].data = append(out[n-1].data, c.data...)
-			out[n-1].n += int64(len(c.data))
-		} else {
-			out = append(out, mergedRun{off: c.off, n: int64(len(c.data)),
-				data: append([]byte(nil), c.data...)})
+// runs is the preparation flush and fill share: merge the round's dirty
+// extents, translate them to physical pieces when an intermediate view is
+// active, and order the pieces by physical offset so adjacent ones (often
+// from neighboring processes' joined segments) coalesce into single storage
+// calls. buf is the staging buffer the extents index, with origin w0.
+func (c *call) runs(dirty []datatype.Segment, buf []byte, w0 int64) []piece {
+	ps := c.pieces[:0]
+	for _, ext := range mergeOverlapsInPlace(dirty) {
+		pos := ext.Off - w0
+		if c.f.xlate == nil {
+			ps = append(ps, piece{ext.Off, buf[pos : pos+ext.Len]})
+			continue
+		}
+		for _, ph := range c.f.xlate.Phys(ext.Off, ext.Len) {
+			ps = append(ps, piece{ph.Off, buf[pos : pos+ph.Len]})
+			pos += ph.Len
 		}
 	}
-	return out
+	if c.f.xlate != nil {
+		// Pieces never overlap: the logical extents were already merged and
+		// the translation is injective.
+		sort.Slice(ps, func(i, j int) bool { return ps[i].off < ps[j].off })
+	}
+	c.pieces = ps
+	return ps
 }
 
-// mergeRuns groups contiguous chunks for a single read each, remembering
-// the destination slices.
-func mergeRuns(chunks []physChunk) []mergedRun {
-	sortChunks(chunks)
-	var out []mergedRun
-	for _, c := range chunks {
-		if n := len(out); n > 0 && out[n-1].off+out[n-1].n == c.off {
-			out[n-1].n += int64(len(c.data))
-			out[n-1].parts = append(out[n-1].parts, c)
-		} else {
-			out = append(out, mergedRun{off: c.off, n: int64(len(c.data)), parts: []physChunk{c}})
+// nextRun returns the end of the maximal run of physically adjacent pieces
+// starting at ps[i], and the run's length in bytes.
+func nextRun(ps []piece, i int) (j int, n int64) {
+	n = int64(len(ps[i].data))
+	for j = i + 1; j < len(ps) && ps[i].off+n == ps[j].off; j++ {
+		n += int64(len(ps[j].data))
+	}
+	return j, n
+}
+
+// vectored reports whether the call's rounds go to storage as one list-I/O
+// request each — one round-trip per touched target instead of an RPC per
+// extent (DESIGN.md §14). The resilient loop stays scalar even on list-I/O
+// backends: the seam has no vectored Try call.
+func (c *call) vectored() bool { return c.f.vec && c.ft == nil }
+
+// flush writes a domain's dirty extents from its staging buffer and returns
+// the virtual time the data is safe: now for a blocking call, which charges
+// the wait as it goes; the slowest write's completion for a pipelined one,
+// which books the same resources through the async path and charges
+// nothing.
+func (c *call) flush(d *domain) float64 {
+	f, r := c.f, c.f.r
+	ps := c.runs(d.dirty, d.buf, d.w0)
+	done := r.Now()
+	c.exts, c.bufs = c.exts[:0], c.bufs[:0]
+	for i, j := 0, 0; i < len(ps); i = j {
+		var n int64
+		j, n = nextRun(ps, i)
+		data := ps[i].data
+		if j > i+1 {
+			data = make([]byte, 0, n)
+			for _, p := range ps[i:j] {
+				data = append(data, p.data...)
+			}
+		}
+		switch {
+		case c.vectored():
+			c.exts = append(c.exts, storage.Extent{Off: ps[i].off, Len: n})
+			c.bufs = append(c.bufs, data)
+		case c.ft != nil:
+			f.resilientWrite(ps[i].off, data)
+		case c.pipelined:
+			done = max(done, f.lf.WriteAtAsync(r, ps[i].off, data))
+		default:
+			f.lf.WriteAt(r, ps[i].off, data)
 		}
 	}
-	return out
+	if len(c.exts) > 0 {
+		if c.pipelined {
+			done = max(done, f.lf.WritevAtAsync(r, c.exts, c.bufs))
+		} else {
+			f.lf.WritevAt(r, c.exts, c.bufs)
+		}
+	}
+	return max(done, r.Now())
+}
+
+// fill reads the union of the extents requested inside the given round's
+// window into buf (whose origin is that window's own w0), and returns the
+// virtual time the data is there — see flush for the blocking/pipelined
+// split. The read set comes from the plan alone, so a pipelined call can
+// fill a window before that round's agreement.
+func (c *call) fill(d *domain, round int, buf []byte) float64 {
+	f, r := c.f, c.f.r
+	t0 := r.Now()
+	w0, w1 := d.window(round, c.cb)
+	d.dirty = d.extentsIn(d.dirty[:0], w0, w1)
+	ps := c.runs(d.dirty, buf, w0)
+	done := t0
+	c.exts, c.bufs = c.exts[:0], c.bufs[:0]
+	for i, j := 0, 0; i < len(ps); i = j {
+		var n int64
+		j, n = nextRun(ps, i)
+		switch {
+		case c.vectored():
+			c.exts = append(c.exts, storage.Extent{Off: ps[i].off, Len: n})
+		case c.pipelined:
+			got, at := f.lf.ReadAtAsync(r, ps[i].off, n)
+			c.bufs, done = append(c.bufs, got), max(done, at)
+		default:
+			c.bufs = append(c.bufs, f.lf.ReadAt(r, ps[i].off, n))
+		}
+	}
+	if len(c.exts) > 0 {
+		if c.pipelined {
+			var at float64
+			c.bufs, at = f.lf.ReadvAtAsync(r, c.exts)
+			done = max(done, at)
+		} else {
+			c.bufs = f.lf.ReadvAt(r, c.exts)
+		}
+	}
+	// Scatter: the pieces, in order, consume the runs' bytes in order.
+	run, pos := 0, 0
+	for _, p := range ps {
+		for len(p.data) > 0 && pos == len(c.bufs[run]) {
+			run, pos = run+1, 0
+		}
+		pos += copy(p.data, c.bufs[run][pos:])
+	}
+	done = max(done, r.Now())
+	f.traceRound("round-io", t0, done, round)
+	return done
+}
+
+// serve sends each requester its pieces of the staging buffer. [exchange]
+func (c *call) serve(round int) {
+	if c.myAgg < 0 {
+		return
+	}
+	f, r, d := c.f, c.f.r, &c.main
+	t0 := r.Now()
+	old := r.SetClass(mpi.ClassExchange)
+	for src, n := range d.want {
+		if n == 0 {
+			continue
+		}
+		payload := perf.GetBuf(n)[:0] // released by the receiver
+		for _, cp := range d.win[src] {
+			payload = append(payload, d.buf[cp.off-d.w0:cp.off-d.w0+cp.ln]...)
+		}
+		f.comm.SendWeighted(src, c.tag, payload, scaled(n, f.scale))
+	}
+	r.SetClass(old)
+	f.traceRound("round-exchange", t0, r.Now(), round)
+}
+
+// deliver receives my pieces and scatters them into the output buffer
+// through the request streams. [exchange]
+func (c *call) deliver(round int) {
+	f, r := c.f, c.f.r
+	t0 := r.Now()
+	old := r.SetClass(mpi.ClassExchange)
+	if c.hier != nil {
+		c.hierRecvDown() // aggregator -> leader -> member (hier.go)
+	} else {
+		for i, cr := range c.owners {
+			if c.due[i] == 0 {
+				continue
+			}
+			msg, _ := f.comm.Recv(cr, c.tag)
+			c.streams[i].move(c.data, msg, false)
+			perf.PutBuf(msg)
+		}
+	}
+	r.SetClass(old)
+	f.traceRound("round-exchange", t0, r.Now(), round)
 }
 
 func scaled(n int, scale float64) int {
@@ -961,13 +848,9 @@ func clipSegs(segs []datatype.Segment, pre []int64, lo, hi int64) []clip {
 	return out
 }
 
-// clipWindow intersects clips (sorted by off) with [lo, hi).
-func clipWindow(cl []clip, lo, hi int64) []clip {
-	return clipWindowInto(nil, cl, lo, hi)
-}
-
-// clipWindowInto is clipWindow appending into dst; the round loops pass a
-// recycled backing array (dst[:0]) so steady-state rounds allocate nothing.
+// clipWindowInto appends the intersection of clips (sorted by off) with
+// [lo, hi) to dst; the round loop passes a recycled backing array (dst[:0])
+// so steady-state rounds allocate nothing.
 func clipWindowInto(dst, cl []clip, lo, hi int64) []clip {
 	for _, c := range cl {
 		if c.off+c.ln <= lo || c.off >= hi {
@@ -993,30 +876,15 @@ func clipBytes(cl []clip) int64 {
 	return n
 }
 
-// gatherPayload concatenates the caller's data bytes for the given clips.
-func gatherPayload(data []byte, cl []clip) []byte {
-	out := make([]byte, 0, clipBytes(cl))
-	for _, c := range cl {
-		out = append(out, data[c.dataPos:c.dataPos+c.ln]...)
-	}
-	return out
-}
-
-// mergeOverlaps coalesces possibly-overlapping extents (several readers may
-// request the same bytes).
-func mergeOverlaps(segs []datatype.Segment) []datatype.Segment {
-	return mergeOverlapsInPlace(append([]datatype.Segment(nil), segs...))
-}
-
-// mergeOverlapsInPlace is mergeOverlaps without the defensive copy: segs is
-// reordered and its prefix holds the result. The round loops call it on
-// their own scratch slice. The merged output — sorted, disjoint, covering
-// exactly the union — is the same whatever the input order.
+// mergeOverlapsInPlace coalesces possibly-overlapping extents (several
+// readers may request the same bytes): segs is reordered and its prefix
+// holds the result — sorted, disjoint, covering exactly the union, whatever
+// the input order.
 func mergeOverlapsInPlace(segs []datatype.Segment) []datatype.Segment {
 	if len(segs) == 0 {
 		return nil
 	}
-	sortSegs(segs)
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Off < segs[j].Off })
 	out := segs[:1]
 	for _, s := range segs[1:] {
 		last := &out[len(out)-1]
@@ -1031,12 +899,8 @@ func mergeOverlapsInPlace(segs []datatype.Segment) []datatype.Segment {
 	return out
 }
 
-func sortSegs(segs []datatype.Segment) {
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Off < segs[j].Off })
-}
-
 // encClips encodes a request list into an arena buffer; the consumer
-// releases it with perf.PutBuf once decoded (buildPlan does).
+// releases it with perf.PutBuf once decoded (plan does).
 func encClips(cl []clip) []byte {
 	out := perf.GetBuf(16 * len(cl))
 	for i, c := range cl {

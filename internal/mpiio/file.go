@@ -14,6 +14,7 @@ package mpiio
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/datatype"
@@ -309,13 +310,14 @@ func (f *File) Hierarchical() bool { return f.hier != nil }
 func rankOf(c *mpi.Comm) *mpi.Rank { return c.RankHandle() }
 
 // selectAggregators computes the aggregator comm ranks: either the
-// explicitly hinted world ranks that belong to the communicator, or the
+// explicitly hinted world ranks that belong to the communicator (a repeated
+// rank counts once — the plan holds one file domain per aggregator), or the
 // first rank on each distinct node (capped at CBNodes when set).
 func selectAggregators(comm *mpi.Comm, nodes [][]int64, hints Hints) []int {
 	if len(hints.AggregatorList) > 0 {
 		var aggs []int
 		for _, w := range hints.AggregatorList {
-			if cr := comm.RankOfWorld(w); cr >= 0 {
+			if cr := comm.RankOfWorld(w); cr >= 0 && !slices.Contains(aggs, cr) {
 				aggs = append(aggs, cr)
 			}
 		}
@@ -363,10 +365,9 @@ func (f *File) SetView(v datatype.View) { f.view = v }
 // View returns the current file view.
 func (f *File) View() datatype.View { return f.view }
 
-// Lustre exposes the underlying storage handle (for verification in tests;
-// the name predates the backend seam — the handle is whatever backend the
-// file was opened on).
-func (f *File) Lustre() storage.File { return f.lf }
+// Storage exposes the underlying storage handle — whatever backend the file
+// was opened on — for verification in tests.
+func (f *File) Storage() storage.File { return f.lf }
 
 // Comm returns the communicator the file was opened on.
 func (f *File) Comm() *mpi.Comm { return f.comm }

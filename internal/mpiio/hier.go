@@ -7,7 +7,8 @@ import (
 	"repro/internal/perf"
 )
 
-// Two-level (intra-node aggregated) collective I/O.
+// Two-level (intra-node aggregated) collective I/O: the node-leader exchange
+// topology of the round driver (ext2ph.go).
 //
 // The flat ext2ph protocol has every PE talk to every aggregator across the
 // NIC: the request alltoallv, the per-round dense size alltoall, and one
@@ -24,8 +25,8 @@ import (
 //     keyed by the sending node's leader — so file domains, st_loc/end_loc,
 //     round count, and therefore all file bytes and I/O times are identical
 //     to the flat path.
-//   - per-round sync: the dense comm-wide size alltoall is replaced by a
-//     leaders-only exchange of the aggregators' round windows; every rank
+//   - per-round agreement: the dense comm-wide size alltoall is replaced by
+//     a leaders-only exchange of the aggregators' round windows; every rank
 //     then derives its own obligations locally (clipWindowBytes over its
 //     request lists — consistent by construction, since the aggregator's
 //     expectation is the same function of the same merged lists).
@@ -39,8 +40,7 @@ import (
 // be its node's leader (node-minimal comm rank). The default aggregator
 // selection — first rank of each distinct node — satisfies it by
 // construction; explicit AggregatorList hints that violate it fall back to
-// the flat path, as does any crash-carrying fault plan (failover re-elects
-// aggregators mid-call, which would orphan the leader roles).
+// the flat path at open, as does any crash-carrying fault plan.
 
 // fileHier is the per-file two-level state: the communicator hierarchy and
 // the aggregator-to-node map, both fixed at open.
@@ -62,38 +62,33 @@ func hierViable(lay mpi.NodeLayout, aggs []int) bool {
 	return true
 }
 
-// hplan is the per-call two-level scratch hung off the plan.
-type hplan struct {
+// hierState is one call's two-level scratch.
+type hierState struct {
+	*fileHier
 	// memberReq (leaders only) holds each intra member's request list per
 	// aggregator, decoded at dissemination; offsets/lengths only (that is
 	// all the leader needs: round-splitting byte counts and merge order).
 	memberReq [][][]clip
-	win       [][2]int64 // per aggregator: this round's window
-	myOwe     []int64    // per aggregator: my data bytes this round
-	memOwe    [][]int64  // leaders: per member, per aggregator bytes this round
+	memOwe    [][]int // leaders: per member, per aggregator bytes this round
 }
 
 // hierDisseminate is the two-level form of protocol step 3: requests gather
 // at the node leader over memory and only merged per-aggregator lists cross
-// the NIC. Fills p.others on aggregators (keyed by leader comm rank, the
-// message source the round loop will see) and p.h everywhere. [sync]
-func (f *File) hierDisseminate(p *plan) {
-	r, hh := f.r, f.hier.h
+// the NIC. Fills main.others on aggregators (keyed by leader comm rank, the
+// message source the round loop will see). [sync]
+func (c *call) hierDisseminate() {
+	f, r, hp, hh := c.f, c.f.r, c.hier, c.hier.h
 	nag := len(f.aggs)
-	hp := &hplan{win: make([][2]int64, nag), myOwe: make([]int64, nag)}
-	p.h = hp
 
 	old := r.SetClass(mpi.ClassSync)
-	blobs := hh.Intra.Gather(0, encReqSet(p.myReq))
+	blobs := hh.Intra.Gather(0, encReqSet(c.streams))
 	if hh.IsLeader() {
 		hp.memberReq = make([][][]clip, len(blobs))
+		hp.memOwe = make([][]int, len(blobs))
 		for m, b := range blobs {
 			hp.memberReq[m] = decReqSet(b, nag)
+			hp.memOwe[m] = make([]int, nag)
 			perf.PutBuf(b)
-		}
-		hp.memOwe = make([][]int64, len(hp.memberReq))
-		for m := range hp.memOwe {
-			hp.memOwe[m] = make([]int64, nag)
 		}
 		// Merge member lists per aggregator — concatenation in member order,
 		// never re-sorted: the round loop's payload assembly counts on the
@@ -105,20 +100,18 @@ func (f *File) hierDisseminate(p *plan) {
 				merged = append(merged, mr[a]...)
 			}
 			if len(merged) > 0 {
-				send[f.hier.aggNode[a]] = encClips(merged)
+				send[hp.aggNode[a]] = encClips(merged)
 			}
 		}
 		got := hh.Inter.Alltoallv(send, f.hints.AlltoallvAlgo)
-		if f.isAggregator() {
-			p.others = make(map[int][]clip)
-			for node, b := range got {
-				if len(b) > 0 {
-					p.others[hh.Layout.Leaders[node]] = decClips(b)
-				}
-			}
+		if c.myAgg >= 0 {
+			c.main.others = make(map[int][]clip)
 		}
-		for _, b := range got {
+		for node, b := range got {
 			if len(b) > 0 {
+				if c.myAgg >= 0 {
+					c.main.others[hh.Layout.Leaders[node]] = decClips(b)
+				}
 				perf.PutBuf(b)
 			}
 		}
@@ -126,85 +119,73 @@ func (f *File) hierDisseminate(p *plan) {
 	r.SetClass(old)
 }
 
-// hierWindows is the round's two-level synchronization: leaders exchange
-// their node's aggregator window (zero when the node hosts none) and fan the
-// table out node-locally; every rank then computes its send/receive
-// obligations without any comm-wide collective. w0/w1 are the caller's own
-// aggregator window (zero on non-aggregators). [sync]
-func (f *File) hierWindows(p *plan, w0, w1 int64) {
-	hp, hh := p.h, f.hier.h
+// hierWindows is the round's two-level agreement: leaders exchange their
+// node's aggregator window (zero when the node hosts none) and fan the
+// table out node-locally; every rank then computes what it moves to or from
+// each aggregator without any comm-wide collective. [sync]
+func (c *call) hierWindows() {
+	hp, hh := c.hier, c.hier.h
 	var lv []int64
 	if hh.IsLeader() {
-		lv = []int64{w0, w1}
+		lv = []int64{c.main.w0, c.main.w1} // zero on a leader that is no aggregator
 	}
 	tab := hh.ExchangeLeaderInt64s(lv)
-	for a := range f.aggs {
-		win := tab[f.hier.aggNode[a]]
-		hp.win[a] = [2]int64{win[0], win[1]}
-		hp.myOwe[a] = clipWindowBytes(p.myReq[a], win[0], win[1])
-	}
-	if hh.IsLeader() {
+	for a := range c.due {
+		win := tab[hp.aggNode[a]]
+		c.due[a] = int(clipWindowBytes(c.streams[a].req, win[0], win[1]))
 		for m, mr := range hp.memberReq {
-			for a := range f.aggs {
-				hp.memOwe[m][a] = clipWindowBytes(mr[a], hp.win[a][0], hp.win[a][1])
-			}
+			hp.memOwe[m][a] = int(clipWindowBytes(mr[a], win[0], win[1]))
 		}
 	}
 }
 
-// hierSendUp is the write exchange's up-flow: every rank drains its cursors
+// hierSendUp is the write exchange's up-flow: every rank drains its streams
 // into one member payload (per-aggregator pieces in aggregator order) and
 // hands it to its leader over memory; leaders reassemble per-aggregator
 // payloads in member-major order and cross the NIC once per aggregator.
-// The aggregator-side receive/scatter in exchangeRound is unchanged — it
-// sees the same byte streams as the flat path, just from fewer sources.
-// [exchange]
-func (f *File) hierSendUp(s *wstate) {
-	hp, hh := s.p.h, f.hier.h
-	var total int64
-	for a := range f.aggs {
-		total += hp.myOwe[a]
-	}
+// The owner-side receive/scatter in exchange is unchanged — it sees the same
+// byte streams as the flat path, just from fewer sources. [exchange]
+func (c *call) hierSendUp() {
+	f, hp, hh := c.f, c.hier, c.hier.h
 	var mine []byte
-	if total > 0 {
-		mine = perf.GetBuf(int(total))[:0]
-		for a := range f.aggs {
-			if n := hp.myOwe[a]; n > 0 {
-				mine = s.cursor[a].takeAppend(mine, s.p.myReq[a], s.data, n)
-			}
+	if total := sum(c.due); total > 0 {
+		mine = perf.GetBuf(total)
+		pos := 0
+		for a, n := range c.due {
+			c.streams[a].move(c.data, mine[pos:pos+n], true)
+			pos += n
 		}
 	}
 	if !hh.IsLeader() {
-		if total > 0 {
-			hh.Intra.SendWeighted(0, s.tag, mine, scaled(len(mine), f.scale))
+		if mine != nil {
+			hh.Intra.SendWeighted(0, c.tag, mine, scaled(len(mine), f.scale))
 		}
 		return
 	}
 	msgs := make([][]byte, hh.Intra.Size())
 	msgs[0] = mine // the leader is its own member 0
 	for m := 1; m < hh.Intra.Size(); m++ {
-		if sumInt64(hp.memOwe[m]) > 0 {
-			msg, _ := hh.Intra.Recv(m, s.tag)
-			msgs[m] = msg
+		if sum(hp.memOwe[m]) > 0 {
+			msgs[m], _ = hh.Intra.Recv(m, c.tag)
 		}
 	}
-	pos := make([]int64, len(msgs))
+	pos := make([]int, len(msgs))
 	for a, cr := range f.aggs {
-		var n int64
+		n := 0
 		for m := range msgs {
 			n += hp.memOwe[m][a]
 		}
 		if n == 0 {
 			continue
 		}
-		payload := perf.GetBuf(int(n))[:0]
+		payload := perf.GetBuf(n)[:0]
 		for m, msg := range msgs {
 			if k := hp.memOwe[m][a]; k > 0 {
 				payload = append(payload, msg[pos[m]:pos[m]+k]...)
 				pos[m] += k
 			}
 		}
-		f.comm.SendWeighted(cr, s.tag, payload, scaled(len(payload), f.scale))
+		f.comm.SendWeighted(cr, c.tag, payload, scaled(n, f.scale))
 	}
 	for _, msg := range msgs {
 		if msg != nil {
@@ -217,68 +198,65 @@ func (f *File) hierSendUp(s *wstate) {
 // leader receives each aggregator's merged delivery for its node, splits it
 // per member by the locally known byte counts, and fans out one message per
 // member over memory; members scatter their piece through their own request
-// cursors. [exchange]
-func (f *File) hierRecvDown(s *rstate) {
-	hp, hh := s.p.h, f.hier.h
-	if hh.IsLeader() {
-		nm := hh.Intra.Size()
-		parts := make([][]byte, nm)
-		for m := 0; m < nm; m++ {
-			if t := sumInt64(hp.memOwe[m]); t > 0 {
-				parts[m] = perf.GetBuf(int(t))[:0]
-			}
-		}
-		for a, cr := range f.aggs {
-			var n int64
-			for m := 0; m < nm; m++ {
-				n += hp.memOwe[m][a]
-			}
-			if n == 0 {
-				continue
-			}
-			msg, _ := f.comm.Recv(cr, s.tag)
-			var pos int64
-			for m := 0; m < nm; m++ {
-				if k := hp.memOwe[m][a]; k > 0 {
-					parts[m] = append(parts[m], msg[pos:pos+k]...)
-					pos += k
-				}
-			}
-			perf.PutBuf(msg) // arena-built by serveRound
-		}
-		for m := 1; m < nm; m++ {
-			if parts[m] != nil {
-				hh.Intra.SendWeighted(m, s.tag, parts[m], scaled(len(parts[m]), f.scale))
-			}
-		}
-		if parts[0] != nil {
-			f.hierPlace(s, parts[0])
-			perf.PutBuf(parts[0])
+// streams. [exchange]
+func (c *call) hierRecvDown() {
+	f, hp, hh := c.f, c.hier, c.hier.h
+	if !hh.IsLeader() {
+		if sum(c.due) > 0 {
+			msg, _ := hh.Intra.Recv(0, c.tag)
+			c.hierPlace(msg)
 		}
 		return
 	}
-	if sumInt64(hp.myOwe) > 0 {
-		msg, _ := hh.Intra.Recv(0, s.tag)
-		f.hierPlace(s, msg)
-		perf.PutBuf(msg)
+	nm := hh.Intra.Size()
+	parts := make([][]byte, nm)
+	for m := 0; m < nm; m++ {
+		if t := sum(hp.memOwe[m]); t > 0 {
+			parts[m] = perf.GetBuf(t)[:0]
+		}
+	}
+	for a, cr := range f.aggs {
+		n := 0
+		for m := 0; m < nm; m++ {
+			n += hp.memOwe[m][a]
+		}
+		if n == 0 {
+			continue
+		}
+		msg, _ := f.comm.Recv(cr, c.tag)
+		pos := 0
+		for m := 0; m < nm; m++ {
+			if k := hp.memOwe[m][a]; k > 0 {
+				parts[m] = append(parts[m], msg[pos:pos+k]...)
+				pos += k
+			}
+		}
+		perf.PutBuf(msg) // arena-built by serve
+	}
+	for m := 1; m < nm; m++ {
+		if parts[m] != nil {
+			hh.Intra.SendWeighted(m, c.tag, parts[m], scaled(len(parts[m]), f.scale))
+		}
+	}
+	if parts[0] != nil {
+		c.hierPlace(parts[0])
 	}
 }
 
 // hierPlace scatters a member's round delivery (per-aggregator pieces in
-// aggregator order) into the output buffer through the request cursors.
-func (f *File) hierPlace(s *rstate, msg []byte) {
-	hp := s.p.h
-	var pos int64
-	for a := range f.aggs {
-		if k := hp.myOwe[a]; k > 0 {
-			s.cursor[a].place(s.p.myReq[a], s.out, msg[pos:pos+k])
-			pos += k
-		}
+// aggregator order) into the output buffer through the request streams and
+// releases it.
+func (c *call) hierPlace(msg []byte) {
+	pos := 0
+	for a, k := range c.due {
+		c.streams[a].move(c.data, msg[pos:pos+k], false)
+		pos += k
 	}
+	perf.PutBuf(msg)
 }
 
-func sumInt64(v []int64) int64 {
-	var n int64
+func sum(v []int) int {
+	n := 0
 	for _, x := range v {
 		n += x
 	}
@@ -286,24 +264,16 @@ func sumInt64(v []int64) int64 {
 }
 
 // clipWindowBytes returns the byte count of cl intersected with [lo, hi) —
-// clipBytes(clipWindow(cl, lo, hi)) without materializing the clips. The
-// two-level sync computes every obligation through it, on both sides of
-// each transfer, which is what makes the derived sizes agree by
-// construction.
+// clipBytes of the clipped list without materializing it. Every obligation a
+// rank derives locally (two-level rounds, annex windows) goes through it, on
+// both sides of each transfer, which is what makes the derived sizes agree
+// by construction.
 func clipWindowBytes(cl []clip, lo, hi int64) int64 {
 	var n int64
 	for _, c := range cl {
-		if c.off+c.ln <= lo || c.off >= hi {
-			continue
+		if o, e := max(c.off, lo), min(c.off+c.ln, hi); o < e {
+			n += e - o
 		}
-		o, e := c.off, c.off+c.ln
-		if o < lo {
-			o = lo
-		}
-		if e > hi {
-			e = hi
-		}
-		n += e - o
 	}
 	return n
 }
@@ -312,19 +282,19 @@ func clipWindowBytes(cl []clip, lo, hi int64) int64 {
 // a count header (one int64 per aggregator) followed by the 16-byte
 // off/len clip records in aggregator order. The consumer releases it with
 // perf.PutBuf once decoded (hierDisseminate does).
-func encReqSet(reqs [][]clip) []byte {
+func encReqSet(reqs []stream) []byte {
 	total := 0
-	for _, cl := range reqs {
-		total += len(cl)
+	for _, s := range reqs {
+		total += len(s.req)
 	}
 	out := perf.GetBuf(8*len(reqs) + 16*total)
 	pos := 0
-	for _, cl := range reqs {
-		binary.LittleEndian.PutUint64(out[pos:], uint64(len(cl)))
+	for _, s := range reqs {
+		binary.LittleEndian.PutUint64(out[pos:], uint64(len(s.req)))
 		pos += 8
 	}
-	for _, cl := range reqs {
-		for _, c := range cl {
+	for _, s := range reqs {
+		for _, c := range s.req {
 			binary.LittleEndian.PutUint64(out[pos:], uint64(c.off))
 			binary.LittleEndian.PutUint64(out[pos+8:], uint64(c.ln))
 			pos += 16

@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,6 +52,9 @@ func ParseHints(info map[string]string) (Hints, error) {
 				r, err := strconv.Atoi(f)
 				if err != nil || r < 0 {
 					return h, fmt.Errorf("mpiio: bad cb_config_list entry %q", f)
+				}
+				if slices.Contains(h.AggregatorList, r) {
+					return h, fmt.Errorf("mpiio: cb_config_list names rank %d twice", r)
 				}
 				h.AggregatorList = append(h.AggregatorList, r)
 			}

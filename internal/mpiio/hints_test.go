@@ -36,6 +36,7 @@ func TestParseHintsErrors(t *testing.T) {
 		{"cb_nodes": "lots"},
 		{"cb_buffer_size": "0"},
 		{"cb_config_list": "0,x"},
+		{"cb_config_list": "0,0,2"},
 		{"parcoll_alltoallv": "magic"},
 		{"not_a_hint": "1"},
 	}
@@ -43,6 +44,11 @@ func TestParseHintsErrors(t *testing.T) {
 		if _, err := ParseHints(info); err == nil {
 			t.Errorf("ParseHints(%v) accepted bad input", info)
 		}
+	}
+	// A repeated aggregator is named, so the user can find it in a long list.
+	_, err := ParseHints(map[string]string{"cb_config_list": "0,4,8,4"})
+	if err == nil || !strings.Contains(err.Error(), "rank 4 twice") {
+		t.Errorf("repeated cb_config_list entry: err = %v, want it to name rank 4", err)
 	}
 }
 

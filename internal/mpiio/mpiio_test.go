@@ -190,6 +190,29 @@ func TestAggregatorListHint(t *testing.T) {
 	})
 }
 
+// A Hints literal can still repeat a rank (ParseHints rejects it): the
+// repeat counts once, instead of two file domains fighting over one
+// aggregator's request slot and the call dying mid-round.
+func TestRepeatedAggregatorCountsOnce(t *testing.T) {
+	const n, per = 4, 3000
+	fs := runIO(t, n, 1, func(r *mpi.Rank, fs *lustre.FS) {
+		f := Open(mpi.WorldComm(r), fs, "rep", testStripe(),
+			Hints{CBBufferSize: 1024, AggregatorList: []int{0, 0, 2}})
+		if aggs := f.Aggregators(); len(aggs) != 2 || aggs[0] != 0 || aggs[1] != 2 {
+			t.Errorf("aggregators = %v want [0 2]", aggs)
+		}
+		f.SetView(datatype.View{Disp: int64(r.WorldRank()) * per, Filetype: datatype.Contig(per)})
+		want := pattern(r.WorldRank(), per)
+		f.WriteAtAll(0, want)
+		if got := f.ReadAtAll(0, per); !bytes.Equal(got, want) {
+			t.Errorf("rank %d read back wrong bytes", r.WorldRank())
+		}
+	})
+	checkContents(t, fs, "rep", func(off int64) byte {
+		return byte(int(off/per)*37 + int(off%per)*11 + 5)
+	}, n*per)
+}
+
 func TestCollectiveWriteSingleAggregator(t *testing.T) {
 	const n = 4
 	const per = 5000
@@ -444,7 +467,7 @@ func TestSievedWriteCorrect(t *testing.T) {
 	fs := runIO(t, 1, 1, func(r *mpi.Rank, fs *lustre.FS) {
 		f := Open(mpi.WorldComm(r), fs, "sw", testStripe(), Hints{})
 		// Pre-fill the holes so read-modify-write must preserve them.
-		f.Lustre().WriteAt(r, 0, bytes.Repeat([]byte{0xEE}, 2048))
+		f.Storage().WriteAt(r, 0, bytes.Repeat([]byte{0xEE}, 2048))
 		ft := datatype.NewVector(16, 32, 128)
 		f.SetView(datatype.View{Disp: 0, Filetype: ft})
 		f.WriteAtSieved(0, pattern(2, 16*32))

@@ -12,13 +12,13 @@ import (
 	"repro/internal/storage"
 )
 
-// Fail-stop fault tolerance for the collective write path.
+// Fail-stop fault tolerance for the collective write path: the round
+// driver's heartbeat size agreement (ext2ph.go).
 //
-// The healthy ext2ph round loop synchronizes each round with a dense
-// alltoall, which has no failure semantics: a crashed aggregator would stall
-// the collective forever. Under a fault plan that carries crashes, WriteAtAll
-// switches to this resilient variant, which restructures the round
-// synchronization so that an aggregator's death is *observable*:
+// The healthy round synchronizes with a dense alltoall, which has no failure
+// semantics: a crashed aggregator would stall the collective forever. Under a
+// fault plan that carries crashes, a collective write agrees on each round's
+// sizes this way instead, so that an aggregator's death is *observable*:
 //
 //   - Instead of the alltoall, each live aggregator sends every member a
 //     24-byte plan message per round — [st_loc, end_loc, want] — announcing
@@ -100,120 +100,301 @@ func decPlan(b []byte) (st, end int64, want int) {
 	return st, end, want
 }
 
-// annexDomain is one slice of a dead aggregator's unwritten remainder,
-// absorbed by a surviving owner. Every rank tracks every annex (the bounds
-// are common knowledge); req/cur are this rank's member-side state, and
-// others/buf exist only on the owner.
-type annexDomain struct {
-	owner   int   // comm rank that absorbed this subdomain
-	lo, hi  int64 // file range [lo, hi)
-	startRd int   // first round this annex's windows advance
-
-	req []clip // member side: my clips inside [lo, hi)
-	cur streamCursor
-
-	others  map[int][]clip // owner side: per-source clips
-	buf     []byte         // owner side: staging buffer
-	extents []datatype.Segment
-}
-
-// window returns the annex's file window for the given absolute round.
-func (x *annexDomain) window(round int, cb int64) (int64, int64) {
-	if x.lo >= x.hi || round < x.startRd {
-		return 0, 0
-	}
-	w0 := x.lo + int64(round-x.startRd)*cb
-	w1 := w0 + cb
-	if w1 > x.hi {
-		w1 = x.hi
-	}
-	if w0 >= w1 {
-		return 0, 0
-	}
-	return w0, w1
-}
-
-// ftState is the per-call state of one resilient collective write.
+// ftState is what one resilient call has learned from the heartbeats, plus
+// what it needs to repair a failure: the rank's own segments.
 type ftState struct {
-	s   *wstate
 	pol recovery.Policy
 
 	segs []datatype.Segment // my view-mapped physical segments
 	pre  []int64            // prefix data positions for segs
 
-	deadAgg  []bool  // per agg index: known dead (this call or earlier)
-	aggSt    []int64 // per agg index: last announced st_loc
-	aggEnd   []int64
-	aggKnown []bool
+	dead    []bool  // per agg index: known dead (this call or earlier)
+	wasDead []bool  // dead as of the start of the current round
+	aggSt   []int64 // per agg index: last announced st_loc
+	aggEnd  []int64
+	known   []bool
 
 	failovers int
-	annexes   []*annexDomain
 	degraded  bool
-	ntimes    int // s.p.ntimes, possibly extended by annex rounds
 }
 
-// writeAtAllFT is WriteAtAll under a crash-carrying fault plan.
-func (f *File) writeAtAllFT(logOff int64, data []byte) {
-	if f.degraded {
-		// A previous call exhausted the failover budget; collective
-		// machinery on this handle stays retired.
-		f.seq++
-		segs := f.view.Map(logOff, int64(len(data)))
-		f.degradeWrite(segs, prefixes(segs), data)
-		f.absorbProf()
-		return
-	}
-	s := f.beginWrite(logOff, data)
+func newFTState(f *File, segs []datatype.Segment, pre []int64) *ftState {
 	nag := len(f.aggs)
-	ft := &ftState{
-		s:        s,
-		pol:      f.run.Recovery.Defaults(),
-		segs:     f.view.Map(logOff, int64(len(data))),
-		deadAgg:  make([]bool, nag),
-		aggSt:    make([]int64, nag),
-		aggEnd:   make([]int64, nag),
-		aggKnown: make([]bool, nag),
-		ntimes:   s.p.ntimes,
+	return &ftState{
+		pol:     f.run.Recovery.Defaults(),
+		segs:    segs,
+		pre:     pre,
+		dead:    make([]bool, nag),
+		wasDead: make([]bool, nag),
+		aggSt:   make([]int64, nag),
+		aggEnd:  make([]int64, nag),
+		known:   make([]bool, nag),
 	}
-	ft.pre = prefixes(ft.segs)
+}
 
-	// Aggregators that died in an earlier call fail over immediately: their
-	// silence was already paid for once, so round 0 starts with their whole
-	// file domain annexed and no watchdog armed for them.
-	if s.p.fdLo != nil {
-		var carried []int
-		for a, cr := range f.aggs {
-			if f.deadWorld[f.comm.WorldRankOf(cr)] {
-				ft.deadAgg[a] = true
-				carried = append(carried, a)
+// carryDead fails over, at round 0, the aggregators that died in an earlier
+// call on this handle: their silence was already paid for once, so the call
+// starts with their whole file domain annexed and no watchdog armed for them.
+// It reports false if that alone exhausts the failover budget.
+func (c *call) carryDead() bool {
+	f, ft := c.f, c.ft
+	if c.fdLo == nil {
+		return true // the call moves no data
+	}
+	var carried []int
+	for a, cr := range f.aggs {
+		if f.deadWorld[f.comm.WorldRankOf(cr)] {
+			c.markAggDead(a)
+			carried = append(carried, a)
+		}
+	}
+	if len(carried) > 0 {
+		t0 := f.r.Now()
+		c.failover(carried, 0)
+		f.noteRecoverSpan(f.r.Now() - t0)
+	}
+	return !ft.degraded
+}
+
+// markAggDead records aggregator a's death. When the role is this rank's own
+// it stops staging its file domain — main is owned[0] for as long as the
+// role lives, because annexes are only ever appended behind it.
+func (c *call) markAggDead(a int) {
+	c.ft.dead[a] = true
+	if a == c.myAgg {
+		c.owned = c.owned[1:]
+	}
+}
+
+// markDead opens a resilient round: it snapshots the dead set, and if this
+// rank's own aggregator role fail-stops this round, marks it — from here on
+// the rank announces nothing, collects nothing, writes nothing, and the
+// others will time out on it. The snapshot precedes the self-mark so the
+// crash lands in this round's newly-dead set on the crashed rank too: its
+// process survives as a data source and must join the failover
+// dissemination like everyone else.
+func (c *call) markDead(round int) {
+	f, ft := c.f, c.ft
+	copy(ft.wasDead, ft.dead)
+	if a := c.myAgg; a >= 0 && !ft.dead[a] && f.aggCrashedNow(round) {
+		c.markAggDead(a)
+		// Idle out the watchdog period the others are about to spend
+		// detecting this corpse. Every live member's clock advances by
+		// exactly one timeout per newly dead aggregator this round; a rank
+		// that skips a wait (it knows its own role is dead) would otherwise
+		// fall a full timeout behind, and its next-round watchdog deadlines
+		// would expire before the survivors' announcements could arrive —
+		// false suspicion of every live aggregator, from nothing but
+		// bookkeeping skew.
+		f.r.Compute(ft.pol.Timeout)
+		f.rlog.Append(f.r.Now(), f.comm.Rank(), "crash", fmt.Sprintf("aggregator role dead at round %d", round))
+	}
+}
+
+// heartbeat is the resilient size agreement: live aggregators announce their
+// round plan to every member, members collect the announcements under a
+// watchdog, and annex obligations follow from the commonly known annex
+// windows. [sync]
+func (c *call) heartbeat(round int) {
+	f, ft, comm := c.f, c.ft, c.f.comm
+	me, ptag := comm.Rank(), f.planTag(round)
+	if a := c.myAgg; a >= 0 && !ft.dead[a] {
+		d := &c.main
+		for src := 0; src < comm.Size(); src++ {
+			if src != me {
+				comm.Send(src, ptag, encPlan(d.lo, d.hi, d.want[src]))
 			}
 		}
-		if len(carried) > 0 {
-			t0 := f.r.Now()
-			ft.failover(carried, 0)
-			f.noteRecoverSpan(f.r.Now() - t0)
+		ft.aggSt[a], ft.aggEnd[a], ft.known[a] = d.lo, d.hi, true
+	}
+	clear(c.due)
+	for a, cr := range f.aggs {
+		if ft.dead[a] {
+			continue
+		}
+		if cr == me {
+			c.due[a] = c.main.want[me]
+			continue
+		}
+		msg, _, ok := comm.RecvUntil(cr, ptag, ft.pol.Timeout)
+		if !ok {
+			c.markAggDead(a)
+			f.rstats.Detections++
+			f.noteRecovery("detections")
+			f.rstats.DetectSecs += ft.pol.Timeout
+			f.rlog.Append(f.r.Now(), me, "timeout",
+				fmt.Sprintf("aggregator %d (comm rank %d) silent in round %d", a, cr, round))
+			continue
+		}
+		ft.aggSt[a], ft.aggEnd[a], c.due[a] = decPlan(msg)
+		ft.known[a] = true
+		perf.PutBuf(msg)
+	}
+	for i := range c.annexes {
+		c.annexDue(i, round)
+	}
+}
+
+// absorbDeaths re-partitions the remainders of the aggregators the round's
+// agreement found newly dead. It reports false once the failover budget is
+// exhausted and the call has degraded.
+func (c *call) absorbDeaths(round int) bool {
+	f, ft := c.f, c.ft
+	var newly []int
+	for a := range ft.dead {
+		if ft.dead[a] && !ft.wasDead[a] {
+			newly = append(newly, a)
 		}
 	}
-
-	if !ft.degraded {
-		ft.run(data)
+	if len(newly) > 0 {
+		t0 := f.r.Now()
+		c.failover(newly, round)
+		f.noteRecoverSpan(f.r.Now() - t0)
 	}
+	return !ft.degraded
+}
+
+// failover absorbs the newly dead aggregators' remainders. It runs on every
+// rank with an identical dead set, so every decision below — owner election,
+// annex bounds, the extended round count — is common knowledge without a
+// word of agreement traffic. Only the clip dissemination communicates.
+func (c *call) failover(newly []int, round int) {
+	f, ft := c.f, c.ft
+	comm, r := f.comm, f.r
+	me := comm.Rank()
+
+	ft.failovers += len(newly)
+	for _, a := range newly {
+		f.deadWorld[comm.WorldRankOf(f.aggs[a])] = true
+	}
+	if ft.failovers > ft.pol.MaxFailovers {
+		ft.degraded = true
+		return
+	}
+
+	// Owners: the surviving aggregators, ascending. If none survive, elect
+	// the lowest comm rank whose aggregator role is not dead.
+	var owners []int
+	for a, cr := range f.aggs {
+		if !ft.dead[a] {
+			owners = append(owners, cr)
+		}
+	}
+	if len(owners) == 0 {
+		deadRank := make(map[int]bool, len(f.aggs))
+		for _, cr := range f.aggs {
+			deadRank[cr] = true
+		}
+		for cr := 0; cr < comm.Size(); cr++ {
+			if !deadRank[cr] {
+				owners = []int{cr}
+				break
+			}
+		}
+		if len(owners) == 0 {
+			// Every rank's aggregator role is dead (only possible when the
+			// aggregator list spans the whole communicator).
+			ft.degraded = true
+			return
+		}
+		f.rstats.Reelections++
+		f.noteRecovery("reelections")
+		f.rlog.Append(r.Now(), me, "reelect",
+			fmt.Sprintf("no aggregator survives; comm rank %d elected", owners[0]))
+	}
+
+	first := len(c.annexes)
+	for _, a := range newly {
+		// The dead aggregator finished rounds [0, round): its windows up to
+		// st_loc + round*cb are durable. The remainder — or its whole file
+		// domain if it never announced — is what the survivors absorb.
+		lo, hi := c.fdLo[a], c.fdHi[a]
+		if ft.known[a] {
+			lo, hi = ft.aggSt[a]+int64(round)*c.cb, ft.aggEnd[a]
+		}
+		f.rstats.Failovers++
+		f.noteRecovery("failovers")
+		if lo >= hi {
+			f.rlog.Append(r.Now(), me, "failover",
+				fmt.Sprintf("aggregator %d had no unwritten remainder", a))
+			continue
+		}
+		subLo, subHi := computeFDs(lo, hi, len(owners), f.fdStripe())
+		for i, ocr := range owners {
+			if subLo[i] >= subHi[i] {
+				continue
+			}
+			x := &domain{lo: subLo[i], hi: subHi[i], start: round, annex: true}
+			if ocr == me {
+				x.others = make(map[int][]clip)
+				x.win = make([][]clip, comm.Size())
+				x.want = make([]int, comm.Size())
+				x.buf = perf.GetBuf(int(c.cb))
+				c.owned = append(c.owned, x)
+			}
+			c.annexes = append(c.annexes, x)
+			c.streams = append(c.streams, stream{req: clipSegs(ft.segs, ft.pre, x.lo, x.hi)})
+			c.owners = append(c.owners, ocr)
+			c.due = append(c.due, 0)
+			// Extend the round count so every annex window gets a round —
+			// from the subdomain bounds, identically on every rank.
+			c.ntimes = max(c.ntimes, round+int((x.hi-x.lo+c.cb-1)/c.cb))
+		}
+		f.rlog.Append(r.Now(), me, "failover",
+			fmt.Sprintf("aggregator %d remainder [%d,%d) -> %d owner(s)", a, lo, hi, len(owners)))
+	}
+
+	// Disseminate: every member sends its (possibly empty) clip list for
+	// each fresh annex to that annex's owner; owners receive exactly one
+	// message per member. Deterministic counts, ascending order, eager
+	// sends before any receive — no deadlock, no wildcard.
+	ctag := f.annexCtlTag(round)
+	old := r.SetClass(mpi.ClassSync)
+	for s := len(f.aggs) + first; s < len(c.streams); s++ {
+		comm.Send(c.owners[s], ctag, encClips(c.streams[s].req))
+	}
+	for _, x := range c.annexes[first:] {
+		if x.others == nil {
+			continue // not mine
+		}
+		for src := 0; src < comm.Size(); src++ {
+			msg, _ := comm.Recv(src, ctag)
+			if len(msg) > 0 {
+				x.others[src] = decClips(msg)
+			}
+			perf.PutBuf(msg)
+		}
+		// The round's agreement has already run: open the first window now.
+		x.open(round, c.cb)
+	}
+	r.SetClass(old)
+	for i := first; i < len(c.annexes); i++ {
+		c.annexDue(i, round)
+	}
+}
+
+// annexDue derives what this rank moves to annex i's owner this round. Annex
+// windows are common knowledge, so the sizes agree by construction.
+func (c *call) annexDue(i, round int) {
+	w0, w1 := c.annexes[i].window(round, c.cb)
+	s := len(c.f.aggs) + i
+	c.due[s] = int(clipWindowBytes(c.streams[s].req, w0, w1))
+}
+
+// settle closes a resilient call: a degraded call rewrites all of this
+// rank's data independently, and any staging loss the call surfaced is
+// re-dumped.
+func (c *call) settle() {
+	f, ft := c.f, c.ft
 	if ft.degraded {
 		f.degraded = true
 		f.rstats.Degradations++
 		f.noteRecovery("degradations")
 		f.rlog.Append(f.r.Now(), f.comm.Rank(), "degrade",
 			"failover budget exhausted; independent rewrite of all local data")
-		f.degradeWrite(ft.segs, ft.pre, data)
+		f.independent(true, ft.segs, ft.pre, c.data)
 	}
-	f.redumpLost(ft.segs, ft.pre, data)
-	for _, x := range ft.annexes {
-		if x.buf != nil {
-			perf.PutBuf(x.buf)
-		}
-	}
-	perf.PutBuf(s.buf)
-	f.absorbProf()
+	f.redumpLost(ft.segs, ft.pre, c.data)
 }
 
 // redumpLost repairs staging losses at the end of a collective write: if the
@@ -262,320 +443,6 @@ func (f *File) redumpLost(segs []datatype.Segment, pre []int64, data []byte) {
 	}
 }
 
-// run executes the resilient round loop until every main and annex window is
-// written or the call degrades.
-func (ft *ftState) run(data []byte) {
-	f := ft.s.f
-	s := ft.s
-	r, comm := f.r, f.comm
-	me := comm.Rank()
-	myAgg := f.aggIndex()
-
-	for round := 0; round < ft.ntimes; round++ {
-		f.roundStall()
-		ptag := f.planTag(round)
-
-		// My own aggregator role fail-stops at the start of its crash
-		// round: from here on this rank announces nothing, collects
-		// nothing, writes nothing — the others will time out on it. The
-		// snapshot precedes the self-mark so the crash lands in this
-		// round's `newly` set on the crashed rank too: its process
-		// survives as a data source and must join the failover
-		// dissemination like everyone else.
-		wasDead := append([]bool(nil), ft.deadAgg...)
-		if myAgg >= 0 && !ft.deadAgg[myAgg] && f.aggCrashedNow(round) {
-			ft.deadAgg[myAgg] = true
-			// Idle out the watchdog period the others are about to spend
-			// detecting this corpse. Every live member's clock advances by
-			// exactly one timeout per newly dead aggregator this round; a
-			// rank that skips a wait (it knows its own role is dead) would
-			// otherwise fall a full timeout behind, and its next-round
-			// watchdog deadlines would expire before the survivors'
-			// announcements could arrive — false suspicion of every live
-			// aggregator, from nothing but bookkeeping skew.
-			f.r.Compute(ft.pol.Timeout)
-			f.rlog.Append(r.Now(), me, "crash", fmt.Sprintf("aggregator role dead at round %d", round))
-		}
-		iAmLiveAgg := myAgg >= 0 && !ft.deadAgg[myAgg]
-
-		// --- announce: live aggregators heartbeat their round plan. [sync]
-		t0 := r.Now()
-		old := r.SetClass(mpi.ClassSync)
-		clear(s.want)
-		if iAmLiveAgg {
-			s.w0, s.w1 = s.p.window(round)
-			for src, cl := range s.p.others {
-				c := clipWindowInto(s.winClips[src][:0], cl, s.w0, s.w1)
-				s.winClips[src] = c
-				s.want[src] = int(clipBytes(c))
-			}
-			for src := 0; src < comm.Size(); src++ {
-				if src == me {
-					continue
-				}
-				comm.Send(src, ptag, encPlan(s.p.stLoc, s.p.endLoc, s.want[src]))
-			}
-			ft.aggSt[myAgg], ft.aggEnd[myAgg], ft.aggKnown[myAgg] = s.p.stLoc, s.p.endLoc, true
-		}
-
-		// --- collect: watchdog receive from every not-known-dead agg.
-		clear(s.owe)
-		for a, cr := range f.aggs {
-			if ft.deadAgg[a] {
-				continue
-			}
-			if cr == me {
-				s.owe[cr] = s.want[me]
-				continue
-			}
-			msg, _, ok := comm.RecvUntil(cr, ptag, ft.pol.Timeout)
-			if !ok {
-				ft.deadAgg[a] = true
-				f.rstats.Detections++
-				f.noteRecovery("detections")
-				f.rstats.DetectSecs += ft.pol.Timeout
-				f.rlog.Append(r.Now(), me, "timeout",
-					fmt.Sprintf("aggregator %d (comm rank %d) silent in round %d", a, cr, round))
-				continue
-			}
-			st, end, w := decPlan(msg)
-			perf.PutBuf(msg)
-			ft.aggSt[a], ft.aggEnd[a], ft.aggKnown[a] = st, end, true
-			s.owe[cr] = w
-		}
-		r.SetClass(old)
-		f.traceRound("round-sync", t0, r.Now(), round)
-
-		// --- failover: newly detected deaths re-partition their remainder.
-		var newly []int
-		for a := range ft.deadAgg {
-			if ft.deadAgg[a] && !wasDead[a] {
-				newly = append(newly, a)
-			}
-		}
-		if len(newly) > 0 {
-			t0 := r.Now()
-			ft.failover(newly, round)
-			f.noteRecoverSpan(r.Now() - t0)
-			if ft.degraded {
-				return
-			}
-		}
-
-		// --- exchange: main-domain obligations, then annex obligations.
-		dtag := f.dataTag(round)
-		atag := f.annexDataTag(round)
-		t0 = r.Now()
-		old = r.SetClass(mpi.ClassExchange)
-		for a, cr := range f.aggs {
-			if ft.deadAgg[a] {
-				continue
-			}
-			if n := s.owe[cr]; n > 0 {
-				payload := s.cursor[a].take(s.p.myReq[a], data, int64(n))
-				comm.SendWeighted(cr, dtag, payload, scaled(len(payload), f.scale))
-			}
-		}
-		for _, x := range ft.annexes {
-			w0, w1 := x.window(round, s.p.cb)
-			if w0 >= w1 {
-				continue
-			}
-			if n := clipBytes(clipWindow(x.req, w0, w1)); n > 0 {
-				payload := x.cur.take(x.req, data, n)
-				comm.SendWeighted(x.owner, atag, payload, scaled(len(payload), f.scale))
-			}
-		}
-		if iAmLiveAgg {
-			s.extents = s.extents[:0]
-			for src := 0; src < comm.Size(); src++ {
-				if s.want[src] == 0 {
-					continue
-				}
-				msg, _ := comm.Recv(src, dtag)
-				cl := s.winClips[src]
-				if clipBytes(cl) != int64(len(msg)) {
-					panic(fmt.Sprintf("mpiio: ft round %d expected %d bytes from %d, got %d",
-						round, clipBytes(cl), src, len(msg)))
-				}
-				var pos int64
-				for _, c := range cl {
-					copy(s.buf[c.off-s.w0:c.off-s.w0+c.ln], msg[pos:pos+c.ln])
-					s.extents = append(s.extents, datatype.Segment{Off: c.off, Len: c.ln})
-					pos += c.ln
-				}
-				perf.PutBuf(msg)
-			}
-		}
-		for _, x := range ft.annexes {
-			if x.owner != me {
-				continue
-			}
-			w0, w1 := x.window(round, s.p.cb)
-			if w0 >= w1 {
-				continue
-			}
-			x.extents = x.extents[:0]
-			for src := 0; src < comm.Size(); src++ {
-				cl := clipWindow(x.others[src], w0, w1)
-				if clipBytes(cl) == 0 {
-					continue
-				}
-				msg, _ := comm.Recv(src, atag)
-				var pos int64
-				for _, c := range cl {
-					copy(x.buf[c.off-w0:c.off-w0+c.ln], msg[pos:pos+c.ln])
-					x.extents = append(x.extents, datatype.Segment{Off: c.off, Len: c.ln})
-					pos += c.ln
-				}
-				perf.PutBuf(msg)
-			}
-		}
-		r.SetClass(old)
-		f.traceRound("round-exchange", t0, r.Now(), round)
-
-		// --- io: main window, then any annex windows this rank owns.
-		t0 = r.Now()
-		if iAmLiveAgg {
-			f.writeStaged(s.extents, s.buf, s.w0)
-		}
-		for _, x := range ft.annexes {
-			if x.owner != me {
-				continue
-			}
-			if w0, w1 := x.window(round, s.p.cb); w0 < w1 {
-				f.writeStaged(x.extents, x.buf, w0)
-			}
-		}
-		f.traceRound("round-io", t0, r.Now(), round)
-	}
-}
-
-// failover absorbs the newly dead aggregators' remainders. It runs on every
-// rank with an identical dead set, so every decision below — owner election,
-// annex bounds, the extended round count — is common knowledge without a
-// word of agreement traffic. Only the clip dissemination communicates.
-func (ft *ftState) failover(newly []int, round int) {
-	f := ft.s.f
-	comm, r := f.comm, f.r
-	me := comm.Rank()
-
-	ft.failovers += len(newly)
-	for _, a := range newly {
-		f.deadWorld[comm.WorldRankOf(f.aggs[a])] = true
-	}
-	if ft.failovers > ft.pol.MaxFailovers {
-		ft.degraded = true
-		return
-	}
-	if ft.s.p.fdLo == nil {
-		return // the call moves no data; nothing to recover
-	}
-
-	// Owners: the surviving aggregators, ascending. If none survive, elect
-	// the lowest comm rank whose aggregator role is not dead.
-	var owners []int
-	for a, cr := range f.aggs {
-		if !ft.deadAgg[a] {
-			owners = append(owners, cr)
-		}
-	}
-	if len(owners) == 0 {
-		deadRank := make(map[int]bool, len(f.aggs))
-		for _, cr := range f.aggs {
-			deadRank[cr] = true
-		}
-		for cr := 0; cr < comm.Size(); cr++ {
-			if !deadRank[cr] {
-				owners = []int{cr}
-				break
-			}
-		}
-		if len(owners) == 0 {
-			// Every rank's aggregator role is dead (only possible when the
-			// aggregator list spans the whole communicator).
-			ft.degraded = true
-			return
-		}
-		f.rstats.Reelections++
-		f.noteRecovery("reelections")
-		f.rlog.Append(r.Now(), me, "reelect",
-			fmt.Sprintf("no aggregator survives; comm rank %d elected", owners[0]))
-	}
-
-	stripe := int64(0)
-	if !f.hints.NoFDAlign {
-		stripe = f.lf.Stripe().Size
-	}
-	var fresh []*annexDomain
-	for _, a := range newly {
-		// The dead aggregator finished rounds [0, round): its windows up to
-		// st_loc + round*cb are durable. The remainder — or its whole file
-		// domain if it never announced — is what the survivors absorb.
-		var lo, hi int64
-		if ft.aggKnown[a] {
-			lo, hi = ft.aggSt[a]+int64(round)*ft.s.p.cb, ft.aggEnd[a]
-		} else {
-			lo, hi = ft.s.p.fdLo[a], ft.s.p.fdHi[a]
-		}
-		f.rstats.Failovers++
-		f.noteRecovery("failovers")
-		if lo >= hi {
-			f.rlog.Append(r.Now(), me, "failover",
-				fmt.Sprintf("aggregator %d had no unwritten remainder", a))
-			continue
-		}
-		subLo, subHi := computeFDs(lo, hi, len(owners), stripe)
-		for i, ocr := range owners {
-			if subLo[i] >= subHi[i] {
-				continue
-			}
-			x := &annexDomain{owner: ocr, lo: subLo[i], hi: subHi[i], startRd: round}
-			x.req = clipSegs(ft.segs, ft.pre, x.lo, x.hi)
-			if x.owner == me {
-				x.others = make(map[int][]clip)
-				x.buf = perf.GetBuf(int(ft.s.p.cb))
-			}
-			fresh = append(fresh, x)
-		}
-		f.rlog.Append(r.Now(), me, "failover",
-			fmt.Sprintf("aggregator %d remainder [%d,%d) -> %d owner(s)", a, lo, hi, len(owners)))
-	}
-
-	// Disseminate: every member sends its (possibly empty) clip list for
-	// each fresh annex to that annex's owner; owners receive exactly one
-	// message per member. Deterministic counts, ascending order, eager
-	// sends before any receive — no deadlock, no wildcard.
-	ctag := f.annexCtlTag(round)
-	old := r.SetClass(mpi.ClassSync)
-	for _, x := range fresh {
-		comm.Send(x.owner, ctag, encClips(x.req))
-	}
-	for _, x := range fresh {
-		if x.owner != me {
-			continue
-		}
-		for src := 0; src < comm.Size(); src++ {
-			msg, _ := comm.Recv(src, ctag)
-			if len(msg) > 0 {
-				x.others[src] = decClips(msg)
-			}
-			perf.PutBuf(msg)
-		}
-	}
-	r.SetClass(old)
-
-	ft.annexes = append(ft.annexes, fresh...)
-
-	// Extend the round count so every annex window gets a round. Computed
-	// from the subdomain bounds, identically on every rank.
-	for _, x := range ft.annexes {
-		if n := x.startRd + int((x.hi-x.lo+ft.s.p.cb-1)/ft.s.p.cb); n > ft.ntimes {
-			ft.ntimes = n
-		}
-	}
-}
-
 // noteRecoverSpan books one replanning span into the failover stats. The
 // span runs from detection (the watchdog's return) to dissemination
 // complete; the time-to-recover metric is the worst such span.
@@ -583,29 +450,6 @@ func (f *File) noteRecoverSpan(span float64) {
 	f.rstats.RecoverSecs += span
 	if span > f.rstats.TimeToRecover {
 		f.rstats.TimeToRecover = span
-	}
-}
-
-// writeStaged writes merged staged extents from buf (window origin w0),
-// translating through f.xlate when installed — ioRound's body, pointed at
-// the resilient write helper.
-func (f *File) writeStaged(extents []datatype.Segment, buf []byte, w0 int64) {
-	if f.xlate == nil {
-		for _, ext := range mergeOverlapsInPlace(extents) {
-			f.resilientWrite(ext.Off, buf[ext.Off-w0:ext.Off-w0+ext.Len])
-		}
-		return
-	}
-	var chunks []physChunk
-	for _, ext := range mergeOverlapsInPlace(extents) {
-		pos := ext.Off - w0
-		for _, ph := range f.xlate.Phys(ext.Off, ext.Len) {
-			chunks = append(chunks, physChunk{off: ph.Off, data: buf[pos : pos+ph.Len]})
-			pos += ph.Len
-		}
-	}
-	for _, run := range mergeChunks(chunks) {
-		f.resilientWrite(run.off, run.data)
 	}
 }
 
@@ -644,43 +488,28 @@ func (f *File) noteStagingLost(sl *storage.StagingLostError) {
 	f.rlog.Append(f.r.Now(), f.comm.Rank(), "staging-lost", sl.Error())
 }
 
-// degradeWrite is the graceful-degradation fallback: rewrite all of this
-// rank's data independently. Safe to apply mid-call — collective rounds
-// already written land the same bytes, so the rewrite is idempotent.
-func (f *File) degradeWrite(segs []datatype.Segment, pre []int64, data []byte) {
+// independent moves this rank's own segments with no coordination, through
+// the erroring Try path. It is the graceful-degradation rewrite — safe to
+// apply mid-call, because collective rounds already written land the same
+// bytes, so the rewrite is idempotent — and the resilient read: collective
+// read scheduling assumes every aggregator serves, so under a plan that can
+// kill one, reads choose correctness over coordination.
+func (f *File) independent(write bool, segs []datatype.Segment, pre []int64, data []byte) {
 	for i, s := range segs {
-		src := data[pre[i] : pre[i]+s.Len]
-		if f.xlate == nil {
-			f.resilientWrite(s.Off, src)
-			continue
+		buf := data[pre[i] : pre[i]+s.Len]
+		phys := []datatype.Segment{s}
+		if f.xlate != nil {
+			phys = f.xlate.Phys(s.Off, s.Len)
 		}
-		var pos int64
-		for _, ph := range f.xlate.Phys(s.Off, s.Len) {
-			f.resilientWrite(ph.Off, src[pos:pos+ph.Len])
-			pos += ph.Len
-		}
-	}
-}
-
-// readAtAllFT is ReadAtAll under a crash-carrying plan: collective read
-// scheduling assumes every aggregator serves, so reads fall back to
-// independent I/O — correctness over coordination while the file handle is
-// operating under failures.
-func (f *File) readAtAllFT(logOff, n int64) []byte {
-	f.seq++
-	segs := f.view.Map(logOff, n)
-	out := make([]byte, 0, n)
-	for _, s := range segs {
-		if f.xlate == nil {
-			out = append(out, f.resilientRead(s.Off, s.Len)...)
-			continue
-		}
-		for _, ph := range f.xlate.Phys(s.Off, s.Len) {
-			out = append(out, f.resilientRead(ph.Off, ph.Len)...)
+		for _, ph := range phys {
+			if write {
+				f.resilientWrite(ph.Off, buf[:ph.Len])
+			} else {
+				copy(buf, f.resilientRead(ph.Off, ph.Len))
+			}
+			buf = buf[ph.Len:]
 		}
 	}
-	f.absorbProf()
-	return out
 }
 
 // resilientRead mirrors resilientWrite for reads. A staging loss is fatal

@@ -64,7 +64,7 @@ func checkSieveRMW(seed int64, sieveBuf int64) error {
 		var readBack []byte
 		mpi.Run(1, cluster.DefaultConfig(), seed, func(r *mpi.Rank) {
 			f := Open(mpi.WorldComm(r), fs, "sv", stripe, hints)
-			f.Lustre().WriteAt(r, 0, junk) // pre-existing contents
+			f.Storage().WriteAt(r, 0, junk) // pre-existing contents
 			f.SetView(view)
 			if sieved {
 				f.WriteAtSieved(0, payload)
@@ -73,7 +73,7 @@ func checkSieveRMW(seed int64, sieveBuf int64) error {
 				f.WriteAt(0, payload)
 				readBack = f.ReadAt(0, ft.Size())
 			}
-			got = f.Lustre().ReadAt(r, 0, extent)
+			got = f.Storage().ReadAt(r, 0, extent)
 		})
 		return got, readBack, nil
 	}

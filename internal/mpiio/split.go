@@ -1,12 +1,9 @@
 package mpiio
 
-import (
-	"repro/internal/nbio"
-	"repro/internal/perf"
-)
+import "repro/internal/nbio"
 
-// Split collectives: MPI_File_write_all_begin/end and the read twins,
-// implemented as a pipeline over the resumable round state of ext2ph.go.
+// Split collectives: MPI_File_write_all_begin/end and the read twins — the
+// round driver of ext2ph.go with pipelining on.
 //
 // Writes: the aggregator stages each round in one of two arena buffers and
 // issues the round's OST writes asynchronously, so round k+1's alltoall and
@@ -20,7 +17,7 @@ import (
 //
 // Reads run the pipeline in the other direction: an aggregator's window
 // extents for round k+1 are computable locally from the plan (see
-// rstate.windowExtents), so the prefetch into the idle staging buffer is
+// domain.extentsIn), so the prefetch into the idle staging buffer is
 // issued before round k is served. Every rank's final-round receive is
 // deferred into ReadAllEnd, so compute between Begin and End also hides the
 // last serve's delivery latency.
@@ -71,41 +68,7 @@ func (f *File) tailReq(done float64) *nbio.Request {
 // must call it and later complete it with WriteAllEnd; no other collective
 // may run on this file in between.
 func (f *File) WriteAllBegin(logOff int64, data []byte) *nbio.Request {
-	r := f.r
-	if f.recoveryOn() {
-		// Overlap pipelining assumes every aggregator serves every round;
-		// under a crash-carrying fault plan the call runs the blocking
-		// resilient protocol instead and returns an already-complete
-		// request, so Begin/End callers need no failure-mode awareness.
-		f.writeAtAllFT(logOff, data)
-		return nbio.Start(r, r.Now(), nil, nil, &wstate{})
-	}
-	s := f.beginWrite(logOff, data)
-	stage := [2][]byte{s.buf, perf.GetBuf(int(s.p.cb))}
-	ioreq := make([]*nbio.Request, 2)
-	for round := 0; round < s.p.ntimes; round++ {
-		s.syncRound(round)
-		b := round % 2
-		if ioreq[b] != nil {
-			// The write that last used this staging buffer must finish
-			// before we refill it; whatever tail the last two rounds'
-			// sync/exchange did not absorb is exposed here.
-			ioreq[b].Wait()
-			ioreq[b] = nil
-		}
-		s.buf = stage[b]
-		s.exchangeRound(round)
-		if s.isAgg {
-			ioreq[b] = f.tailReq(s.ioRoundAsync(round))
-		}
-	}
-	return nbio.Start(r, r.Now(), func() {
-		nbio.Waitall(ioreq...)
-		f.absorbProf()
-	}, func() {
-		perf.PutBuf(stage[0])
-		perf.PutBuf(stage[1])
-	}, s)
+	return f.beginSplit(true, logOff, data)
 }
 
 // WriteAllEnd completes a split collective write, waiting out whatever I/O
@@ -115,56 +78,20 @@ func (f *File) WriteAllEnd(q *nbio.Request) { q.Wait() }
 // ReadAllBegin starts a split collective read of n view-logical bytes at
 // logOff. Complete it with ReadAllEnd to obtain the data.
 func (f *File) ReadAllBegin(logOff, n int64) *nbio.Request {
-	r := f.r
-	if f.recoveryOn() {
-		// Same gating as WriteAllBegin: blocking resilient read, completed
-		// request carrying the result for ReadAllEnd.
-		return nbio.Start(r, r.Now(), nil, nil, &rstate{out: f.readAtAllFT(logOff, n)})
-	}
-	s := f.beginRead(logOff, n)
-	stage := [2][]byte{s.buf, perf.GetBuf(int(s.p.cb))}
-	ioreq := make([]*nbio.Request, 2)
-	nt := s.p.ntimes
-	for round := 0; round < nt; round++ {
-		s.syncRound(round)
-		b := round % 2
-		if s.isAgg {
-			if round == 0 {
-				ioreq[0] = f.tailReq(s.ioRoundAsyncInto(stage[0], 0))
-			}
-			if round+1 < nt {
-				// Prefetch the next window into the idle buffer before
-				// serving this one: the read overlaps this round's serve
-				// and receive and the next round's alltoall.
-				ioreq[1-b] = f.tailReq(s.ioRoundAsyncInto(stage[1-b], round+1))
-			}
-			if ioreq[b] != nil {
-				ioreq[b].Wait()
-				ioreq[b] = nil
-			}
-			s.buf = stage[b]
-			s.serveRound(round)
-		}
-		if round < nt-1 {
-			s.recvRound(round)
-		}
-	}
-	return nbio.Start(r, r.Now(), func() {
-		if nt > 0 {
-			// The final round's delivery was left pending so compute after
-			// Begin overlaps it; s.tag/s.due still hold that round's state.
-			s.recvRound(nt - 1)
-		}
-		nbio.Waitall(ioreq...)
-		f.absorbProf()
-	}, func() {
-		perf.PutBuf(stage[0])
-		perf.PutBuf(stage[1])
-	}, s)
+	return f.beginSplit(false, logOff, make([]byte, n))
 }
 
 // ReadAllEnd completes a split collective read and returns the data.
 func (f *File) ReadAllEnd(q *nbio.Request) []byte {
 	q.Wait()
-	return q.Op().(*rstate).out
+	return q.Op().(*call).data
+}
+
+// beginSplit runs a call's rounds pipelined and wraps what remains — the
+// in-flight tails, a read's final delivery — in a request for End to wait
+// on. A call that could not pipeline (see begin) has already done all its
+// work; Begin/End callers need no failure-mode awareness.
+func (f *File) beginSplit(write bool, logOff int64, data []byte) *nbio.Request {
+	c := f.begin(write, true, logOff, data)
+	return nbio.Start(f.r, f.r.Now(), c.finish, c.release, c)
 }

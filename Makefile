@@ -22,10 +22,12 @@ vet:
 # threads); run it — and the layers the fault injector and the nonblocking
 # progress engine touch — under the race detector separately, then the root
 # parallel-identity suite, which drives every layer through the parallel
-# engine at 2 and 4 workers (DESIGN.md §12).
+# engine at 2 and 4 workers (DESIGN.md §12), then the run-level concurrency
+# tests, which run whole engines side by side, fault scenarios included.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/fault/... ./internal/lustre/... ./internal/nbio/... ./internal/recovery/... ./internal/obs/... ./internal/storage/... ./internal/bb/... ./internal/pvfs/... ./internal/tenancy/... ./internal/job/...
 	$(GO) test -race -run 'TestParallel|TestHierarchicalParallel|TestBurstUnderFailureDeterministic|TestChaosStorageFaults' -count=1 .
+	$(GO) test -race -run 'TestForEachPoint|TestLegFailuresKeepTheirText|TestRunnersHostIndependent' -count=1 ./internal/experiments/...
 
 # Fault-injection gate: vet the fault layer, then run its unit tests, the
 # perturber hook tests, and the scenario determinism goldens + straggler

@@ -48,13 +48,20 @@ func main() {
 	var rows []row
 	t := stats.NewTable(*param, "baseline", "sync-share", fmt.Sprintf("ParColl-%d", *groups), "speedup")
 	var xs, speedups []float64
-	for _, v := range vals {
-		p := applyParam(experiments.PaperPreset(), *param, v)
-		c.Apply(&p)
-		base, share := runTile(p, c.Procs, 1)
-		pc, _ := runTile(p, c.Procs, *groups)
-		rows = append(rows, row{*param, v, base, share, pc, *groups})
-		t.AddRow(fmt.Sprintf("%g", v), stats.MBps(base), fmt.Sprintf("%.0f%%", share*100),
+	presets := make([]experiments.Preset, len(vals))
+	for i, v := range vals {
+		presets[i] = applyParam(experiments.PaperPreset(), *param, v)
+		c.Apply(&presets[i])
+	}
+	// Point 2i is value i's baseline run, 2i+1 its ParColl run.
+	bw, share := make([]float64, 2*len(vals)), make([]float64, 2*len(vals))
+	experiments.ForEachPoint(len(bw), c.Procs, func(i int) {
+		bw[i], share[i] = runTile(presets[i/2], c.Procs, []int{1, *groups}[i%2])
+	})
+	for i, v := range vals {
+		base, pc := bw[2*i], bw[2*i+1]
+		rows = append(rows, row{*param, v, base, share[2*i], pc, *groups})
+		t.AddRow(fmt.Sprintf("%g", v), stats.MBps(base), fmt.Sprintf("%.0f%%", share[2*i]*100),
 			stats.MBps(pc), fmt.Sprintf("%.2fx", pc/base))
 		xs = append(xs, v)
 		speedups = append(speedups, pc/base)

@@ -33,13 +33,15 @@ type BackendPoint struct {
 // vectored requests must serve strictly fewer server round-trips than
 // lustre's per-extent ones while the target-served bytes agree.
 func (p Preset) BackendSweep(nprocs int, backends []string) []BackendPoint {
-	out := make([]BackendPoint, 0, len(backends))
-	for _, b := range backends {
+	out := make([]BackendPoint, len(backends))
+	ForEachPoint(len(backends), nprocs, func(i int) {
+		b := backends[i]
 		q := p
 		q.Backend = b
 		env := q.env(q.IORScale, core.Options{})
 		w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer, Strided: true}
-		pt := BackendPoint{Backend: b}
+		out[i] = BackendPoint{Backend: b}
+		pt := &out[i]
 		q.run(nprocs, func(r *mpi.Rank) {
 			res := w.WriteIndependent(r, env, "bsweep")
 			if bad := w.Verify(r, env, "bsweep"); bad >= 0 {
@@ -54,8 +56,7 @@ func (p Preset) BackendSweep(nprocs int, backends []string) []BackendPoint {
 			pt.Requests += st.Requests
 			pt.VirtBytes += st.Bytes
 		}
-		out = append(out, pt)
-	}
+	})
 	return out
 }
 
@@ -103,13 +104,15 @@ func (p Preset) CheckpointBurst(nprocs int, ratio float64, backends []string) []
 	})
 	compute := ratio * refPerStep
 
-	out := make([]BurstPoint, 0, len(backends))
-	for _, b := range backends {
+	out := make([]BurstPoint, len(backends))
+	ForEachPoint(len(backends), nprocs, func(i int) {
+		b := backends[i]
 		q := p
 		q.Backend = b
 		env := q.env(q.TileScale, core.Options{})
 		w := q.burstWorkload(compute)
-		pt := BurstPoint{Backend: b, Ratio: ratio}
+		out[i] = BurstPoint{Backend: b, Ratio: ratio}
+		pt := &out[i]
 		q.run(nprocs, func(r *mpi.Rank) {
 			res := w.Run(r, env, "ckpt")
 			if err := w.Verify(r, env, "ckpt"); err != nil {
@@ -122,8 +125,7 @@ func (p Preset) CheckpointBurst(nprocs int, ratio float64, backends []string) []
 				pt.BW = res.Bandwidth()
 			}
 		})
-		out = append(out, pt)
-	}
+	})
 	return out
 }
 

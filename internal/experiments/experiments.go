@@ -69,8 +69,11 @@ type Preset struct {
 	// Workers selects the simulation engine for every runner of this
 	// preset: <= 1 the serial scheduler, > 1 the conservative parallel one
 	// with that many domain workers (DESIGN.md §12). Results are
-	// bit-identical either way; only wall-clock time changes. The cmd
-	// tools' -workers flag sets it.
+	// bit-identical either way, and so far the parallel engine has not run
+	// one simulation faster than the serial one. What does use the cores is
+	// independent of it: a runner's independent points run concurrently,
+	// up to GOMAXPROCS at once (ForEachPoint). The cmd tools' -workers flag
+	// sets it.
 	Workers int
 
 	// IntraNode turns on two-level collective I/O for every runner of this
@@ -264,11 +267,8 @@ func (w WallPoint) SyncShare() float64 {
 // CollectiveWall profiles baseline collective writes of the tile workload
 // across process counts (Figures 1 and 2).
 func (p Preset) CollectiveWall(procs []int) []WallPoint {
-	out := make([]WallPoint, 0, len(procs))
-	for _, n := range procs {
-		pt, _ := p.CollectiveWallStats(n)
-		out = append(out, pt)
-	}
+	out := make([]WallPoint, len(procs))
+	ForEachPoint(len(procs), maxRanks(procs), func(i int) { out[i], _ = p.CollectiveWallStats(procs[i]) })
 	return out
 }
 
@@ -302,11 +302,11 @@ type GroupPoint struct {
 // number of ParColl subgroups (Figures 7 and 8). Groups == 1 is the
 // baseline protocol ("Cray" series).
 func (p Preset) TileGroupSweep(nprocs int, groups []int) []GroupPoint {
-	out := make([]GroupPoint, 0, len(groups))
-	for _, g := range groups {
-		env := p.env(p.TileScale, core.Options{NumGroups: g})
-		var pt GroupPoint
-		pt.Groups = g
+	out := make([]GroupPoint, len(groups))
+	ForEachPoint(len(groups), nprocs, func(i int) {
+		env := p.env(p.TileScale, core.Options{NumGroups: groups[i]})
+		pt := &out[i]
+		pt.Groups = groups[i]
 		p.run(nprocs, func(r *mpi.Rank) {
 			comm := mpi.WorldComm(r)
 			wres := p.Tile.Write(r, env, "tile")
@@ -322,8 +322,7 @@ func (p Preset) TileGroupSweep(nprocs int, groups []int) []GroupPoint {
 				}
 			}
 		})
-		out = append(out, pt)
-	}
+	})
 	return out
 }
 
@@ -340,23 +339,25 @@ func (p Preset) IORGroups(procs []int, groupsFor func(nprocs int) []int) []IORPo
 	var out []IORPoint
 	for _, n := range procs {
 		for _, g := range groupsFor(n) {
-			env := p.env(p.IORScale, core.Options{NumGroups: g})
-			w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}
-			var bw float64
-			p.run(n, func(r *mpi.Rank) {
-				res := w.Write(r, env, "ior")
-				if r.WorldRank() == 0 {
-					bw = res.Bandwidth()
-				}
-			})
-			out = append(out, IORPoint{Procs: n, Groups: g, BW: bw})
+			out = append(out, IORPoint{Procs: n, Groups: g})
 		}
 	}
+	ForEachPoint(len(out), maxRanks(procs), func(i int) {
+		pt := &out[i]
+		env := p.env(p.IORScale, core.Options{NumGroups: pt.Groups})
+		w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}
+		p.run(pt.Procs, func(r *mpi.Rank) {
+			res := w.Write(r, env, "ior")
+			if r.WorldRank() == 0 {
+				pt.BW = res.Bandwidth()
+			}
+		})
+	})
 	return out
 }
 
-// ScalePoint compares baseline and best-ParColl tile-IO write bandwidth at
-// one process count (Figure 9).
+// ScalePoint compares baseline and best-ParColl write bandwidth at one
+// process count (Figures 9 and 10).
 type ScalePoint struct {
 	Procs      int
 	BaselineBW float64
@@ -364,67 +365,64 @@ type ScalePoint struct {
 	BestGroups int
 }
 
+// BTPoint is BT-IO's ScalePoint (Figure 10).
+type BTPoint = ScalePoint
+
 // TileScalability sweeps process counts, picking ParColl's best subgroup
 // count from candidates (Figure 9).
 func (p Preset) TileScalability(procs []int, candidates func(nprocs int) []int) []ScalePoint {
-	var out []ScalePoint
-	for _, n := range procs {
-		pt := ScalePoint{Procs: n}
-		for _, g := range append([]int{1}, candidates(n)...) {
-			env := p.env(p.TileScale, core.Options{NumGroups: g})
-			var bw float64
-			p.run(n, func(r *mpi.Rank) {
-				res := p.Tile.Write(r, env, "tile")
-				if r.WorldRank() == 0 {
-					bw = res.Bandwidth()
-				}
-			})
-			if g == 1 {
-				pt.BaselineBW = bw
-			} else if bw > pt.ParCollBW {
-				pt.ParCollBW = bw
-				pt.BestGroups = g
+	return bestGroups(procs, candidates, func(n, g int) (bw float64) {
+		env := p.env(p.TileScale, core.Options{NumGroups: g})
+		p.run(n, func(r *mpi.Rank) {
+			res := p.Tile.Write(r, env, "tile")
+			if r.WorldRank() == 0 {
+				bw = res.Bandwidth()
 			}
-		}
-		out = append(out, pt)
-	}
-	return out
-}
-
-// BTPoint compares baseline and ParColl BT-IO bandwidth (Figure 10).
-type BTPoint struct {
-	Procs      int
-	BaselineBW float64
-	ParCollBW  float64
-	BestGroups int
+		})
+		return bw
+	})
 }
 
 // BTIOScale sweeps (square) process counts for BT-IO full mode
 // (Figure 10). BT-IO's scattered pattern exercises intermediate file views.
 func (p Preset) BTIOScale(procs []int, candidates func(nprocs int) []int) []BTPoint {
-	var out []BTPoint
-	for _, n := range procs {
-		pt := BTPoint{Procs: n}
-		for _, g := range append([]int{1}, candidates(n)...) {
-			// BT-IO's pattern (c) runs with the materialized intermediate
-			// view — the configuration that reproduces the paper's Figure
-			// 10 (see DESIGN.md on the layout interpretation).
-			env := p.env(p.BTScale, core.Options{NumGroups: g, MaterializeIntermediate: g > 1})
-			var bw float64
-			p.run(n, func(r *mpi.Rank) {
-				res := p.BT.Write(r, env, "bt")
-				if r.WorldRank() == 0 {
-					bw = res.Bandwidth()
-				}
-			})
-			if g == 1 {
-				pt.BaselineBW = bw
-			} else if bw > pt.ParCollBW {
-				pt.ParCollBW = bw
-				pt.BestGroups = g
+	return bestGroups(procs, candidates, func(n, g int) (bw float64) {
+		// BT-IO's pattern (c) runs with the materialized intermediate
+		// view — the configuration that reproduces the paper's Figure
+		// 10 (see DESIGN.md on the layout interpretation).
+		env := p.env(p.BTScale, core.Options{NumGroups: g, MaterializeIntermediate: g > 1})
+		p.run(n, func(r *mpi.Rank) {
+			res := p.BT.Write(r, env, "bt")
+			if r.WorldRank() == 0 {
+				bw = res.Bandwidth()
 			}
+		})
+		return bw
+	})
+}
+
+// bestGroups measures bw at every process count with groups 1 (the
+// baseline) and each candidate, all as independent points, then keeps per
+// process count the baseline and the best ParColl bandwidth, first best
+// winning ties.
+func bestGroups(procs []int, candidates func(nprocs int) []int, bw func(n, g int) float64) []ScalePoint {
+	type run struct{ pt, g int }
+	var out []ScalePoint
+	var runs []run
+	for _, n := range procs {
+		out = append(out, ScalePoint{Procs: n})
+		for _, g := range append([]int{1}, candidates(n)...) {
+			runs = append(runs, run{len(out) - 1, g})
 		}
-		out = append(out, pt)
+	}
+	bws := make([]float64, len(runs))
+	ForEachPoint(len(runs), maxRanks(procs), func(i int) { bws[i] = bw(out[runs[i].pt].Procs, runs[i].g) })
+	for i, r := range runs {
+		if pt := &out[r.pt]; r.g == 1 {
+			pt.BaselineBW = bws[i]
+		} else if bws[i] > pt.ParCollBW {
+			pt.ParCollBW, pt.BestGroups = bws[i], r.g
+		}
 	}
 	return out
 }
@@ -439,28 +437,28 @@ type FlashPoint struct {
 // series: the default aggregator selection and a 64-aggregator hint, each
 // baseline vs ParColl-N, plus the no-collective-I/O reference.
 func (p Preset) FlashSeries(nprocs, ngroups, hintAggs int) []FlashPoint {
-	runOne := func(label string, opts core.Options, indep bool) FlashPoint {
-		env := p.env(p.FlashScale, opts)
-		var bw float64
+	aggHint := mpiio.Hints{CBNodes: hintAggs}
+	out := []FlashPoint{
+		{Label: "Cray (default aggs)"},
+		{Label: "ParColl (default aggs)"},
+		{Label: fmt.Sprintf("Cray (%d aggs)", hintAggs)},
+		{Label: fmt.Sprintf("ParColl (%d aggs)", hintAggs)},
+		{Label: "Cray w/o Coll"},
+	}
+	opts := []core.Options{{}, {NumGroups: ngroups}, {Hints: aggHint}, {NumGroups: ngroups, Hints: aggHint}, {}}
+	ForEachPoint(len(out), nprocs, func(i int) {
+		env := p.env(p.FlashScale, opts[i])
 		p.run(nprocs, func(r *mpi.Rank) {
 			var res workload.Result
-			if indep {
+			if i == len(out)-1 { // "Cray w/o Coll"
 				res = p.Flash.WriteCheckpointIndependent(r, env, "flash")
 			} else {
 				res = p.Flash.WriteCheckpoint(r, env, "flash")
 			}
 			if r.WorldRank() == 0 {
-				bw = res.Bandwidth()
+				out[i].BW = res.Bandwidth()
 			}
 		})
-		return FlashPoint{Label: label, BW: bw}
-	}
-	aggHint := mpiio.Hints{CBNodes: hintAggs}
-	return []FlashPoint{
-		runOne("Cray (default aggs)", core.Options{}, false),
-		runOne("ParColl (default aggs)", core.Options{NumGroups: ngroups}, false),
-		runOne(fmt.Sprintf("Cray (%d aggs)", hintAggs), core.Options{Hints: aggHint}, false),
-		runOne(fmt.Sprintf("ParColl (%d aggs)", hintAggs), core.Options{NumGroups: ngroups, Hints: aggHint}, false),
-		runOne("Cray w/o Coll", core.Options{}, true),
-	}
+	})
+	return out
 }

@@ -61,17 +61,25 @@ func (p Preset) tileUnderFault(nprocs, groups int, plan *fault.Plan, cb, seed in
 // result order is fault.Names() order, baseline before ParColl — stable,
 // so goldens can pin it.
 func (p Preset) ScenarioSuite(nprocs, groups int) []ScenarioPoint {
-	var out []ScenarioPoint
+	plans, gs := catalogPoints(groups)
+	out := make([]ScenarioPoint, len(plans))
+	ForEachPoint(len(out), nprocs, func(i int) { out[i] = p.TileUnderFault(nprocs, gs[i], plans[i]) })
+	return out
+}
+
+// catalogPoints lists the catalog suites' runs: every named scenario in
+// fault.Names() order, baseline (groups=1) before ParColl, the two runs of
+// a scenario sharing its (read-only) plan.
+func catalogPoints(groups int) (plans []*fault.Plan, gs []int) {
 	for _, name := range fault.Names() {
 		plan, err := fault.Scenario(name)
 		if err != nil {
 			panic(err)
 		}
-		for _, g := range []int{1, groups} {
-			out = append(out, p.TileUnderFault(nprocs, g, plan))
-		}
+		plans = append(plans, plan, plan)
+		gs = append(gs, 1, groups)
 	}
-	return out
+	return plans, gs
 }
 
 // StragglerPoint compares baseline and ParColl elapsed time at one
@@ -105,16 +113,26 @@ func (p Preset) StragglerSweep(nprocs, groups int, severities []float64) []Strag
 	if cb < 256 {
 		cb = 256
 	}
-	out := make([]StragglerPoint, 0, len(severities))
-	for _, sev := range severities {
-		plan := fault.SeverityPlan(sev)
-		var pt StragglerPoint
-		pt.Severity = sev
-		for k := int64(0); k < sweepReps; k++ {
-			pt.Ext2ph += p.tileUnderFault(nprocs, 1, plan, cb, p.Seed+k).Elapsed / sweepReps
-			pt.ParColl += p.tileUnderFault(nprocs, groups, plan, cb, p.Seed+k).Elapsed / sweepReps
+	// Every (severity, replicate, protocol) run is its own point; the
+	// replicate means are summed after the join in replicate order, so the
+	// floats match a serial sweep's bit for bit.
+	n := len(severities) * sweepReps
+	ext, par := make([]float64, n), make([]float64, n)
+	ForEachPoint(2*n, nprocs, func(i int) {
+		j, g, dst := i/2, 1, ext
+		if i%2 == 1 {
+			g, dst = groups, par
 		}
-		out = append(out, pt)
+		plan := fault.SeverityPlan(severities[j/sweepReps])
+		dst[j] = p.tileUnderFault(nprocs, g, plan, cb, p.Seed+int64(j%sweepReps)).Elapsed
+	})
+	out := make([]StragglerPoint, len(severities))
+	for s, sev := range severities {
+		out[s].Severity = sev
+		for k := s * sweepReps; k < (s+1)*sweepReps; k++ {
+			out[s].Ext2ph += ext[k] / sweepReps
+			out[s].ParColl += par[k] / sweepReps
+		}
 	}
 	return out
 }

@@ -54,10 +54,9 @@ func (p IntraNodePoint) SyncShare() float64 {
 func (p Preset) IntraNodeSweep(nprocs, aggs int, pesPerNode []int) []IntraNodePoint {
 	var out []IntraNodePoint
 	for _, pes := range pesPerNode {
-		for _, intra := range []bool{false, true} {
-			out = append(out, p.IntraNodePoint(nprocs, aggs, pes, intra))
-		}
+		out = append(out, IntraNodePoint{PEsPerNode: pes}, IntraNodePoint{PEsPerNode: pes, IntraNode: true})
 	}
+	ForEachPoint(len(out), nprocs, func(i int) { out[i] = p.IntraNodePoint(nprocs, aggs, out[i].PEsPerNode, out[i].IntraNode) })
 	return out
 }
 

@@ -67,19 +67,24 @@ func (p Preset) OverlapSweep(nprocs, groups, steps int, ratios []float64, plan *
 	if plan != nil {
 		name = plan.Name
 	}
-	out := make([]OverlapPoint, 0, len(ratios))
-	for _, ratio := range ratios {
-		c := ratio * ref
-		pt := OverlapPoint{Scenario: name, Ratio: ratio, Steps: steps}
-		pt.BlockExt2ph = p.overlapRun(nprocs, 1, steps, c, false, plan).Elapsed
-		se := p.overlapRun(nprocs, 1, steps, c, true, plan)
-		pt.SplitExt2ph = se.Elapsed
-		pt.HiddenExt2ph = se.Overlap.HiddenFrac()
-		pt.BlockParColl = p.overlapRun(nprocs, groups, steps, c, false, plan).Elapsed
-		sp := p.overlapRun(nprocs, groups, steps, c, true, plan)
-		pt.SplitParColl = sp.Elapsed
-		pt.HiddenParColl = sp.Overlap.HiddenFrac()
-		out = append(out, pt)
+	// Four points per ratio, in the order blocking ext2ph, split ext2ph,
+	// blocking ParColl, split ParColl.
+	res := make([]workload.Result, 4*len(ratios))
+	ForEachPoint(len(res), nprocs, func(i int) {
+		g := 1
+		if i%4 >= 2 {
+			g = groups
+		}
+		res[i] = p.overlapRun(nprocs, g, steps, ratios[i/4]*ref, i%2 == 1, plan)
+	})
+	out := make([]OverlapPoint, len(ratios))
+	for i, ratio := range ratios {
+		be, se, bp, sp := res[4*i], res[4*i+1], res[4*i+2], res[4*i+3]
+		out[i] = OverlapPoint{
+			Scenario: name, Ratio: ratio, Steps: steps,
+			BlockExt2ph: be.Elapsed, SplitExt2ph: se.Elapsed, HiddenExt2ph: se.Overlap.HiddenFrac(),
+			BlockParColl: bp.Elapsed, SplitParColl: sp.Elapsed, HiddenParColl: sp.Overlap.HiddenFrac(),
+		}
 	}
 	return out
 }

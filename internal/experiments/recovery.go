@@ -79,16 +79,9 @@ func (p Preset) TileUnderFailure(nprocs, groups int, plan *fault.Plan) FailurePo
 // aggregator's subgroup, so its time-to-recover must come out strictly
 // lower.
 func (p Preset) RecoverySuite(nprocs, groups int) []FailurePoint {
-	var out []FailurePoint
-	for _, name := range fault.Names() {
-		plan, err := fault.Scenario(name)
-		if err != nil {
-			panic(err)
-		}
-		for _, g := range []int{1, groups} {
-			out = append(out, p.TileUnderFailure(nprocs, g, plan))
-		}
-	}
+	plans, gs := catalogPoints(groups)
+	out := make([]FailurePoint, len(plans))
+	ForEachPoint(len(out), nprocs, func(i int) { out[i] = p.TileUnderFailure(nprocs, gs[i], plans[i]) })
 	return out
 }
 

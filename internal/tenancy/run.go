@@ -218,20 +218,30 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 // working" — which makes the ratio read "what sharing this (possibly
 // faulted) machine cost me".
 func RunWithBaseline(p experiments.Preset, t Trace) (Report, error) {
-	rep, err := Run(p, t)
+	// Point 0 is the shared run, point 1+j job j's isolated baseline; each
+	// is its own machine, so they run concurrently.
+	d := t.WithDefaults()
+	if err := d.Validate(); err != nil {
+		return Report{}, err
+	}
+	runs := make([]Report, 1+len(d.Jobs))
+	errs := make([]error, len(runs))
+	experiments.ForEachPoint(len(runs), d.Procs(), func(i int) {
+		tt := d
+		if i > 0 {
+			tt.Scenario, tt.Jobs = "", []job.Spec{d.Jobs[i-1]}
+		}
+		runs[i], errs[i] = Run(p, tt)
+	})
+	rep, err := runs[0], errs[0]
 	if err != nil {
 		return Report{}, err
 	}
-	t = t.WithDefaults()
-	for j, s := range t.Jobs {
-		solo := t
-		solo.Scenario = ""
-		solo.Jobs = []job.Spec{s}
-		iso, err := Run(p, solo)
-		if err != nil {
+	for j, s := range d.Jobs {
+		if err := errs[1+j]; err != nil {
 			return Report{}, fmt.Errorf("tenancy: isolated baseline for %q: %w", s.Name, err)
 		}
-		base := iso.Jobs[0]
+		base := runs[1+j].Jobs[0]
 		if e := base.Elapsed(); e > 0 {
 			rep.Jobs[j].Slowdown = rep.Jobs[j].Elapsed() / e
 		}

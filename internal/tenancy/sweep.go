@@ -16,15 +16,24 @@ func Sweep(p experiments.Preset, t Trace, policies []string) ([]Report, error) {
 	if len(policies) == 0 {
 		policies = qos.Names()
 	}
-	out := make([]Report, 0, len(policies))
-	for _, pol := range policies {
-		tt := t
-		tt.Policy = pol
-		rep, err := RunWithBaseline(p, tt)
+	out := make([]Report, len(policies))
+	errs := make([]error, len(policies))
+	traces := make([]Trace, len(policies))
+	for i, pol := range policies {
+		traces[i] = t
+		traces[i].Policy = pol
+		// A serial sweep stops at the first invalid trace: only the
+		// policies before it run.
+		if errs[i] = traces[i].WithDefaults().Validate(); errs[i] != nil {
+			traces = traces[:i]
+			break
+		}
+	}
+	experiments.ForEachPoint(len(traces), t.Procs(), func(i int) { out[i], errs[i] = RunWithBaseline(p, traces[i]) })
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rep)
 	}
 	return out, nil
 }

@@ -9,7 +9,9 @@ build:
 
 # Tier-1: the correctness gate, at one core and at several — results may not
 # depend on the host (a flag defaulting to the core count once made this
-# suite red on every multi-core box).
+# suite red on every multi-core box). At 4, sweep runners run their
+# independent engines side by side (experiments.ForEachPoint); at 1, one
+# after another.
 test:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=4 $(GO) test -count=1 ./...
@@ -18,15 +20,15 @@ vet:
 	$(GO) vet ./...
 
 # The sim engine is the concurrency-sensitive core (cooperative goroutine
-# scheduling, and the partitioned parallel mode runs domains on real OS
-# threads); run it — and the layers the fault injector and the nonblocking
-# progress engine touch — under the race detector separately, then the root
-# parallel-identity suite, which drives every layer through the parallel
-# engine at 2 and 4 workers (DESIGN.md §12), then the run-level concurrency
-# tests, which run whole engines side by side, fault scenarios included.
+# scheduling: one proc runs at a time, hand-offs go through channels, and a
+# failed run unwinds every parked proc); run it — and the layers the fault
+# injector and the nonblocking progress engine touch — under the race
+# detector separately, then the root fault-determinism suites, then the
+# run-level concurrency tests, which run whole engines side by side, fault
+# scenarios included (DESIGN.md §12).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/fault/... ./internal/lustre/... ./internal/nbio/... ./internal/recovery/... ./internal/obs/... ./internal/storage/... ./internal/bb/... ./internal/pvfs/... ./internal/tenancy/... ./internal/job/...
-	$(GO) test -race -run 'TestParallel|TestHierarchicalParallel|TestBurstUnderFailureDeterministic|TestChaosStorageFaults' -count=1 .
+	$(GO) test -race -run 'TestBurstUnderFailureDeterministic|TestChaosStorageFaults' -count=1 .
 	$(GO) test -race -run 'TestForEachPoint|TestLegFailuresKeepTheirText|TestRunnersHostIndependent' -count=1 ./internal/experiments/...
 
 # Fault-injection gate: vet the fault layer, then run its unit tests, the
@@ -61,8 +63,8 @@ fuzz:
 
 # Two-level collective gate: vet the touched layers, run the hierarchy
 # property/fuzz-seed and two-level protocol suites, then the root goldens,
-# flat-off identity, parallel-engine identity, and the fat-node acceptance
-# test (DESIGN.md §13, EXPERIMENTS.md "Fat-node sweep").
+# flat-off identity, and the fat-node acceptance test (DESIGN.md §13,
+# EXPERIMENTS.md "Fat-node sweep").
 hierarchical: vet
 	$(GO) test ./internal/mpi/ -run 'TestSplitByNode|TestHierarchy|TestIntraComm|FuzzNodeSplit' -count=1
 	$(GO) test ./internal/mpiio/ -run 'TestHier|TestIntraNode' -count=1
@@ -89,10 +91,8 @@ bench: vet race
 	$(GO) test -bench=. -benchmem -run '^$$' .
 	BENCH_JSON=BENCH_10.json $(GO) test -run '^TestEmitBenchJSON$$' -count=1 -v .
 
-# Large-scale tier: the 1024/4096-proc Fig1 points under the partitioned
-# parallel engine (GOMAXPROCS workers), plus the 256-proc serial-vs-parallel
-# strong-scaling probe. Set BENCH_LARGE_STRETCH=1 for the 16384-proc stretch
-# point. See DESIGN.md §12 and EXPERIMENTS.md "Strong scaling".
+# Large-scale tier: the 1024/4096-proc Fig1 points. Set
+# BENCH_LARGE_STRETCH=1 for the 16384-proc stretch point.
 bench-large:
 	BENCH_LARGE_JSON=BENCH_6.json $(GO) test -run '^TestEmitBenchLargeJSON$$' -count=1 -v -timeout 60m .
 
@@ -115,8 +115,8 @@ backends:
 # node lost mid-burst with checksum-verified byte-exact read-back and
 # ParColl degrading strictly less than ext2ph, flaky drains charging retry
 # time without losing data, a dead list-I/O server carried by the scalar
-# fallback, run-twice/parallel determinism, and the seeded chaos sweep
-# (DESIGN.md §15, EXPERIMENTS.md "Checkpoint burst under failure").
+# fallback, run-twice determinism, and the seeded chaos sweep (DESIGN.md
+# §15, EXPERIMENTS.md "Checkpoint burst under failure").
 storage-faults: vet
 	$(GO) test ./internal/fault/ -count=1
 	$(GO) test ./internal/lustre/ ./internal/pvfs/ ./internal/bb/ -run 'TestBackendFaultConformance' -count=1
@@ -130,8 +130,8 @@ paperrepro:
 	$(GO) run ./cmd/paperrepro -procs 1024 -timings=false > paperrepro_output.txt
 
 # Multi-tenancy gate: vet the tenancy/job/qos layers, run the trace and
-# spec unit tests, the tenancy determinism suite (run-twice and 1-vs-4
-# worker bit-identity, healthy and one-straggler, byte-exact verification),
+# spec unit tests, the tenancy determinism suite (run-twice bit-identity,
+# healthy and one-straggler, byte-exact verification),
 # the QoS acceptance tests (FIFO slowdown > 1, fair-share lowering the small
 # job's p99, ParColl confining the straggler), and the spec-equals-flags
 # golden over every cmd tool (DESIGN.md §16, EXPERIMENTS.md

@@ -1,16 +1,12 @@
 // The large-scale benchmark tier: TestEmitBenchLargeJSON pushes the Fig1
 // collective-wall run to 1024 and 4096 procs (16384 as an opt-in stretch)
-// under the partitioned parallel engine (DESIGN.md §12) and writes the same
-// machine-readable report as the small tier (BENCH_6.json; `make bench-large`
-// drives it). It also times the 256-proc point under both engines and records
-// the wall-clock speedup — the strong-scaling number EXPERIMENTS.md tracks —
-// after asserting the two engines produced bit-identical virtual time.
+// and writes the same machine-readable report as the small tier
+// (BENCH_6.json; `make bench-large` drives it).
 package repro_test
 
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -19,25 +15,9 @@ import (
 )
 
 // benchLargeProcs is the large-tier Fig1 sweep. The small tier
-// (benchjson_test.go) stops at 256; these points are why the parallel engine
-// exists, and they only run under `make bench-large` so plain `go test`
-// stays fast.
+// (benchjson_test.go) stops at 256; these points only run under
+// `make bench-large` so plain `go test` stays fast.
 var benchLargeProcs = []int{1024, 4096}
-
-// timeOnce measures one CollectiveWallStats run at the given worker count
-// with testing.Benchmark (b.N=1 for multi-second runs, averaged otherwise).
-func timeOnce(p experiments.Preset, procs, workers int) (float64, experiments.WallPoint, sim.Stats) {
-	p.Workers = workers
-	var pt experiments.WallPoint
-	var st sim.Stats
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pt, st = p.CollectiveWallStats(procs)
-		}
-	})
-	return float64(res.T.Nanoseconds()) / float64(res.N), pt, st
-}
 
 // TestEmitBenchLargeJSON writes the large-tier report to the path named by
 // the BENCH_LARGE_JSON environment variable (skipped when unset). Set
@@ -49,40 +29,10 @@ func TestEmitBenchLargeJSON(t *testing.T) {
 	}
 	p := experiments.BenchPreset()
 	rep := perf.NewBenchReport()
-
-	// Strong-scaling probe: the 256-proc point under the serial engine and
-	// under >=4 workers. The virtual-time results must be bit-identical —
-	// only the wall clock may move — so the speedup number is meaningful.
-	serialNs, spt, sst := timeOnce(p, 256, 1)
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers < 4 {
-		parWorkers = 4
-	}
-	parNs, ppt, pst := timeOnce(p, 256, parWorkers)
-	if ppt.Breakdown != spt.Breakdown || pst != sst {
-		t.Fatalf("workers=%d diverges from serial at 256 procs:\n  serial:   %+v %+v\n  parallel: %+v %+v",
-			parWorkers, spt.Breakdown, sst, ppt.Breakdown, pst)
-	}
-	speedup := serialNs / parNs
-	rep.Add(perf.BenchPoint{
-		Name:    fmt.Sprintf("Fig1Speedup/procs=256/workers=%d", parWorkers),
-		NsPerOp: parNs,
-		Metrics: map[string]float64{
-			"serial_ns_per_op": serialNs,
-			"speedup":          speedup,
-			"workers":          float64(parWorkers),
-			"gomaxprocs":       float64(runtime.GOMAXPROCS(0)),
-		},
-	})
-	t.Logf("Fig1/procs=256: serial %.0f ns/op, %d workers %.0f ns/op — %.2fx (GOMAXPROCS=%d)",
-		serialNs, parWorkers, parNs, speedup, runtime.GOMAXPROCS(0))
-
 	procs := benchLargeProcs
 	if os.Getenv("BENCH_LARGE_STRETCH") != "" {
 		procs = append(procs, 16384)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	p.Workers = workers
 	for _, n := range procs {
 		var pt experiments.WallPoint
 		var st sim.Stats
@@ -102,13 +52,12 @@ func TestEmitBenchLargeJSON(t *testing.T) {
 				"sync_share":         pt.SyncShare(),
 				"sim_events":         float64(st.Events()),
 				"sim_events_per_sec": float64(st.Events()) / (nsPerOp / 1e9),
-				"workers":            float64(workers),
 			},
 		}
 		rep.Add(point)
-		t.Logf("%s: %.0f ns/op, %.0f allocs/op, %.2g events/sec, sync=%.1f%% (workers=%d)",
+		t.Logf("%s: %.0f ns/op, %.0f allocs/op, %.2g events/sec, sync=%.1f%%",
 			point.Name, point.NsPerOp, point.AllocsPerOp,
-			point.Metrics["sim_events_per_sec"], 100*point.Metrics["sync_share"], workers)
+			point.Metrics["sim_events_per_sec"], 100*point.Metrics["sync_share"])
 	}
 	if err := rep.Write(path); err != nil {
 		t.Fatalf("writing %s: %v", path, err)

@@ -46,7 +46,7 @@ func main() {
 		return gs
 	})
 	if c.JSON {
-		c.EmitJSON("btio-scale", points)
+		cli.EmitJSON("btio-scale", points)
 	} else {
 		t := stats.NewTable("procs", "baseline", "ParColl(best)", "groups", "speedup")
 		for _, pt := range points {

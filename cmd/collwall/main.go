@@ -101,7 +101,7 @@ func runWall(c *cli.Common, minProcs, maxProcs int) {
 	}
 	points := p.CollectiveWall(procs)
 	if c.JSON {
-		c.EmitJSON("collective-wall", points)
+		cli.EmitJSON("collective-wall", points)
 		return
 	}
 
@@ -151,7 +151,7 @@ func maybeObserve(c *cli.Common, groups int) {
 	}
 	if c.Metrics {
 		if c.JSON {
-			c.EmitJSON("observability", map[string]any{
+			cli.EmitJSON("observability", map[string]any{
 				"metrics":       o.Snapshot,
 				"critical_path": o.Path,
 			})
@@ -181,7 +181,7 @@ func runOverlap(c *cli.Common, groups, steps int, ratios []float64) {
 	pts := p.OverlapSweep(nprocs, groups, steps, ratios, nil)
 	pts = append(pts, p.OverlapSweep(nprocs, groups, steps, ratios, plan)...)
 	if c.JSON {
-		c.EmitJSON("overlap-sweep", pts)
+		cli.EmitJSON("overlap-sweep", pts)
 		return
 	}
 	t := stats.NewTable("scenario", "ratio", "block-ext2ph(s)", "split-ext2ph(s)",
@@ -212,7 +212,7 @@ func runSweep(c *cli.Common, groups int, severities []float64) {
 	c.ApplyBase(&p)
 	pts := p.StragglerSweep(nprocs, groups, severities)
 	if c.JSON {
-		c.EmitJSON("straggler-sweep", pts)
+		cli.EmitJSON("straggler-sweep", pts)
 		return
 	}
 	t := stats.NewTable("severity", "ext2ph(s)", fmt.Sprintf("parcoll-%d(s)", groups), "gap(s)", "ext2ph-degr(s)", "parcoll-degr(s)")
@@ -247,7 +247,7 @@ func runScenarios(c *cli.Common, name string, groups int) {
 		pts = append(pts, p.TileUnderFault(nprocs, 1, plan), p.TileUnderFault(nprocs, groups, plan))
 	}
 	if c.JSON {
-		c.EmitJSON("fault-scenarios", pts)
+		cli.EmitJSON("fault-scenarios", pts)
 		return
 	}
 	t := stats.NewTable("scenario", "groups", "elapsed(s)", "sync(s)", "io(s)", "perturbed-msgs")
@@ -279,7 +279,7 @@ func runFailures(c *cli.Common, name string, groups int) {
 		pts = append(pts, p.TileUnderFailure(nprocs, 1, plan), p.TileUnderFailure(nprocs, groups, plan))
 	}
 	if c.JSON {
-		c.EmitJSON("failure-recovery", pts)
+		cli.EmitJSON("failure-recovery", pts)
 		return
 	}
 	t := stats.NewTable("scenario", "groups", "elapsed(s)", "detect", "failover", "reelect",
@@ -301,7 +301,7 @@ func renderGantt(c *cli.Common, nprocs int) {
 	c.ApplyBase(&p)
 	rec := trace.New()
 	env := experiments.EnvFor(p, p.TileScale, core.Options{})
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, nil, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		r.SetTracer(rec)
 		p.Tile.Write(r, env, "tile")
 	})

@@ -67,7 +67,7 @@ func main() {
 		speedups = append(speedups, pc/base)
 	}
 	if c.JSON {
-		c.EmitJSON("sensitivity", rows)
+		cli.EmitJSON("sensitivity", rows)
 		return
 	}
 	fmt.Printf("sensitivity of the collective wall to %s (%d procs, tile workload)\n\n", *param, c.Procs)
@@ -81,7 +81,7 @@ func main() {
 // share for one configuration.
 func runTile(p experiments.Preset, nprocs, groups int) (bw, syncShare float64) {
 	env := experiments.EnvFor(p, p.TileScale, core.Options{NumGroups: groups})
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, p.Fault, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {
 		res := p.Tile.Write(r, env, "tile")
 		m := workload.MeanBreakdown(mpi.WorldComm(r), res.Breakdown)
 		if r.WorldRank() == 0 {

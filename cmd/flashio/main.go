@@ -29,7 +29,7 @@ func main() {
 	c.Apply(&p)
 	points := p.FlashSeries(c.Procs, *groups, *aggs)
 	if c.JSON {
-		c.EmitJSON("flash-series", points)
+		cli.EmitJSON("flash-series", points)
 	} else {
 		fmt.Printf("Flash I/O checkpoint: %d procs, %d vars, %s virtual per proc\n\n",
 			c.Procs, p.Flash.NVars,

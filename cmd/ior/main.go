@@ -41,7 +41,7 @@ func main() {
 
 	points := p.IORGroups([]int{c.Procs}, func(int) []int { return gs })
 	if c.JSON {
-		c.EmitJSON("ior-groups", points)
+		cli.EmitJSON("ior-groups", points)
 	} else {
 		fmt.Printf("IOR collective write: %d procs, %s virtual per proc in %s units\n\n",
 			c.Procs, stats.Bytes(p.IORBlock*int64(p.IORScale)), stats.Bytes(p.IORTransfer*int64(p.IORScale)))
@@ -78,7 +78,7 @@ func runBackendSweep(p experiments.Preset, c *cli.Common, ratio float64) {
 	sweep := p.BackendSweep(c.Procs, names)
 	burst := p.CheckpointBurst(c.Procs, ratio, names)
 	if c.JSON {
-		c.EmitJSON("backend-sweep", map[string]any{"strided": sweep, "burst": burst})
+		cli.EmitJSON("backend-sweep", map[string]any{"strided": sweep, "burst": burst})
 		return
 	}
 	fmt.Printf("Strided independent IOR write: %d procs, %s virtual per proc in %s units\n\n",
@@ -103,7 +103,7 @@ func runBackendSweep(p experiments.Preset, c *cli.Common, ratio float64) {
 func printOSTStats(p experiments.Preset, nprocs, groups int) {
 	env := experiments.EnvFor(p, p.IORScale, core.Options{NumGroups: groups})
 	w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, p.Fault, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {
 		w.Write(r, env, "ior-stats")
 	})
 	st := env.FS.Stats()

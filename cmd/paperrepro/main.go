@@ -115,7 +115,7 @@ func fig12(p experiments.Preset, maxProcs int) {
 		procs := capped([]int{16, 32, 64, 128, 256, 512, 1024}, maxProcs)
 		points := p.CollectiveWall(procs)
 		if c.JSON {
-			c.EmitJSON("fig1+2-collective-wall", points)
+			cli.EmitJSON("fig1+2-collective-wall", points)
 			return
 		}
 		t := stats.NewTable("procs", "sync(s)", "exchange(s)", "io(s)", "sync-share")
@@ -152,7 +152,7 @@ func fig6(p experiments.Preset, maxProcs int) {
 		procs := capped([]int{128, 512}, maxProcs)
 		points := p.IORGroups(procs, func(n int) []int { return groupsUpTo(n, 8) })
 		if c.JSON {
-			c.EmitJSON("fig6-ior", points)
+			cli.EmitJSON("fig6-ior", points)
 			return
 		}
 		t := stats.NewTable("procs", "groups", "bandwidth")
@@ -190,7 +190,7 @@ func fig78(p experiments.Preset, maxProcs int) {
 		groups := groupsUpTo(n, 1)
 		points := p.TileGroupSweep(n, groups)
 		if c.JSON {
-			c.EmitJSON("fig7+8-tile-groups", points)
+			cli.EmitJSON("fig7+8-tile-groups", points)
 			return
 		}
 		t := stats.NewTable("groups", "write", "read", "sync(s)", "sync-share")
@@ -223,7 +223,7 @@ func fig9(p experiments.Preset, maxProcs int) {
 			return gs
 		})
 		if c.JSON {
-			c.EmitJSON("fig9-tile-scalability", points)
+			cli.EmitJSON("fig9-tile-scalability", points)
 			return
 		}
 		t := stats.NewTable("procs", "Cray(base)", "ParColl(best)", "best-groups", "speedup")
@@ -271,7 +271,7 @@ func fig10(p experiments.Preset, maxProcs int) {
 			return gs
 		})
 		if c.JSON {
-			c.EmitJSON("fig10-btio", points)
+			cli.EmitJSON("fig10-btio", points)
 			return
 		}
 		t := stats.NewTable("procs", "Cray(base)", "ParColl(best)", "best-groups", "speedup")
@@ -303,7 +303,7 @@ func fig11(p experiments.Preset, maxProcs int) {
 		}
 		points := p.FlashSeries(n, 64, 64)
 		if c.JSON {
-			c.EmitJSON("fig11-flash", points)
+			cli.EmitJSON("fig11-flash", points)
 			return
 		}
 		t := stats.NewTable("series", "bandwidth")

@@ -39,7 +39,6 @@ func main() {
 	perJob := flag.Int("procs-per-job", 8, "size parameter of the built-in mixed trace (ignored with -trace)")
 	scenario := flag.String("scenario", "", "fault scenario applied to the shared machine (overrides the trace file's)")
 	seed := flag.Int64("seed", 0, "simulation seed (0 keeps the trace file's, default 1)")
-	workers := flag.Int("workers", 0, "engine workers (0 keeps the trace file's; results bit-identical at any count)")
 	backend := flag.String("backend", "", "shared storage backend (overrides the trace file's)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of tables")
 	metrics := flag.Bool("metrics", false, "print the observability snapshot (per-job gauges + shared-backend counters)")
@@ -64,9 +63,6 @@ func main() {
 	}
 	if *seed != 0 {
 		t.Seed = *seed
-	}
-	if *workers != 0 {
-		t.Workers = *workers
 	}
 	if *backend != "" {
 		t.Backend = *backend

@@ -33,7 +33,7 @@ func main() {
 		}
 		points := p.TileGroupSweep(c.Procs, groups)
 		if c.JSON {
-			c.EmitJSON("tile-group-sweep", points)
+			cli.EmitJSON("tile-group-sweep", points)
 			break
 		}
 		t := stats.NewTable("groups", "write", "read", "sync(s)", "sync-share")
@@ -59,7 +59,7 @@ func main() {
 			return gs
 		})
 		if c.JSON {
-			c.EmitJSON("tile-scalability", points)
+			cli.EmitJSON("tile-scalability", points)
 			break
 		}
 		t := stats.NewTable("procs", "baseline", "ParColl(best)", "groups", "speedup")

@@ -33,10 +33,9 @@ func TestFig1RunTwiceIdentical(t *testing.T) {
 	}
 }
 
-// goldenMetrics computes the pinned figure metrics under one preset. The
-// preset's engine choice (Workers) must not matter: the serial golden test
-// and the parallel-engine tests both compare its output against
-// goldenWant.
+// goldenMetrics computes the pinned figure metrics under one preset; the
+// golden test and the hierarchical knobs-off test both compare its output
+// against goldenWant.
 func goldenMetrics(p experiments.Preset) map[string]string {
 	got := make(map[string]string)
 	for _, n := range []int{16, 32, 64} {

@@ -22,29 +22,26 @@ import (
 
 // hierPreset is the bench preset with the two-level protocol on and the
 // given node fatness.
-func hierPreset(pes, workers int) experiments.Preset {
+func hierPreset(pes int) experiments.Preset {
 	p := experiments.BenchPreset()
 	p.Cluster.PEsPerNode = pes
 	p.IntraNode = true
-	p.Workers = workers
 	return p
 }
 
 // hierGoldenMetrics computes the pinned two-level metrics: tile-IO write
 // and read under the two-level protocol at three node fatnesses and two
-// ParColl subgroup counts, plus the fat-node sweep's traffic counters. As
-// with goldenMetrics, the preset's engine choice must not matter.
-func hierGoldenMetrics(workers int) map[string]string {
+// ParColl subgroup counts, plus the fat-node sweep's traffic counters.
+func hierGoldenMetrics() map[string]string {
 	got := make(map[string]string)
 	for _, pes := range []int{2, 8, 16} {
-		p := hierPreset(pes, workers)
+		p := hierPreset(pes)
 		for _, g := range p.TileGroupSweep(64, []int{1, 4}) {
 			got[fmt.Sprintf("tile/pes=%d/groups=%d", pes, g.Groups)] = fmt.Sprintf(
 				"writeBW=%x readBW=%x sync=%x", g.WriteBW, g.ReadBW, g.Sync)
 		}
 	}
 	p := experiments.BenchPreset()
-	p.Workers = workers
 	for _, pt := range p.IntraNodeSweep(64, 2, []int{8, 16}) {
 		got[fmt.Sprintf("sweep/pes=%d/intra=%v", pt.PEsPerNode, pt.IntraNode)] = fmt.Sprintf(
 			"sync=%x share=%x intraMsgs=%d interMsgs=%d interBytes=%d",
@@ -73,7 +70,7 @@ var hierGoldenWant = map[string]string{
 // TestHierarchicalGoldenMetrics pins the two-level path's virtual times to
 // bit-exact hex-float goldens across node fatness and subgroup counts.
 func TestHierarchicalGoldenMetrics(t *testing.T) {
-	got := hierGoldenMetrics(1)
+	got := hierGoldenMetrics()
 	for k, w := range hierGoldenWant {
 		if got[k] != w {
 			t.Errorf("%s:\n  got:  %s\n  want: %s", k, got[k], w)
@@ -84,23 +81,10 @@ func TestHierarchicalGoldenMetrics(t *testing.T) {
 	}
 }
 
-// TestHierarchicalParallelEngineIdentity runs the two-level goldens under
-// the parallel engine: bit-identical at 2 and 4 workers.
-func TestHierarchicalParallelEngineIdentity(t *testing.T) {
-	for _, w := range parallelWorkers {
-		got := hierGoldenMetrics(w)
-		for k, want := range hierGoldenWant {
-			if got[k] != want {
-				t.Errorf("workers=%d %s:\n  got:  %s\n  want: %s", w, k, got[k], want)
-			}
-		}
-	}
-}
-
 // TestHierarchicalRunTwiceIdenticalAtRoot pins run-to-run identity of the
 // full two-level metric set within one build.
 func TestHierarchicalRunTwiceIdenticalAtRoot(t *testing.T) {
-	first, second := hierGoldenMetrics(1), hierGoldenMetrics(1)
+	first, second := hierGoldenMetrics(), hierGoldenMetrics()
 	for k, v := range first {
 		if second[k] != v {
 			t.Errorf("%s: runs differ:\n  first:  %s\n  second: %s", k, v, second[k])
@@ -110,19 +94,16 @@ func TestHierarchicalRunTwiceIdenticalAtRoot(t *testing.T) {
 
 // TestHierarchicalOffPreservesGoldens re-runs every pre-existing golden of
 // determinism_test.go with the new knobs explicitly at their defaults
-// (2 PEs per node, two-level off), serially and at 2 and 4 workers: the
-// feature must be invisible until turned on — bit-for-bit.
+// (2 PEs per node, two-level off): the feature must be invisible until
+// turned on — bit-for-bit.
 func TestHierarchicalOffPreservesGoldens(t *testing.T) {
-	for _, w := range []int{1, 2, 4} {
-		p := experiments.BenchPreset()
-		p.Cluster.PEsPerNode = 2
-		p.IntraNode = false
-		p.Workers = w
-		got := goldenMetrics(p)
-		for k, want := range goldenWant {
-			if got[k] != want {
-				t.Errorf("workers=%d %s:\n  got:  %s\n  want: %s", w, k, got[k], want)
-			}
+	p := experiments.BenchPreset()
+	p.Cluster.PEsPerNode = 2
+	p.IntraNode = false
+	got := goldenMetrics(p)
+	for k, want := range goldenWant {
+		if got[k] != want {
+			t.Errorf("%s:\n  got:  %s\n  want: %s", k, got[k], want)
 		}
 	}
 }

@@ -33,7 +33,6 @@ type Common struct {
 	Scenario   string // -scenario: named fault scenario applied to every run
 	TraceOut   string // -trace-out: Perfetto trace_event JSON output path
 	Metrics    bool   // -metrics: print the metrics snapshot + critical path
-	Workers    int    // -workers: engine domain workers (1 = serial scheduler)
 	PEsPerNode int    // -pes-per-node: simulated PEs per node (fat-node knob)
 	IntraNode  bool   // -intranode: two-level intra-node aggregation
 
@@ -47,15 +46,14 @@ type Common struct {
 	spec     *job.Spec // the resolved spec, cached by ResolveSpec
 }
 
-// Register installs -json, -seed, -procs and -workers on the default flag
-// set and returns the Common that will receive their values at flag.Parse.
+// Register installs -json, -seed, -procs and the machine knobs on the
+// default flag set and returns the Common that will receive their values
+// at flag.Parse.
 func Register(defaultProcs int) *Common {
 	c := &Common{}
 	flag.BoolVar(&c.JSON, "json", false, "emit JSON instead of tables")
 	flag.Int64Var(&c.Seed, "seed", 1, "simulation seed")
 	flag.IntVar(&c.Procs, "procs", defaultProcs, "number of simulated processes")
-	flag.IntVar(&c.Workers, "workers", 1,
-		"simulation engine workers: 1 runs the serial scheduler, >1 the parallel one (results are bit-identical either way)")
 	flag.IntVar(&c.PEsPerNode, "pes-per-node", cluster.DefaultConfig().PEsPerNode,
 		"simulated PEs per node (2 = the paper's dual-core XT4 nodes; up to 64 models fat multicore nodes)")
 	flag.BoolVar(&c.IntraNode, "intranode", false,
@@ -144,7 +142,7 @@ func (c *Common) ResolveSpec(workloadName string) job.Spec {
 		Fatalf("%v", err)
 	}
 	c.Seed, c.Procs, c.Scenario = s.Seed, s.Procs, s.Scenario
-	c.Workers, c.PEsPerNode, c.IntraNode = s.Workers, s.PEsPerNode, s.IntraNode
+	c.PEsPerNode, c.IntraNode = s.PEsPerNode, s.IntraNode
 	c.Backend, c.BBCapacity, c.BBDrainBW = s.Backend, s.BBCapacity, s.BBDrainBW
 	c.spec = &s
 	return s
@@ -166,7 +164,6 @@ func (c *Common) flagSpec(workloadName string) job.Spec {
 		Backend:    c.Backend,
 		BBCapacity: c.BBCapacity,
 		BBDrainBW:  c.BBDrainBW,
-		Workers:    c.Workers,
 		PEsPerNode: c.PEsPerNode,
 		IntraNode:  c.IntraNode,
 	}
@@ -193,8 +190,8 @@ func (c *Common) resolved() job.Spec {
 
 // Apply copies the shared knobs onto a preset via the declarative spec
 // path (experiments.ApplySpec): the seed, the scenario's fault plan
-// (threaded through every runner of the preset), the engine worker count,
-// and the node topology knobs. A plan whose storage faults cannot reach the
+// (threaded through every runner of the preset), the storage backend and
+// the node topology knobs. A plan whose storage faults cannot reach the
 // selected backend (bb-node loss without the bb tier, server failures
 // without the listio farm) still runs — healthy at that layer, by design —
 // but gets a stderr warning so a sweep that quietly measures nothing is
@@ -228,25 +225,12 @@ func (c *Common) ApplyBase(p *experiments.Preset) {
 	}
 }
 
-// EmitJSON prints {"experiment": name, "workers": n, "points": points} with
-// stable two-space indentation — the wire format every tool's -json mode
-// shares. The worker count is part of the envelope so scripts comparing runs
-// can see which engine produced them (the points themselves are
-// bit-identical for every worker count).
-func (c *Common) EmitJSON(name string, points any) {
-	emitJSON(map[string]any{"experiment": name, "workers": c.Workers, "points": points})
-}
-
-// EmitJSON is the envelope writer behind Common.EmitJSON, for call sites
-// with no Common in scope (no worker field is emitted).
+// EmitJSON prints {"experiment": name, "points": points} with stable
+// two-space indentation — the wire format every tool's -json mode shares.
 func EmitJSON(name string, points any) {
-	emitJSON(map[string]any{"experiment": name, "points": points})
-}
-
-func emitJSON(doc map[string]any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := enc.Encode(map[string]any{"experiment": name, "points": points}); err != nil {
 		panic(err)
 	}
 }

@@ -55,8 +55,8 @@ func TestSpecEqualsFlags(t *testing.T) {
 		},
 		{
 			tool:  "collwall",
-			spec:  map[string]any{"procs": 16, "seed": 2, "workers": 2},
-			flags: []string{"-procs", "16", "-seed", "2", "-workers", "2"},
+			spec:  map[string]any{"procs": 16, "seed": 2},
+			flags: []string{"-procs", "16", "-seed", "2"},
 			extra: []string{"-minprocs", "16", "-maxprocs", "32"},
 		},
 		{

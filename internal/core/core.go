@@ -94,12 +94,6 @@ type Options struct {
 	// members, so the hinted aggregators can pile into the first groups —
 	// the failure mode Section 4.2 is designed to avoid (ablation).
 	NaiveAggregators bool
-	// Workers records the simulation engine's domain-worker count for the
-	// run this option set feeds (<= 1 means the serial scheduler). It is
-	// not a ParColl hint — the engine is fixed by mpi.RunPlanWorkers before
-	// any file is opened — but carrying it here keeps the whole of a run's
-	// configuration in one place for tools and harnesses to surface.
-	Workers int
 	// MaterializeIntermediate stores the intermediate file view instead of
 	// translating writes back to the original physical layout: each
 	// group's FA lives contiguously at its logical position, so

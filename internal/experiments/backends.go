@@ -191,7 +191,7 @@ func (p Preset) CheckpointBurstUnderFailure(nprocs, groups int, ratio float64, p
 		pt.Scenario = plan.Name
 	}
 	var virt int64
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, plan, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
 		res := w.Run(r, env, "ckpt-fail")
 		mpi.WorldComm(r).Barrier()
 		if err := w.Verify(r, env, "ckpt-fail"); err != nil {

@@ -66,14 +66,10 @@ type Preset struct {
 	// favor of their own.
 	Fault *fault.Plan
 
-	// Workers selects the simulation engine for every runner of this
-	// preset: <= 1 the serial scheduler, > 1 the conservative parallel one
-	// with that many domain workers (DESIGN.md §12). Results are
-	// bit-identical either way, and so far the parallel engine has not run
-	// one simulation faster than the serial one. What does use the cores is
-	// independent of it: a runner's independent points run concurrently,
-	// up to GOMAXPROCS at once (ForEachPoint). The cmd tools' -workers flag
-	// sets it.
+	// Workers is ignored.
+	//
+	// Deprecated: the simulation engine is serial; a runner's independent
+	// points already run concurrently (ForEachPoint).
 	Workers int
 
 	// IntraNode turns on two-level collective I/O for every runner of this
@@ -168,7 +164,7 @@ func (p Preset) env(scale float64, opts core.Options) workload.Env {
 // catalog runners go through here, so setting Preset.Fault perturbs every
 // figure consistently.
 func (p Preset) run(nprocs int, body func(r *mpi.Rank)) float64 {
-	end, _ := mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, p.Fault, p.Workers, body)
+	end, _ := mpi.RunPlan(nprocs, p.Cluster, p.Seed, p.Fault, body)
 	return end
 }
 
@@ -192,9 +188,6 @@ func (p Preset) envPlan(scale float64, opts core.Options, plan *fault.Plan) work
 	}
 	if opts.Hints.CBBufferSize == 0 {
 		opts.Hints.CBBufferSize = stripeSize // cb_buffer = 4 MB virtual
-	}
-	if opts.Workers == 0 {
-		opts.Workers = p.Workers
 	}
 	env := workload.Env{
 		FS:     p.newBackend(lcfg),
@@ -278,7 +271,7 @@ func (p Preset) CollectiveWall(procs []int) []WallPoint {
 func (p Preset) CollectiveWallStats(n int) (WallPoint, sim.Stats) {
 	env := p.env(p.TileScale, core.Options{})
 	var bd mpiio.Breakdown
-	_, st := mpi.RunPlanWorkers(n, p.Cluster, p.Seed, p.Fault, p.Workers, func(r *mpi.Rank) {
+	_, st := mpi.RunPlan(n, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {
 		res := p.Tile.Write(r, env, "tile")
 		m := workload.MeanBreakdown(mpi.WorldComm(r), res.Breakdown)
 		if r.WorldRank() == 0 {

@@ -44,7 +44,7 @@ func (p Preset) tileUnderFault(nprocs, groups int, plan *fault.Plan, cb, seed in
 	if plan != nil {
 		pt.Scenario = plan.Name
 	}
-	_, st := mpi.RunPlanWorkers(nprocs, p.Cluster, seed, plan, p.Workers, func(r *mpi.Rank) {
+	_, st := mpi.RunPlan(nprocs, p.Cluster, seed, plan, func(r *mpi.Rank) {
 		res := p.Tile.Write(r, env, "tile")
 		bd := workload.MeanBreakdown(mpi.WorldComm(r), res.Breakdown)
 		if r.WorldRank() == 0 {

@@ -80,7 +80,7 @@ func (p Preset) IntraNodePoint(nprocs, aggs, pesPerNode int, intra bool) IntraNo
 	w := workload.IOR{Block: 4096, Transfer: 64, Strided: true}
 	var bd mpiio.Breakdown
 	var res workload.Result
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, p.Fault, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {
 		r.SetObs(reg)
 		out := w.Write(r, env, "ior-strided")
 		m := workload.MeanBreakdown(mpi.WorldComm(r), out.Breakdown)

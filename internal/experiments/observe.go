@@ -49,7 +49,7 @@ func ObservedTileWrite(p Preset, nprocs, groups int, plan *fault.Plan) Observed 
 	env := p.env(p.TileScale, opts)
 	env.FS.SetObs(reg)
 	var res workload.Result
-	end, st := mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, p.Fault, p.Workers, func(r *mpi.Rank) {
+	end, st := mpi.RunPlan(nprocs, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {
 		r.SetTracer(rec)
 		r.SetObs(reg)
 		out := p.Tile.Write(r, env, "tile")

@@ -45,7 +45,7 @@ func (p Preset) overlapRun(nprocs, groups, steps int, compute float64, split boo
 	w.Compute = compute
 	w.Split = split
 	var res workload.Result
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, plan, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
 		out := w.Write(r, env, "tile")
 		if r.WorldRank() == 0 {
 			res = out

@@ -44,7 +44,7 @@ func (p Preset) TileUnderFailure(nprocs, groups int, plan *fault.Plan) FailurePo
 		pt.Scenario = plan.Name
 	}
 	var virt int64
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, plan, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
 		res := p.Tile.Write(r, env, "tile-failure")
 		mpi.WorldComm(r).Barrier()
 		if err := p.Tile.VerifyTile(r, env, "tile-failure"); err != nil {
@@ -102,7 +102,7 @@ func (p Preset) BTUnderFailure(nprocs, groups int, plan *fault.Plan) FailurePoin
 		pt.Scenario = plan.Name
 	}
 	var virt int64
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, plan, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
 		res := p.BT.Write(r, env, "bt-failure")
 		comm := mpi.WorldComm(r)
 		comm.Barrier()

@@ -44,7 +44,6 @@ func (p *Preset) ApplySpecBase(s job.Spec) error {
 		return err
 	}
 	p.Seed = s.Seed
-	p.Workers = s.Workers
 	if s.PEsPerNode != 0 {
 		p.Cluster.PEsPerNode = s.PEsPerNode
 	}
@@ -128,9 +127,9 @@ type SpecWorkload struct {
 // from its options. The per-job environments share FS, stripe, and ledger;
 // only the options differ, exactly as concurrent applications share a file
 // system but open files with their own hints. Option normalization (fault
-// threading, intra-node hint, scaled collective-buffer default, engine
-// worker count) matches the single-job env construction line for line, so
-// a job inside a trace opens files identically to the same job run alone.
+// threading, intra-node hint, scaled collective-buffer default) matches the
+// single-job env construction line for line, so a job inside a trace opens
+// files identically to the same job run alone.
 func (p Preset) TraceEnv(scale float64, plan *fault.Plan) (fs storage.Backend, envOf func(opts core.Options) workload.Env) {
 	lcfg := p.Lustre
 	lcfg.CostScale = scale
@@ -156,9 +155,6 @@ func (p Preset) TraceEnv(scale float64, plan *fault.Plan) (fs storage.Backend, e
 		}
 		if opts.Hints.CBBufferSize == 0 {
 			opts.Hints.CBBufferSize = stripeSize
-		}
-		if opts.Workers == 0 {
-			opts.Workers = p.Workers
 		}
 		return workload.Env{
 			FS:     fs,

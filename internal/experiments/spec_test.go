@@ -20,14 +20,14 @@ func TestBackendNamesAgree(t *testing.T) {
 func TestApplySpec(t *testing.T) {
 	p := BenchPreset()
 	err := (&p).ApplySpec(job.Spec{
-		Workload: job.WorkloadIOR, Procs: 8, Seed: 9, Workers: 4,
+		Workload: job.WorkloadIOR, Procs: 8, Seed: 9,
 		Backend: "bb", BBCapacity: 1 << 20, BBDrainBW: 1e6,
 		Scenario: "one-straggler", PEsPerNode: 4, IntraNode: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 9 || p.Workers != 4 || p.Backend != "bb" || p.BBCapacity != 1<<20 ||
+	if p.Seed != 9 || p.Backend != "bb" || p.BBCapacity != 1<<20 ||
 		p.BBDrainBW != 1e6 || p.Cluster.PEsPerNode != 4 || !p.IntraNode {
 		t.Fatalf("knobs not applied: %+v", p)
 	}

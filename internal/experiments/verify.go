@@ -19,7 +19,7 @@ func VerifyIOR(p Preset, nprocs int, opts core.Options) error {
 	env := p.env(p.IORScale, opts)
 	w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}
 	var firstErr error
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, nil, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		w.Write(r, env, "ior-verify")
 		mpi.WorldComm(r).Barrier()
 		if bad := w.Verify(r, env, "ior-verify"); bad >= 0 && firstErr == nil {
@@ -33,7 +33,7 @@ func VerifyIOR(p Preset, nprocs int, opts core.Options) error {
 func VerifyTile(p Preset, nprocs int, opts core.Options) error {
 	env := p.env(p.TileScale, opts)
 	var firstErr error
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, nil, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		p.Tile.Write(r, env, "tile-verify")
 		mpi.WorldComm(r).Barrier()
 		if err := p.Tile.VerifyTile(r, env, "tile-verify"); err != nil && firstErr == nil {
@@ -54,7 +54,7 @@ func VerifyBT(p Preset, nprocs int, opts core.Options) error {
 	}
 	env := p.env(p.BTScale, opts)
 	var firstErr error
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, nil, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		comm := mpi.WorldComm(r)
 		f := core.Open(comm, env.FS, "bt-verify", env.Stripe, env.Opts)
 		me := r.WorldRank()
@@ -84,7 +84,7 @@ func VerifyBT(p Preset, nprocs int, opts core.Options) error {
 func VerifyFlash(p Preset, nprocs int, opts core.Options) error {
 	env := p.env(p.FlashScale, opts)
 	var firstErr error
-	mpi.RunPlanWorkers(nprocs, p.Cluster, p.Seed, nil, p.Workers, func(r *mpi.Rank) {
+	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		p.Flash.WriteCheckpoint(r, env, "flash-verify")
 		mpi.WorldComm(r).Barrier()
 		if err := p.Flash.VerifyCheckpoint(r, env, "flash-verify"); err != nil && firstErr == nil {

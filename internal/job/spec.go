@@ -88,9 +88,6 @@ type Spec struct {
 	// BBDrainBW is the per-node drain bandwidth in bytes/second for the
 	// "bb" backend (0 = the under-backend's native pace).
 	BBDrainBW float64 `json:"bb_drain_bw,omitempty"`
-	// Workers selects the engine: <= 1 serial, > 1 that many domain
-	// workers. Results are bit-identical either way.
-	Workers int `json:"workers,omitempty"`
 	// PEsPerNode overrides the simulated PEs per node (0 = the cluster
 	// default of 2; fat nodes go up to 64).
 	PEsPerNode int `json:"pes_per_node,omitempty"`
@@ -143,9 +140,6 @@ func (s Spec) WithDefaults() Spec {
 	if s.Backend == "" {
 		s.Backend = "lustre"
 	}
-	if s.Workers == 0 {
-		s.Workers = 1
-	}
 	return s
 }
 
@@ -194,9 +188,6 @@ func (s Spec) Validate() error {
 	}
 	if s.BBDrainBW < 0 {
 		return bad("BBDrainBW", "%g (want >= 0)", s.BBDrainBW)
-	}
-	if s.Workers < 0 {
-		return bad("Workers", "%d (want >= 0)", s.Workers)
 	}
 	if s.PEsPerNode != 0 && (s.PEsPerNode < 2 || s.PEsPerNode > 64) {
 		return bad("PEsPerNode", "%d (want 0 or 2..64)", s.PEsPerNode)

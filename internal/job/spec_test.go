@@ -9,7 +9,7 @@ import (
 )
 
 func validSpec() Spec {
-	return Spec{Workload: WorkloadTileIO, Procs: 16, Groups: 4, Seed: 1, Backend: "lustre", Workers: 1, Name: "tileio"}
+	return Spec{Workload: WorkloadTileIO, Procs: 16, Groups: 4, Seed: 1, Backend: "lustre", Name: "tileio"}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -27,9 +27,16 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownFields(t *testing.T) {
-	_, err := Decode([]byte(`{"workload": "ior", "procs": 8, "stripes": 9}`))
-	if err == nil || !strings.Contains(err.Error(), "stripes") {
-		t.Fatalf("unknown field accepted: %v", err)
+	cases := []struct{ doc, field string }{
+		{`{"workload": "ior", "procs": 8, "stripes": 9}`, "stripes"},
+		// The engine worker count is gone; a stale spec must say so.
+		{`{"workload": "ior", "procs": 8, "workers": 2}`, "workers"},
+	}
+	for _, c := range cases {
+		_, err := Decode([]byte(c.doc))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("unknown field %q accepted: %v", c.field, err)
+		}
 	}
 }
 
@@ -54,12 +61,12 @@ func TestDecodeList(t *testing.T) {
 
 func TestWithDefaults(t *testing.T) {
 	s := Spec{Workload: WorkloadBTIO, Procs: 9}.WithDefaults()
-	if s.Name != "btio" || s.Seed != 1 || s.Backend != "lustre" || s.Workers != 1 {
+	if s.Name != "btio" || s.Seed != 1 || s.Backend != "lustre" {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	// Explicit values survive.
-	s = Spec{Workload: WorkloadBTIO, Procs: 9, Name: "x", Seed: 7, Backend: "bb", Workers: 4}.WithDefaults()
-	if s.Name != "x" || s.Seed != 7 || s.Backend != "bb" || s.Workers != 4 {
+	s = Spec{Workload: WorkloadBTIO, Procs: 9, Name: "x", Seed: 7, Backend: "bb"}.WithDefaults()
+	if s.Name != "x" || s.Seed != 7 || s.Backend != "bb" {
 		t.Fatalf("defaults clobbered explicit values: %+v", s)
 	}
 }
@@ -78,7 +85,6 @@ func TestValidateTypedErrors(t *testing.T) {
 		{func(s *Spec) { s.Backend = "nfs" }, "Backend"},
 		{func(s *Spec) { s.BBCapacity = -1 }, "BBCapacity"},
 		{func(s *Spec) { s.BBDrainBW = -1 }, "BBDrainBW"},
-		{func(s *Spec) { s.Workers = -1 }, "Workers"},
 		{func(s *Spec) { s.PEsPerNode = 1 }, "PEsPerNode"},
 		{func(s *Spec) { s.PEsPerNode = 65 }, "PEsPerNode"},
 		{func(s *Spec) { s.Hints.CBNodes = -1 }, "Hints.CBNodes"},
@@ -117,10 +123,10 @@ func TestResultElapsed(t *testing.T) {
 // and that Decode never accepts a document Encode didn't produce the
 // structure of (unknown fields).
 func FuzzSpecJSON(f *testing.F) {
-	f.Add("tile", "tileio", 16, 4, int64(1), 0.0, "", "lustre", int64(0), 0.0, 1, 2, true, 4, int64(4096), 10, 0.001, int64(64), int64(16))
-	f.Add("", "", 0, 0, int64(0), 0.0, "", "", int64(0), 0.0, 0, 0, false, 0, int64(0), 0, 0.0, int64(0), int64(0))
+	f.Add("tile", "tileio", 16, 4, int64(1), 0.0, "", "lustre", int64(0), 0.0, 2, true, 4, int64(4096), 10, 0.001, int64(64), int64(16))
+	f.Add("", "", 0, 0, int64(0), 0.0, "", "", int64(0), 0.0, 0, false, 0, int64(0), 0, 0.0, int64(0), int64(0))
 	f.Fuzz(func(t *testing.T, name, wl string, procs, groups int, seed int64, arrival float64,
-		scenario, backend string, bbcap int64, bbbw float64, workers, pes int, intra bool,
+		scenario, backend string, bbcap int64, bbbw float64, pes int, intra bool,
 		cbn int, cbb int64, steps int, compute float64, block, il int64) {
 		if math.IsNaN(arrival) || math.IsInf(arrival, 0) ||
 			math.IsNaN(bbbw) || math.IsInf(bbbw, 0) ||
@@ -134,7 +140,7 @@ func FuzzSpecJSON(f *testing.F) {
 		s := Spec{
 			Name: name, Workload: wl, Procs: procs, Groups: groups, Seed: seed,
 			Arrival: arrival, Scenario: scenario, Backend: backend,
-			BBCapacity: bbcap, BBDrainBW: bbbw, Workers: workers, PEsPerNode: pes,
+			BBCapacity: bbcap, BBDrainBW: bbbw, PEsPerNode: pes,
 			IntraNode: intra, Hints: Hints{CBNodes: cbn, CBBufferSize: cbb},
 			Steps: steps, Compute: compute, BlockBytes: block, Interleave: il,
 		}

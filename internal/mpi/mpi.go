@@ -82,7 +82,6 @@ func (r *Rank) SetObs(reg *obs.Registry) {
 		r.p2pInterMsgs, r.p2pInterBytes = nil, nil
 		return
 	}
-	r.P.Ordered() // registry is engine-shared; resolve in serial order
 	r.p2pIntraMsgs = reg.Counter("mpi.p2p.intra.msgs")
 	r.p2pIntraBytes = reg.Counter("mpi.p2p.intra.bytes")
 	r.p2pInterMsgs = reg.Counter("mpi.p2p.inter.msgs")
@@ -96,7 +95,6 @@ func (r *Rank) noteColl(op string, bytes int64) {
 	if r.reg == nil || r.depth != 0 {
 		return
 	}
-	r.P.Ordered() // registry is engine-shared; count in serial order
 	r.reg.Counter("mpi.coll." + op + ".calls").Inc()
 	if bytes > 0 {
 		r.reg.Counter("mpi.coll." + op + ".bytes").Add(uint64(bytes))
@@ -125,17 +123,6 @@ func RunWithStats(nprocs int, ccfg cluster.Config, seed int64, body func(r *Rank
 // lustre.Config.Faults.) Determinism holds for any plan: all perturbation
 // randomness comes from generators seeded by `seed`.
 func RunPlan(nprocs int, ccfg cluster.Config, seed int64, plan *fault.Plan, body func(r *Rank)) (float64, sim.Stats) {
-	return RunPlanWorkers(nprocs, ccfg, seed, plan, 1, body)
-}
-
-// RunPlanWorkers is RunPlan with an engine worker count: workers <= 1 runs
-// the classic serial scheduler, workers > 1 the conservative parallel one
-// (DESIGN.md §12), with procs partitioned into node-aligned contiguous
-// domains so that NIC-ledger updates stay domain-local as often as possible.
-// Results are bit-identical for every worker count — the domain mapping is a
-// performance heuristic, never a correctness knob — so goldens, fault
-// scenarios and recovery logs all carry over unchanged.
-func RunPlanWorkers(nprocs int, ccfg cluster.Config, seed int64, plan *fault.Plan, workers int, body func(r *Rank)) (float64, sim.Stats) {
 	scfg := sim.Config{Seed: seed}
 	if !plan.IsZero() {
 		scfg.Perturber = plan
@@ -145,9 +132,6 @@ func RunPlanWorkers(nprocs int, ccfg cluster.Config, seed int64, plan *fault.Pla
 		Cluster: cluster.New(nprocs, ccfg),
 		coll:    make(map[collKey]*collSlot),
 	}
-	if workers > 1 {
-		scfg.Workers, scfg.DomainOf = domainMap(w.Cluster, workers)
-	}
 	e := sim.NewEngine(scfg)
 	end := e.Run(nprocs, func(p *sim.Proc) {
 		body(&Rank{P: p, W: w})
@@ -155,23 +139,11 @@ func RunPlanWorkers(nprocs int, ccfg cluster.Config, seed int64, plan *fault.Pla
 	return end, e.Stats()
 }
 
-// domainMap partitions ranks into at most `workers` contiguous, node-aligned
-// engine domains: ranks sharing a node never split across domains (their
-// sends contend on the same NIC resources), and nodes spread as evenly as
-// the contiguity allows.
-func domainMap(c *cluster.Cluster, workers int) (int, []int) {
-	nnodes := c.NumNodes()
-	if workers > nnodes {
-		workers = nnodes
-	}
-	if workers < 2 {
-		return 1, nil
-	}
-	domOf := make([]int, c.NumProcs())
-	for i := range domOf {
-		domOf[i] = c.NodeOf(i) * workers / nnodes
-	}
-	return workers, domOf
+// RunPlanWorkers is RunPlan; the worker count is ignored.
+//
+// Deprecated: the engine is serial. Call RunPlan.
+func RunPlanWorkers(nprocs int, ccfg cluster.Config, seed int64, plan *fault.Plan, workers int, body func(r *Rank)) (float64, sim.Stats) {
+	return RunPlan(nprocs, ccfg, seed, plan, body)
 }
 
 // WorldRank returns the rank's id in the global job.
@@ -303,7 +275,6 @@ func (r *Rank) SetClass(c Class) Class {
 // lustre layer reports completed I/O waits through this.
 func (r *Rank) ChargeIO(d float64) {
 	if r.tracer != nil {
-		r.P.Ordered() // recorder is engine-shared; append in serial order
 		r.tracer.Add(r.WorldRank(), ClassIO.String(), r.P.Now(), r.P.Now()+d, "")
 	}
 	r.P.Advance(d)
@@ -325,7 +296,6 @@ func (r *Rank) end(t0 float64) {
 	if r.depth == 0 {
 		r.prof.Times[r.class] += r.P.Now() - t0
 		if r.tracer != nil && r.P.Now() > t0 {
-			r.P.Ordered() // recorder is engine-shared; append in serial order
 			r.tracer.Add(r.WorldRank(), r.class.String(), t0, r.P.Now(), "")
 		}
 	}

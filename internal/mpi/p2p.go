@@ -60,7 +60,6 @@ func (c *Comm) sendOwned(dst, tag int, payload []byte, costBytes int) {
 	r.prof.Msgs++
 	r.prof.Bytes += int64(costBytes)
 	if r.p2pIntraMsgs != nil {
-		r.P.Ordered() // registry is engine-shared; count in serial order
 		if r.W.Cluster.SameNode(srcW, dstW) {
 			r.p2pIntraMsgs.Inc()
 			r.p2pIntraBytes.Add(uint64(costBytes))

@@ -79,11 +79,6 @@ func (c *Comm) syncExchange(tag int, payload []byte, extra func(totalBytes int64
 	if p == 1 {
 		return [][]byte{payload}
 	}
-	// The rendezvous table and slot are engine-shared state touched before
-	// any Send/Recv: fence so deposits land in serial order (the waiting
-	// list's order decides the wake-send order, which feeds the engine's
-	// global sequence and perturbation draws).
-	c.r.P.Ordered()
 	w := c.r.W
 	key := collKey{ctx: c.ctx, seq: tag, anchor: c.members[0]}
 	slot, ok := w.coll[key]

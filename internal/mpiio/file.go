@@ -212,7 +212,6 @@ func (f *File) traceRound(kind string, start, end float64, round int) {
 	if f.run.Trace == nil && f.obsRound[kind] == nil {
 		return
 	}
-	f.r.P.Ordered() // sinks are engine-shared; record in serial order
 	if f.run.Trace != nil {
 		f.run.Trace.Add(f.r.WorldRank(), kind, start, end, "round "+strconv.Itoa(round))
 	}
@@ -226,7 +225,6 @@ func (f *File) traceRound(kind string, start, end float64, round int) {
 // rare, so the name concatenation is off the hot path by construction.
 func (f *File) noteRecovery(event string) {
 	if f.run.Obs != nil {
-		f.r.P.Ordered() // registry is engine-shared; count in serial order
 		f.run.Obs.Counter("mpiio.recovery." + event).Inc()
 	}
 }
@@ -264,7 +262,6 @@ func OpenWith(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.St
 		deadWorld: make(map[int]bool),
 	}
 	if run.Obs != nil {
-		r.P.Ordered() // registry is engine-shared; create series in serial order
 		f.obsRound = map[string]*obs.Histogram{
 			"round-sync":     run.Obs.Histogram("mpiio.round.sync.secs", nil),
 			"round-exchange": run.Obs.Histogram("mpiio.round.exchange.secs", nil),

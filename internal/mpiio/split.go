@@ -32,9 +32,6 @@ func (f *File) track(q *nbio.Request) *nbio.Request {
 	q.OnComplete(func(q *nbio.Request) {
 		f.ovl.Hidden += q.Hidden()
 		f.ovl.Exposed += q.Exposed()
-		if f.run.Trace != nil || f.obsHidden != nil {
-			f.r.P.Ordered() // sinks are engine-shared; record in serial order
-		}
 		if tr := f.run.Trace; tr != nil {
 			if h := q.Hidden(); h > 0 {
 				tr.Add(f.r.WorldRank(), "hidden", q.Issued(), q.Issued()+h, "")

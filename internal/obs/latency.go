@@ -12,10 +12,10 @@ import (
 // gap can be smaller than a bucket — so the multi-tenant layer records every
 // collective call's elapsed virtual seconds and sorts at query time.
 //
-// Add is safe for concurrent use from engine workers: samples land in
-// arrival order, which differs between worker counts, but every query sorts
+// Add is safe for concurrent use, since independent engine runs execute side
+// by side in one process (experiments.ForEachPoint). Every query sorts
 // first, so the reported quantiles are a pure function of the sample
-// multiset — bit-identical across engine configurations. Like the rest of
+// multiset, whatever order samples land in. Like the rest of
 // obs, a recorder only reads virtual clocks; attaching one never perturbs a
 // run.
 type LatencyRecorder struct {

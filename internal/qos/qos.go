@@ -13,8 +13,8 @@
 // own, earlier times — then fill. The effect is the same as a fair queue in
 // front of the device, expressed in a form the deterministic engine can
 // replay bit-identically: every storage operation begins with an engine
-// sync, so Admit runs in engine-serialized order at any worker count, and
-// policies draw no randomness.
+// sync, so Admit runs in engine-serialized order, and policies draw no
+// randomness.
 //
 // Three policies ship, mirroring the classic service-loop choices:
 //

@@ -7,7 +7,9 @@
 // communicate through tagged messages whose arrival times are supplied by
 // the caller (higher layers compute arrival from a network cost model).
 // Because scheduling depends only on virtual time and proc ids, a run is
-// fully deterministic for a given seed and program.
+// fully deterministic for a given seed and program. A failed run (a proc
+// body panics, or every unfinished proc is blocked) unwinds all procs before
+// Run re-panics, so no proc goroutine outlives its Run.
 package sim
 
 import (
@@ -42,13 +44,6 @@ type Message struct {
 	Payload any
 	Arrival float64 // virtual time at which the message reached the receiver
 	seq     uint64
-	// Parallel-engine deposit stamp: the sender's slice key at Send time
-	// plus a per-sender sequence number. Together they reproduce the serial
-	// engine's global deposit order (see parallel.go); unused (zero) under
-	// the serial engine, where seq alone orders deposits.
-	stampT float64
-	stampI int32
-	sseq   uint64
 }
 
 // Config parameterizes an Engine.
@@ -60,16 +55,6 @@ type Config struct {
 	// the virtual-time model (see the Perturber interface). nil runs the
 	// unperturbed model.
 	Perturber Perturber
-	// Workers selects the engine: <= 1 runs the classic serial scheduler;
-	// > 1 runs the conservative parallel scheduler with that many domain
-	// workers (clamped to the number of domains in DomainOf). Virtual-time
-	// results are bit-identical either way (DESIGN.md §12).
-	Workers int
-	// DomainOf maps each proc id to its domain index in [0, Workers).
-	// Required when Workers > 1; domains should align with the machine
-	// topology (procs sharing a node must share a domain) so that NIC
-	// ledgers stay domain-private. Ignored when Workers <= 1.
-	DomainOf []int
 }
 
 // Perturber perturbs the engine's virtual-time model without breaking
@@ -100,10 +85,16 @@ type Engine struct {
 	seq     uint64 // global message sequence for FIFO tie-breaks
 	panicV  any
 	stopped bool
-	stats   Stats
-	frng    *rand.Rand // perturbation draws (delivery jitter); seeded, serialized
-	par     *parEngine // non-nil when running the parallel scheduler
+	// aborting is set while a failed Run unwinds its unfinished procs: a
+	// proc resumed (or yielding) in that state panics with abortPanic.
+	aborting bool
+	stats    Stats
+	frng     *rand.Rand // perturbation draws (delivery jitter); seeded, serialized
 }
+
+// abortPanic is the sentinel a failed Run unwinds its remaining procs with.
+// The engine recovers it itself, so it never replaces the run's failure.
+type abortPanic struct{}
 
 // readyHeap is a binary min-heap of ready procs ordered by (readyAt, id).
 type readyHeap []*Proc
@@ -204,22 +195,6 @@ type Proc struct {
 	deadline    float64 // valid while blocked in RecvUntil
 	hasDeadline bool
 	dlGen       uint64 // invalidates stale dlHeap entries
-
-	// Parallel-engine state (nil/zero under the serial scheduler).
-	dom   *domain // owning domain, nil ⇒ serial engine
-	visT  float64 // current slice key time: (visT, id) stamps this slice's sends
-	sseq  uint64  // per-proc send counter, tie-breaks equal-stamp deposits
-	gated bool    // this slice has passed its gate (reset at slice start)
-}
-
-// st returns the Stats block this proc's counters land in: the engine's under
-// the serial scheduler, the owning domain's under the parallel one (merged
-// deterministically after Run; see parallel.go).
-func (p *Proc) st() *Stats {
-	if p.dom != nil {
-		return &p.dom.stats
-	}
-	return &p.engine.stats
 }
 
 type recvSpec struct {
@@ -334,63 +309,11 @@ func (mb *mailbox) take(spec recvSpec, st *Stats) (Message, bool) {
 	return mb.popFrom(bestKey, bestQ), true
 }
 
-// takeVis is the parallel engine's take: identical to take for exact specs,
-// but a wildcard scan only considers queues whose head deposit-stamp is at or
-// below the caller's slice key (visT, id) — deposits from slices the serial
-// engine would not have run yet are invisible, and are skipped uncounted so
-// WildcardScanned sees exactly the serial engine's nonempty-queue set. The
-// pick among visible heads is by minimum (stampT, stampI, sseq), which is the
-// serial deposit order. Per-queue stamps are nondecreasing (per-sender sends
-// stamp in slice order), so the head check suffices for the whole queue.
-func (mb *mailbox) takeVis(spec recvSpec, visT float64, visID int, st *Stats) (Message, bool) {
-	if mb.count == 0 {
-		return Message{}, false
-	}
-	if spec.src != AnySource && spec.tag != AnyTag {
-		key := srcTag{spec.src, spec.tag}
-		q := mb.queues[key]
-		if q == nil {
-			return Message{}, false
-		}
-		st.ExactPops.Inc()
-		return mb.popFrom(key, q), true
-	}
-	var (
-		bestKey srcTag
-		bestQ   *msgQueue
-		bestT   float64
-		bestI   int32
-		bestS   uint64
-	)
-	for key, q := range mb.queues {
-		h := &q.msgs[q.head]
-		if h.stampT > visT || (h.stampT == visT && int(h.stampI) > visID) {
-			continue // deposited by a serially-later slice: invisible
-		}
-		st.WildcardScanned.Inc()
-		if spec.src != AnySource && spec.src != key.src {
-			continue
-		}
-		if spec.tag != AnyTag && spec.tag != key.tag {
-			continue
-		}
-		if bestQ == nil || h.stampT < bestT ||
-			(h.stampT == bestT && (h.stampI < bestI ||
-				(h.stampI == bestI && h.sseq < bestS))) {
-			bestKey, bestQ, bestT, bestI, bestS = key, q, h.stampT, h.stampI, h.sseq
-		}
-	}
-	if bestQ == nil {
-		return Message{}, false
-	}
-	st.WildcardPops.Inc()
-	return mb.popFrom(bestKey, bestQ), true
-}
-
 // Run starts n procs executing body and drives them to completion under the
 // virtual clock. It returns the maximum virtual finish time across procs.
 // Run panics if the procs deadlock (all blocked, none runnable) or if any
-// proc body panics (the original panic value is re-raised).
+// proc body panics (the original panic value is re-raised); either way every
+// proc is unwound first, running its body's deferred calls.
 func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 	if n <= 0 {
 		panic("sim: Run needs n > 0 procs")
@@ -399,9 +322,6 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 		panic("sim: engine already used; create a new Engine per Run")
 	}
 	e.stopped = true
-	if e.cfg.Workers > 1 {
-		return e.runParallel(n, body)
-	}
 	e.procs = make([]*Proc, n)
 	for i := 0; i < n; i++ {
 		e.procs[i] = &Proc{
@@ -422,9 +342,8 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 	for _, p := range e.procs {
 		e.ready.push(p)
 		go func(p *Proc) {
-			<-p.resume
 			defer func() {
-				if r := recover(); r != nil {
+				if r := recover(); r != nil && r != any(abortPanic{}) && e.panicV == nil {
 					e.panicV = fmt.Sprintf("%v\n\nproc %d stack:\n%s", r, p.id, debug.Stack())
 				}
 				// A finished (or crashed) proc's deferred completions must
@@ -434,6 +353,7 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 				p.state = stateDone
 				e.yieldCh <- struct{}{}
 			}()
+			p.wait()
 			body(p)
 		}(p)
 	}
@@ -449,7 +369,9 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 			if done == n {
 				break
 			}
-			panic("sim: deadlock\n" + e.describeStates())
+			report := "sim: deadlock\n" + e.describeStates()
+			e.abort()
+			panic(report)
 		}
 		if d := uint64(len(e.ready)); d > e.stats.MaxReadyDepth {
 			e.stats.MaxReadyDepth = d
@@ -463,6 +385,7 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 		next.resume <- struct{}{}
 		<-e.yieldCh
 		if e.panicV != nil {
+			e.abort()
 			panic(e.panicV)
 		}
 		if next.state == stateDone {
@@ -476,6 +399,20 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 		}
 	}
 	return max
+}
+
+// abort unwinds every unfinished proc of a failed run, in id order: each is
+// resumed into an abortPanic, so its body's deferred calls run and its
+// goroutine exits instead of staying parked forever. A deferred call that
+// blocks again is unwound the same way (see yield).
+func (e *Engine) abort() {
+	e.aborting = true
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			p.resume <- struct{}{}
+			<-e.yieldCh
+		}
+	}
 }
 
 func (e *Engine) describeStates() string {
@@ -504,13 +441,8 @@ func (e *Engine) NumProcs() int { return len(e.procs) }
 
 // MinClock returns the minimum virtual clock across all procs. Because proc
 // clocks never move backwards, the value is a nondecreasing lower bound on
-// the time of every future event — a safe watermark for Resource.Trim. Under
-// the parallel engine it returns the minimum published domain bound instead,
-// which lower-bounds every future booking time the same way.
+// the time of every future event — a safe watermark for Resource.Trim.
 func (e *Engine) MinClock() float64 {
-	if e.par != nil {
-		return e.par.minClock()
-	}
 	min := 0.0
 	for i, p := range e.procs {
 		if i == 0 || p.now < min {
@@ -541,7 +473,7 @@ func (p *Proc) Advance(d float64) {
 		panic(fmt.Sprintf("sim: proc %d Advance(%g) negative", p.id, d))
 	}
 	p.now += d * p.slow
-	p.st().Advances.Inc()
+	p.engine.stats.Advances.Inc()
 	p.fireDue()
 }
 
@@ -549,20 +481,28 @@ func (p *Proc) Advance(d float64) {
 func (p *Proc) AdvanceTo(t float64) {
 	if t > p.now {
 		p.now = t
-		p.st().Advances.Inc()
+		p.engine.stats.Advances.Inc()
 	}
 	p.fireDue()
 }
 
-// yield parks the proc and returns control to the scheduler (the engine loop,
-// or the owning domain's worker) until resumed.
+// yield parks the proc and returns control to the engine loop until resumed.
+// A proc of a failed run is never parked again: it unwinds at once.
 func (p *Proc) yield() {
-	if p.dom != nil {
-		p.dom.yieldCh <- struct{}{}
-	} else {
-		p.engine.yieldCh <- struct{}{}
+	if p.engine.aborting {
+		panic(abortPanic{})
 	}
+	p.engine.yieldCh <- struct{}{}
+	p.wait()
+}
+
+// wait blocks until the engine resumes the proc, then unwinds it if the
+// engine is aborting a failed run.
+func (p *Proc) wait() {
 	<-p.resume
+	if p.engine.aborting {
+		panic(abortPanic{})
+	}
 }
 
 // Sync is a pure scheduling point: it parks the proc (still runnable at its
@@ -573,10 +513,6 @@ func (p *Proc) yield() {
 // that already passed a Sync point. When the caller is already the
 // earliest-clock runnable proc, Sync returns without a context switch.
 func (p *Proc) Sync() {
-	if p.dom != nil {
-		p.parSync()
-		return
-	}
 	e := p.engine
 	if top := e.ready.peek(); top == nil || top.readyAt > p.now ||
 		(top.readyAt == p.now && top.id > p.id) {
@@ -599,10 +535,6 @@ func (p *Proc) Send(dst, tag int, payload any, arrival float64) {
 	e := p.engine
 	if dst < 0 || dst >= len(e.procs) {
 		panic(fmt.Sprintf("sim: proc %d Send to invalid dst %d", p.id, dst))
-	}
-	if p.dom != nil {
-		p.parSend(dst, tag, payload, arrival)
-		return
 	}
 	e.seq++
 	e.stats.Sends.Inc()
@@ -655,9 +587,6 @@ func (s *recvSpec) matches(m *Message) bool {
 // Ownership: the returned payload belongs to the receiver; the sender
 // relinquished it at Send time.
 func (p *Proc) Recv(src, tag int) Message {
-	if p.dom != nil {
-		return p.parRecv(src, tag)
-	}
 	spec := recvSpec{src: src, tag: tag}
 	for {
 		if m, ok := p.mb.take(spec, &p.engine.stats); ok {
@@ -679,9 +608,6 @@ func (p *Proc) Recv(src, tag int) Message {
 // TryRecv is a non-blocking Recv; ok is false when no matching message has
 // been deposited yet (regardless of its virtual arrival time).
 func (p *Proc) TryRecv(src, tag int) (Message, bool) {
-	if p.dom != nil {
-		return p.parTryRecv(src, tag)
-	}
 	spec := recvSpec{src: src, tag: tag}
 	m, ok := p.mb.take(spec, &p.engine.stats)
 	if !ok {

@@ -134,16 +134,13 @@ func (p *Proc) RecvUntil(src, tag int, deadline float64) (Message, bool) {
 		panic(fmt.Sprintf("sim: proc %d RecvUntil with wildcard (src=%d, tag=%d)", p.id, src, tag))
 	}
 	spec := recvSpec{src: src, tag: tag}
-	if p.dom != nil {
-		return p.parRecvUntil(spec, deadline)
-	}
 	for {
-		if m, ok := p.mb.takeBefore(spec, deadline, p.st()); ok {
+		if m, ok := p.mb.takeBefore(spec, deadline, &p.engine.stats); ok {
 			if m.Arrival > p.now {
 				p.now = m.Arrival
 			}
 			p.fireDue()
-			p.st().Recvs.Inc()
+			p.engine.stats.Recvs.Inc()
 			return m, true
 		}
 		if p.now >= deadline {

@@ -80,6 +80,28 @@ func TestRecvUntilLateMessageIsTimeout(t *testing.T) {
 	}
 }
 
+// TestRecvUntilJustInTime pins the deadline tie rule for a waiter already
+// blocked: a message arriving exactly at the deadline beats the watchdog.
+func TestRecvUntilJustInTime(t *testing.T) {
+	e := NewEngine(Config{Seed: 1})
+	var m Message
+	var ok bool
+	e.Run(2, func(p *Proc) {
+		if p.ID() == 0 {
+			p.Advance(2e-4) // the receiver is blocked by the time we send
+			p.Send(1, 5, "cargo", 1e-3)
+			return
+		}
+		m, ok = p.RecvUntil(0, 5, 1e-3)
+	})
+	if !ok || m.Arrival != 1e-3 {
+		t.Fatalf("RecvUntil = %+v, %v; want the arrival-at-deadline message", m, ok)
+	}
+	if e.Stats().Timeouts.Value() != 0 {
+		t.Fatalf("the watchdog fired on a just-in-time arrival")
+	}
+}
+
 // TestRecvUntilAlreadyExpired: a deadline at or before Now still delivers a
 // queued in-time message, and otherwise returns immediately without moving
 // the clock.

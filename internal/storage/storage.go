@@ -25,7 +25,7 @@
 //     flush path in mpiio switch to the vectored calls.
 //   - Determinism: all service-time noise must come from seeded per-backend
 //     RNG consumed in engine-serialized order, so a run is a pure function
-//     of (config, workload, seed) at every engine worker count.
+//     of (config, workload, seed).
 package storage
 
 import (

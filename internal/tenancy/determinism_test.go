@@ -10,15 +10,14 @@ import (
 
 // The multi-tenant layer inherits the engine's determinism contract: a
 // trace's report is a pure function of (specs, policy, seed) — bit-identical
-// across repeated runs and across engine worker counts, healthy or faulted.
+// across repeated runs, healthy or faulted.
 // These tests pin that on the canonical 4-job mixed trace with every job's
 // data verified byte-for-byte in-sim.
 
-func mixedFor(scenario string, workers int) Trace {
+func mixedFor(scenario string) Trace {
 	tr := MixedTrace(4)
 	tr.Policy = qos.NameFairShare
 	tr.Scenario = scenario
-	tr.Workers = workers
 	return tr
 }
 
@@ -38,31 +37,19 @@ func mustRun(t *testing.T, tr Trace) Report {
 
 func TestRunTwiceBitIdentical(t *testing.T) {
 	for _, scenario := range []string{"", "one-straggler"} {
-		a := mustRun(t, mixedFor(scenario, 1))
-		b := mustRun(t, mixedFor(scenario, 1))
+		a := mustRun(t, mixedFor(scenario))
+		b := mustRun(t, mixedFor(scenario))
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("scenario %q: two identical runs differ:\n%+v\n%+v", scenario, a, b)
 		}
 	}
 }
 
-func TestWorkerCountBitIdentical(t *testing.T) {
-	for _, scenario := range []string{"", "one-straggler"} {
-		serial := mustRun(t, mixedFor(scenario, 1))
-		parallel := mustRun(t, mixedFor(scenario, 4))
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("scenario %q: 1-worker and 4-worker reports differ:\n%+v\n%+v",
-				scenario, serial, parallel)
-		}
-	}
-}
-
-// TestQuantilesOrderIndependent pins the reason worker-count identity holds
-// for the latency quantiles: the recorder's quantile is a pure function of
-// the sample multiset, not of arrival order (worker counts only permute the
-// wall-clock order in which ranks record).
+// TestQuantilesOrderIndependent pins that the latency quantiles are stable:
+// the recorder's quantile is a pure function of the sample multiset, not of
+// the order in which ranks record.
 func TestQuantilesOrderIndependent(t *testing.T) {
-	tr := mixedFor("", 1)
+	tr := mixedFor("")
 	a := mustRun(t, tr)
 	for i, j := range mustRun(t, tr).Jobs {
 		if j.P50 != a.Jobs[i].P50 || j.P99 != a.Jobs[i].P99 {

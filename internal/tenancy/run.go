@@ -55,8 +55,8 @@ func (rep Report) FillObs(reg *obs.Registry) {
 
 // Run executes the trace on one shared machine and returns the per-job
 // reports. The preset supplies machine geometry and workload scales (its
-// per-run knobs — seed, backend, workers — are overridden by the trace's).
-// Deterministic: bit-identical across repeats and engine worker counts.
+// per-run knobs — seed, backend — are overridden by the trace's).
+// Deterministic: bit-identical across repeats.
 func Run(p experiments.Preset, t Trace) (Report, error) {
 	return run(p, t, nil)
 }
@@ -83,7 +83,6 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 		Backend:    t.Backend,
 		BBCapacity: t.BBCapacity,
 		BBDrainBW:  t.BBDrainBW,
-		Workers:    t.Workers,
 		PEsPerNode: t.PEsPerNode,
 		IntraNode:  t.IntraNode,
 	}
@@ -148,7 +147,7 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 	ends := make([]float64, njobs)
 	bytes := make([]int64, njobs)
 	fails := make([]int64, njobs)
-	end, _ := mpi.RunPlanWorkers(t.Procs(), p.Cluster, p.Seed, plan, p.Workers, func(r *mpi.Rank) {
+	end, _ := mpi.RunPlan(t.Procs(), p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
 		j := jobOf[r.WorldRank()]
 		s := t.Jobs[j]
 		r.SetJob(j, members[j])

@@ -21,8 +21,7 @@
 //   - Server-side QoS: one qos.Policy instance attached to the shared
 //     backend shapes every request's earliest service start, keyed by the
 //     issuing rank's JobID. Policies see engine-serialized admission calls,
-//     so the trace stays a pure function of (specs, policy, seed) at every
-//     engine worker count.
+//     so the trace stays a pure function of (specs, policy, seed).
 //   - Verification runs in-sim: every job reads its files back byte-for-byte
 //     before reporting, so cross-job interference can never silently corrupt
 //     a result.
@@ -43,7 +42,7 @@ import (
 type Trace struct {
 	// Jobs are the tenant applications, with per-job geometry and arrival
 	// times. Names must be unique; machine-level fields (Backend, Scenario,
-	// Workers, PEsPerNode) must be left to the trace.
+	// PEsPerNode) must be left to the trace.
 	Jobs []job.Spec `json:"jobs"`
 	// Policy names the server-side QoS policy: "fifo" (default — arrival
 	// order, no shaping), "fair" (per-target start-time fair queueing), or
@@ -59,7 +58,9 @@ type Trace struct {
 	BBDrainBW  float64 `json:"bb_drain_bw,omitempty"`
 	// Seed is the simulation seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Workers selects the engine (<= 1 serial; results bit-identical).
+	// Workers is ignored; old trace files that set it still parse.
+	//
+	// Deprecated: the simulation engine is serial.
 	Workers int `json:"workers,omitempty"`
 	// PEsPerNode overrides the node width (0 = the cluster default).
 	PEsPerNode int `json:"pes_per_node,omitempty"`
@@ -80,9 +81,6 @@ func (t Trace) WithDefaults() Trace {
 	if t.Seed == 0 {
 		t.Seed = 1
 	}
-	if t.Workers == 0 {
-		t.Workers = 1
-	}
 	jobs := make([]job.Spec, len(t.Jobs))
 	for i, s := range t.Jobs {
 		if s.Name == "" && s.Workload != "" {
@@ -92,7 +90,6 @@ func (t Trace) WithDefaults() Trace {
 		// Machine-level knobs are the trace's; stamp them so each job's
 		// spec is self-consistent (Validate rejects conflicting values).
 		s.Backend = t.Backend
-		s.Workers = t.Workers
 		s.PEsPerNode = t.PEsPerNode
 		s.Seed = t.Seed
 		jobs[i] = s
@@ -130,9 +127,6 @@ func (t Trace) Validate() error {
 		}
 		if s.Backend != "" && s.Backend != t.Backend {
 			return &job.ValidationError{Field: qual("Backend"), Msg: "the backend is shared (set Trace.Backend)"}
-		}
-		if s.Workers != 0 && s.Workers != t.Workers {
-			return &job.ValidationError{Field: qual("Workers"), Msg: "the engine is trace-level (set Trace.Workers)"}
 		}
 		if s.PEsPerNode != 0 && s.PEsPerNode != t.PEsPerNode {
 			return &job.ValidationError{Field: qual("PEsPerNode"), Msg: "node width is trace-level (set Trace.PEsPerNode)"}

@@ -15,7 +15,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	tr.Policy = qos.NameFairShare
 	tr.Scenario = "one-straggler"
 	tr.Seed = 7
-	tr.Workers = 4
+	tr.Workers = 4 // deprecated and ignored, but old trace files still parse
 	got, err := DecodeTrace(tr.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +32,11 @@ func TestDecodeTraceRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeTrace([]byte(`{"jobs": []} {"jobs": []}`)); err == nil {
 		t.Fatal("want error for trailing data, got nil")
 	}
+	// A job spec no longer has an engine worker count; a stale one says so.
+	_, err := DecodeTrace([]byte(`{"jobs": [{"workload": "ior", "procs": 4, "workers": 2}]}`))
+	if err == nil || !strings.Contains(err.Error(), "workers") {
+		t.Fatalf("job with a workers field accepted: %v", err)
+	}
 }
 
 func TestTraceDefaults(t *testing.T) {
@@ -40,7 +45,7 @@ func TestTraceDefaults(t *testing.T) {
 		{Workload: job.WorkloadIOR, Procs: 4},
 	}}
 	d := tr.WithDefaults()
-	if d.Policy != qos.NameFIFO || d.Backend != "lustre" || d.Seed != 1 || d.Workers != 1 {
+	if d.Policy != qos.NameFIFO || d.Backend != "lustre" || d.Seed != 1 {
 		t.Fatalf("trace defaults wrong: %+v", d)
 	}
 	// Anonymous jobs get unique index-derived names; trace-level knobs are
@@ -49,7 +54,7 @@ func TestTraceDefaults(t *testing.T) {
 		t.Fatalf("job name defaults wrong: %q, %q", d.Jobs[0].Name, d.Jobs[1].Name)
 	}
 	for i, s := range d.Jobs {
-		if s.Backend != "lustre" || s.Seed != 1 || s.Workers != 1 {
+		if s.Backend != "lustre" || s.Seed != 1 {
 			t.Fatalf("job %d did not inherit trace knobs: %+v", i, s)
 		}
 	}
@@ -75,7 +80,6 @@ func TestTraceValidate(t *testing.T) {
 		{"dup name", func(tr *Trace) { tr.Jobs[1].Name = "a" }, "Jobs[1].Name"},
 		{"job scenario", func(tr *Trace) { tr.Jobs[0].Scenario = "one-straggler" }, "Jobs[0].Scenario"},
 		{"job backend", func(tr *Trace) { tr.Jobs[1].Backend = "bb" }, "Jobs[1].Backend"},
-		{"job workers", func(tr *Trace) { tr.Jobs[0].Workers = 8 }, "Jobs[0].Workers"},
 		{"job procs", func(tr *Trace) { tr.Jobs[0].Procs = 0 }, "Jobs[0].Procs"},
 	}
 	for _, tc := range cases {

@@ -4,8 +4,7 @@
 // partitioned protocol's goodput must degrade strictly less than the
 // unpartitioned one's under the same staging-node loss. A seeded chaos
 // sweep pins that randomized fault schedules stay bit-deterministic across
-// engine worker counts and repeated runs, with the integrity ledger's
-// audit passing every time.
+// repeated runs, with the integrity ledger's audit passing every time.
 package repro_test
 
 import (
@@ -113,9 +112,8 @@ func TestTileUnderDeadPVFSServer(t *testing.T) {
 }
 
 // TestBurstUnderFailureDeterministic pins the acceptance point bit-exact
-// across engine worker counts and repeated runs: the whole recovery path —
-// node death, punch, typed error, re-dump, ledger audit — replays
-// identically.
+// across repeated runs: the whole recovery path — node death, punch, typed
+// error, re-dump, ledger audit — replays identically.
 func TestBurstUnderFailureDeterministic(t *testing.T) {
 	p := burstPreset()
 	plan, err := fault.Scenario(fault.LostBBNode)
@@ -123,26 +121,22 @@ func TestBurstUnderFailureDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref string
-	for _, workers := range []int{1, 4} {
-		q := p
-		q.Workers = workers
-		for run := 0; run < 2; run++ {
-			pt := q.CheckpointBurstUnderFailure(burstProcs, 4, 1, plan)
-			got := fmt.Sprintf("%+v", pt)
-			if ref == "" {
-				ref = got
-			} else if got != ref {
-				t.Fatalf("workers=%d run=%d diverged:\n  got: %s\n  ref: %s", workers, run, got, ref)
-			}
+	for run := 0; run < 2; run++ {
+		pt := p.CheckpointBurstUnderFailure(burstProcs, 4, 1, plan)
+		got := fmt.Sprintf("%+v", pt)
+		if ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("run=%d diverged:\n  got: %s\n  ref: %s", run, got, ref)
 		}
 	}
 }
 
 // TestChaosStorageFaults is the seeded chaos sweep: randomized storage-
 // fault schedules (node deaths at random times plus flaky drain windows),
-// each run at 1 and 4 groups and 1 and 4 engine workers, twice. Every
-// combination must verify (ledger audit included, inside the runner) and
-// every replica must land bit-identical.
+// each run at 1 and 4 groups, twice. Every combination must verify (ledger
+// audit included, inside the runner) and every replica must land
+// bit-identical.
 func TestChaosStorageFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep runs many replicated simulations")
@@ -159,21 +153,18 @@ func TestChaosStorageFaults(t *testing.T) {
 		}
 		for _, groups := range []int{1, 4} {
 			var ref string
-			for _, workers := range []int{1, 4} {
-				p := burstPreset()
-				p.Workers = workers
-				for run := 0; run < 2; run++ {
-					pt := p.CheckpointBurstUnderFailure(burstProcs, groups, 1, plan)
-					if !pt.Verified {
-						t.Fatalf("%s groups=%d workers=%d: failed checksum-verified read-back", plan.Name, groups, workers)
-					}
-					got := fmt.Sprintf("%+v", pt)
-					if ref == "" {
-						ref = got
-					} else if got != ref {
-						t.Fatalf("%s groups=%d workers=%d run=%d diverged:\n  got: %s\n  ref: %s",
-							plan.Name, groups, workers, run, got, ref)
-					}
+			p := burstPreset()
+			for run := 0; run < 2; run++ {
+				pt := p.CheckpointBurstUnderFailure(burstProcs, groups, 1, plan)
+				if !pt.Verified {
+					t.Fatalf("%s groups=%d: failed checksum-verified read-back", plan.Name, groups)
+				}
+				got := fmt.Sprintf("%+v", pt)
+				if ref == "" {
+					ref = got
+				} else if got != ref {
+					t.Fatalf("%s groups=%d run=%d diverged:\n  got: %s\n  ref: %s",
+						plan.Name, groups, run, got, ref)
 				}
 			}
 		}

@@ -105,8 +105,7 @@ bench-large:
 # "Checkpoint burst").
 backends:
 	$(GO) vet ./internal/storage/... ./internal/bb/... ./internal/pvfs/... ./internal/lustre/...
-	$(GO) test ./internal/storage/... ./internal/bb/... ./internal/pvfs/... -count=1
-	$(GO) test ./internal/lustre/ -run 'TestBackendConformance|TestRemove|TestStatsDeterministic' -count=1
+	$(GO) test ./internal/storage/... ./internal/bb/... ./internal/pvfs/... ./internal/lustre/ -count=1
 	$(GO) test . -run 'TestBackendSweepListIO|TestCheckpointBurst' -count=1 -v
 
 # Storage-tier fault-tolerance gate: vet the fault and backend layers, run

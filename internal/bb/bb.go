@@ -20,7 +20,7 @@
 // bytes. Staged entries are reclaimed in strict FIFO order as their drains
 // complete (an entry frees only after every earlier entry on its node has —
 // deterministic drain ordering); a write that does not fit falls back to
-// writing through to the under-backend at full cost. Try variants also
+// writing through to the under-backend at full cost. Try requests also
 // write through whenever the under-backend injects request errors, so
 // fault-plan error plumbing is preserved.
 //
@@ -31,7 +31,7 @@
 // (they read as zeroes: a loud failure, never silently stale bytes),
 // records them in a per-file lost set, and flips the node permanently to
 // write-through. The loss surfaces as a typed *storage.StagingLostError
-// from TryWriteAt (once per file) and from TryDrain (until re-dumped);
+// from a Try write (once per file) and from Drain (until re-dumped);
 // LostExtents (storage.LossReporter) lets the collective layer plan the
 // re-dump, and any write landing on a lost range heals it. DrainFails make
 // drain-completion acknowledgments flaky instead: each drain retries
@@ -48,6 +48,7 @@ package bb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -86,14 +87,12 @@ type Tier struct {
 	cfg   Config
 	nodes map[int]*nodeState
 
-	rng    *rand.Rand           // drain-retry draws (nil unless armed)
-	retry  recovery.Backoff     // drain-retry schedule
-	brk    *recovery.BreakerSet // per-node drain breakers
-	rstats recovery.RetryStats  // the tier's own drain-retry counters
-	ledger *storage.Ledger      // forwarded to under; kept for NoteLost
+	rng    *rand.Rand        // drain-retry draws (nil unless armed)
+	rt     *recovery.Retrier // drain retries, per-node breakers (nil unless armed)
+	ledger *storage.Ledger   // forwarded to under; kept for NoteLost
 
 	// lost maps file name to punched, not-yet-re-dumped extents (coalesced);
-	// lostNew marks losses not yet surfaced through TryWriteAt, and lostFrom
+	// lostNew marks losses not yet surfaced through a Try write, and lostFrom
 	// attributes each file's loss to the staging node that died.
 	lost     map[string][]storage.Extent
 	lostNew  map[string]bool
@@ -159,8 +158,7 @@ func New(under storage.Backend, cfg Config) *Tier {
 	}
 	if t.injecting() {
 		t.rng = rand.New(rand.NewSource(cfg.Seed*31337 + 7))
-		t.retry = cfg.Retry.Defaults()
-		t.brk = recovery.NewBreakerSet()
+		t.rt = recovery.NewRetrier("bb", "node", cfg.Retry, t.rng)
 	}
 	return t
 }
@@ -211,7 +209,7 @@ func (t *Tier) Stats() []storage.TargetStat { return t.under.Stats() }
 // drain-retry work.
 func (t *Tier) RetryStats() recovery.RetryStats {
 	s := t.under.RetryStats()
-	s.Add(t.rstats)
+	s.Add(t.rt.Stats())
 	return s
 }
 
@@ -236,8 +234,8 @@ func (t *Tier) RetryStatsByJob() map[int]recovery.RetryStats {
 
 // Params inherits the under-backend's cost scale and targets. ListIO is
 // always true: staging memory is inherently list-capable (one absorb for
-// the whole extent list), and the drain uses the under-backend's own
-// vectored call — a per-extent loop there costs only hidden drain time.
+// the whole extent list), and the drain hands the whole request to the
+// under-backend — a per-extent service there costs only hidden drain time.
 // Injecting adds the tier's own fault model to the under-backend's.
 func (t *Tier) Params() storage.Params {
 	p := t.under.Params()
@@ -382,7 +380,7 @@ func (t *Tier) heal(file string, exts []storage.Extent) {
 
 // takeLoss surfaces a file's not-yet-reported staging loss as a typed
 // error, once: the caller's immediate retry proceeds (and, landing on a
-// write-through node, heals its own range), while LostExtents and TryDrain
+// write-through node, heals its own range), while LostExtents and Drain
 // cover the rest of the lost set.
 func (t *Tier) takeLoss(file string) error {
 	if !t.lostNew[file] {
@@ -402,39 +400,14 @@ func (t *Tier) takeLoss(file string) error {
 // schedule; on exhaustion the drain completes anyway at the current clock —
 // the bytes were durable at issue, so a lost acknowledgment costs time and
 // breaker state, never data. The returned time replaces the booked one, so
-// the Drain barrier charges the retry time deterministically.
+// the Drain barrier charges the retry time deterministically. Drains are
+// node-scoped background work: their counters reach RetryStats only, never
+// RetryStatsByJob.
 func (t *Tier) retryDrain(node int, dEnd float64) float64 {
-	brk := t.brk.Get(node)
-	attempts := 0
-	at := dEnd
-	for {
-		if h := brk.HoldOff(at); h > 0 {
-			at += h
-			t.rstats.BackoffSecs += h
-		}
-		attempts++
-		t.rstats.Attempts++
-		if attempts > 1 {
-			t.rstats.Retries++
-		}
-		if !t.cfg.Faults.DrainErrorAt(node, at, t.rng) {
-			brk.Success()
-			return at
-		}
-		t.rstats.Failures++
-		opensBefore := brk.Opens
-		brk.Failure(at)
-		if opened := brk.Opens - opensBefore; opened > 0 {
-			t.rstats.BreakerOpens += opened
-		}
-		if t.retry.Exhausted(attempts) {
-			t.rstats.Exhausted++
-			return at
-		}
-		d := t.retry.Delay(attempts, t.rng)
-		at += d
-		t.rstats.BackoffSecs += d
-	}
+	done, _ := t.rt.Do(node, 0, dEnd, func(at float64) (float64, bool, bool) {
+		return at, t.cfg.Faults.DrainErrorAt(node, at, t.rng), false
+	})
+	return done
 }
 
 // reclaim frees staged entries whose drains have completed by virtual time
@@ -470,7 +443,7 @@ func (t *Tier) rebuildDirty(ns *nodeState) {
 		ns.dirty[s.file] = append(ns.dirty[s.file], s.ext)
 	}
 	for f, exts := range ns.dirty {
-		ns.dirty[f] = Coalesce(exts)
+		ns.dirty[f] = storage.Coalesce(exts)
 	}
 }
 
@@ -478,8 +451,11 @@ func (t *Tier) rebuildDirty(ns *nodeState) {
 // rank's node has completed, charging the exposed wait to ClassIO — the
 // checkpoint-burst "make it durable now" barrier. If the node's staging
 // memory is scheduled to die during the wait, the wait ends at the failure
-// instant and the undrained entries are lost then.
-func (t *Tier) Drain(r *mpi.Rank) {
+// instant and the undrained entries are lost then. After the wait it
+// reports any staged data the tier has lost and not yet seen re-dumped —
+// every call, not once, so every rank of a collective re-dump sees the same
+// remaining loss (deterministic file order, first afflicted file).
+func (t *Tier) Drain(r *mpi.Rank) error {
 	r.P.Sync()
 	now := r.Now()
 	t.sweep(now)
@@ -494,14 +470,6 @@ func (t *Tier) Drain(r *mpi.Rank) {
 		now = r.Now()
 	}
 	t.reclaim(ns, now)
-}
-
-// TryDrain is the Drain barrier with loss reporting: after the wait it
-// reports any staged data the tier has lost and not yet seen re-dumped —
-// every call, not once, so every rank of a collective re-dump sees the same
-// remaining loss (deterministic file order, first afflicted file).
-func (t *Tier) TryDrain(r *mpi.Rank) error {
-	t.Drain(r)
 	if !t.injecting() || len(t.lost) == 0 {
 		return nil
 	}
@@ -598,18 +566,67 @@ func (f *File) LostExtents(r *mpi.Rank) []storage.Extent {
 	return append([]storage.Extent(nil), t.lost[f.name]...)
 }
 
-// stage absorbs one extent list into the node's staging memory and issues
-// its drain, returning the write call's virtual completion time (the memory
-// absorb). Falls back to write-through when the buffer cannot hold the
-// request, when the node is degraded (failure or Degrade), or while the
+// Name returns the file's name.
+func (f *File) Name() string { return f.name }
+
+// Submit issues q. A plain write stages (see stage) and a plain read serves
+// staging-buffer hits at memory speed (see read). Try requests carry the
+// error plumbing: a not-yet-reported staging loss on this file surfaces
+// first, as a typed *storage.StagingLostError, before any bytes move — the
+// caller's retry then proceeds (the failed node is write-through by then)
+// and heals what it rewrites — and a Try read overlapping a lost,
+// not-yet-re-dumped range is refused every time, so a reader can never
+// consume punched zeroes as data. Otherwise, under an error-injecting
+// under-backend a Try request goes through the under-backend so typed
+// errors (and their retry accounting) surface exactly as they would without
+// the tier; healthy plans take the plain path and never fail.
+func (f *File) Submit(r *mpi.Rank, q *storage.Req) (float64, error) {
+	t := f.t
+	if q.Try && t.injecting() {
+		r.P.Sync()
+		t.sweep(r.Now())
+		if q.Write {
+			if err := t.takeLoss(f.name); err != nil {
+				return r.Now(), err
+			}
+		} else if sect := storage.Intersect(t.lost[f.name], q.Exts); len(sect) > 0 {
+			return r.Now(), &storage.StagingLostError{Node: t.lostFrom[f.name], File: f.name, Lost: sect}
+		}
+	}
+	if q.Try && t.under.Params().Injecting {
+		if !q.Write {
+			return f.uf.Submit(r, q)
+		}
+		t.countWritethrough(int64(float64(storage.SumLen(q.Exts)) * t.under.Params().CostScale))
+		done, err := f.uf.Submit(r, q)
+		if err == nil && t.injecting() {
+			t.heal(f.name, q.Exts)
+		}
+		return done, err
+	}
+	if q.Write {
+		return f.stage(r, q), nil
+	}
+	return f.read(r, q), nil
+}
+
+// countWritethrough counts virt bytes that bypassed staging.
+func (t *Tier) countWritethrough(virt int64) {
+	t.writethrough += virt
+	if t.obsWT != nil {
+		t.obsWT.Add(uint64(virt))
+	}
+}
+
+// stage absorbs one write request into the node's staging memory and
+// issues its drain, returning the write's virtual completion time (the
+// memory absorb). Falls back to write-through when the buffer cannot hold
+// the request, when the node is degraded (failure or Degrade), or while the
 // node's drain breaker is open. Data is durable in the under-store on
 // return either way, and any write covering a lost range heals it.
-func (f *File) stage(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 {
+func (f *File) stage(r *mpi.Rank, q *storage.Req) float64 {
 	t := f.t
-	var total int64
-	for _, e := range exts {
-		total += e.Len
-	}
+	total := storage.SumLen(q.Exts)
 	if total == 0 {
 		return r.Now()
 	}
@@ -625,18 +642,15 @@ func (f *File) stage(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 
 	if !wt && t.cfg.Capacity > 0 && ns.used+virt > t.cfg.Capacity {
 		wt = true // full buffer
 	}
-	if !wt && t.cfg.Faults.HasDrainFails() && t.brk.Get(id).State(now) == recovery.BreakerOpen {
+	if !wt && t.cfg.Faults.HasDrainFails() && t.rt.Breaker(id).State(now) == recovery.BreakerOpen {
 		wt = true // flaky drains tripped the node's breaker: back off staging
 	}
 	if wt {
 		// Write through at the under-backend's cost.
-		t.writethrough += virt
-		if t.obsWT != nil {
-			t.obsWT.Add(uint64(virt))
-		}
-		done := f.uf.WritevAtAsync(r, exts, bufs)
+		t.countWritethrough(virt)
+		done := storage.Must(r, f.uf, q)
 		if t.injecting() {
-			t.heal(f.name, exts)
+			t.heal(f.name, q.Exts)
 		}
 		return done
 	}
@@ -646,7 +660,7 @@ func (f *File) stage(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 
 	done := memEnd + cl.MemLatency
 	// Issue the drain: the under-backend's resources are booked now (the
 	// async-write contract), optionally paced by the node's drain pipe.
-	dEnd := f.uf.WritevAtAsync(r, exts, bufs)
+	dEnd := storage.Must(r, f.uf, q)
 	if ns.pipe != nil {
 		_, pEnd := ns.pipe.Acquire(now, virtF/t.cfg.DrainBandwidth)
 		if pEnd > dEnd {
@@ -660,7 +674,7 @@ func (f *File) stage(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 
 		dEnd = t.retryDrain(id, dEnd)
 	}
 	ns.used += virt
-	for _, e := range exts {
+	for _, e := range q.Exts {
 		ns.q = append(ns.q, staged{file: f.name, ext: e, virt: 0, end: dEnd})
 	}
 	if len(ns.q) > 0 {
@@ -668,7 +682,7 @@ func (f *File) stage(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 
 		// whole request's bytes to its last queue entry.
 		ns.q[len(ns.q)-1].virt = virt
 	}
-	ns.dirty[f.name] = Coalesce(append(ns.dirty[f.name], exts...))
+	ns.dirty[f.name] = storage.Coalesce(append(ns.dirty[f.name], q.Exts...))
 	if dEnd > ns.drainEnd {
 		ns.drainEnd = dEnd
 	}
@@ -677,7 +691,7 @@ func (f *File) stage(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 
 		t.obsAbsorbed.Add(uint64(virt))
 	}
 	if t.injecting() {
-		t.heal(f.name, exts)
+		t.heal(f.name, q.Exts)
 	}
 	// Ride the progress engine: the drain tail hides under whatever the
 	// rank does next (compute, the next round's exchange).
@@ -685,85 +699,29 @@ func (f *File) stage(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 
 	return done
 }
 
-// WritevAt absorbs one list-I/O write, charging ClassIO for the memory
-// absorb (or the full under-cost on write-through).
-func (f *File) WritevAt(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) {
-	done := f.stage(r, exts, bufs)
-	r.ChargeIO(done - r.Now())
-}
-
-// WritevAtAsync is WritevAt returning the virtual completion time instead
-// of charging the clock.
-func (f *File) WritevAtAsync(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 {
-	return f.stage(r, exts, bufs)
-}
-
-// WriteAt absorbs one contiguous write.
-func (f *File) WriteAt(r *mpi.Rank, off int64, data []byte) {
-	f.WritevAt(r, []storage.Extent{{Off: off, Len: int64(len(data))}}, [][]byte{data})
-}
-
-// WriteAtAsync absorbs one contiguous write, returning the completion time.
-func (f *File) WriteAtAsync(r *mpi.Rank, off int64, data []byte) float64 {
-	return f.WritevAtAsync(r, []storage.Extent{{Off: off, Len: int64(len(data))}}, [][]byte{data})
-}
-
-// TryWriteAt: a not-yet-reported staging loss on this file surfaces first,
-// as a typed *storage.StagingLostError, before any bytes move — the
-// caller's retry then proceeds (the failed node is write-through by then)
-// and heals what it rewrites. Otherwise, under an error-injecting
-// under-backend the write goes through its plumbed path so typed errors
-// (and their retry accounting) surface exactly as they would without the
-// tier; healthy plans absorb as usual and never fail.
-func (f *File) TryWriteAt(r *mpi.Rank, off int64, data []byte) error {
-	t := f.t
-	if t.injecting() {
-		r.P.Sync()
-		t.sweep(r.Now())
-		if err := t.takeLoss(f.name); err != nil {
-			return err
-		}
-	}
-	if t.under.Params().Injecting {
-		virt := int64(float64(len(data)) * t.under.Params().CostScale)
-		t.writethrough += virt
-		if t.obsWT != nil {
-			t.obsWT.Add(uint64(virt))
-		}
-		err := f.uf.TryWriteAt(r, off, data)
-		if err == nil && t.injecting() {
-			t.heal(f.name, []storage.Extent{{Off: off, Len: int64(len(data))}})
-		}
-		return err
-	}
-	f.WriteAt(r, off, data)
-	return nil
-}
-
-// readHit reports whether the whole range is resident in the calling
-// node's staging buffer.
-func (f *File) readHit(r *mpi.Rank, ns *nodeState, off, n int64) bool {
-	return covered(ns.dirty[f.name], off, n)
-}
-
-// readv serves a vectored read: ranges fully resident in the node's
-// staging buffer cost memory only; anything else goes to the under-backend.
-func (f *File) readv(r *mpi.Rank, exts []storage.Extent) ([][]byte, float64) {
+// read serves a read request: extents fully resident in the node's staging
+// buffer cost memory only; the rest go to the under-backend as one request.
+func (f *File) read(r *mpi.Rank, q *storage.Req) float64 {
 	t := f.t
 	r.P.Sync()
 	now := r.Now()
 	t.sweep(now)
 	_, ns := t.node(r)
 	t.reclaim(ns, now)
+	dirty := ns.dirty[f.name]
+	hit := func(e storage.Extent) bool { return storage.Covered(dirty, e.Off, e.Len) }
+	if !slices.ContainsFunc(q.Exts, hit) {
+		return storage.Must(r, f.uf, q)
+	}
 	cl := r.W.Cluster.Config()
 	scale := t.under.Params().CostScale
-	out := make([][]byte, len(exts))
-	var miss []storage.Extent
+	base := len(q.Bufs)
+	var miss *storage.Req // allocated on the first miss
 	var missIdx []int
 	done := now
-	for i, e := range exts {
-		if f.readHit(r, ns, e.Off, e.Len) {
-			out[i] = f.uf.Peek(e.Off, e.Len)
+	for i, e := range q.Exts {
+		if hit(e) {
+			q.Bufs = append(q.Bufs, f.uf.Peek(e.Off, e.Len))
 			virtF := float64(e.Len) * scale
 			_, memEnd := ns.mem.Acquire(now, virtF/cl.MemBandwidth)
 			if end := memEnd + cl.MemLatency; end > done {
@@ -771,60 +729,20 @@ func (f *File) readv(r *mpi.Rank, exts []storage.Extent) ([][]byte, float64) {
 			}
 			continue
 		}
-		miss = append(miss, e)
-		missIdx = append(missIdx, i)
-	}
-	if len(miss) > 0 {
-		data, uEnd := f.uf.ReadvAtAsync(r, miss)
-		for j, i := range missIdx {
-			out[i] = data[j]
+		if miss == nil {
+			miss = &storage.Req{}
 		}
-		if uEnd > done {
+		q.Bufs = append(q.Bufs, nil)
+		miss.Exts = append(miss.Exts, e)
+		missIdx = append(missIdx, base+i)
+	}
+	if miss != nil {
+		if uEnd := storage.Must(r, f.uf, miss); uEnd > done {
 			done = uEnd
 		}
-	}
-	return out, done
-}
-
-// ReadvAt reads one list-I/O request, charging ClassIO for the wait.
-func (f *File) ReadvAt(r *mpi.Rank, exts []storage.Extent) [][]byte {
-	out, done := f.readv(r, exts)
-	r.ChargeIO(done - r.Now())
-	return out
-}
-
-// ReadvAtAsync is ReadvAt returning the completion time instead of
-// charging the clock.
-func (f *File) ReadvAtAsync(r *mpi.Rank, exts []storage.Extent) ([][]byte, float64) {
-	return f.readv(r, exts)
-}
-
-// ReadAt reads one contiguous range.
-func (f *File) ReadAt(r *mpi.Rank, off, n int64) []byte {
-	return f.ReadvAt(r, []storage.Extent{{Off: off, Len: n}})[0]
-}
-
-// ReadAtAsync reads one contiguous range, returning the completion time.
-func (f *File) ReadAtAsync(r *mpi.Rank, off, n int64) ([]byte, float64) {
-	out, done := f.ReadvAtAsync(r, []storage.Extent{{Off: off, Len: n}})
-	return out[0], done
-}
-
-// TryReadAt refuses loudly while the requested range overlaps a lost,
-// not-yet-re-dumped extent — every call, so a reader can never consume
-// punched zeroes as data. Otherwise it mirrors TryWriteAt: injecting
-// under-backends get their plumbed path; healthy plans never fail.
-func (f *File) TryReadAt(r *mpi.Rank, off, n int64) ([]byte, error) {
-	t := f.t
-	if t.injecting() {
-		r.P.Sync()
-		t.sweep(r.Now())
-		if sect := storage.Intersect(t.lost[f.name], []storage.Extent{{Off: off, Len: n}}); len(sect) > 0 {
-			return nil, &storage.StagingLostError{Node: t.lostFrom[f.name], File: f.name, Lost: sect}
+		for j, i := range missIdx {
+			q.Bufs[i] = miss.Bufs[j]
 		}
 	}
-	if t.under.Params().Injecting {
-		return f.uf.TryReadAt(r, off, n)
-	}
-	return f.ReadAt(r, off, n), nil
+	return done
 }

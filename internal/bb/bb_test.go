@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/recovery"
 	"repro/internal/storage"
 )
 
@@ -31,7 +33,7 @@ func TestAbsorbCheaperThanUnder(t *testing.T) {
 		mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 			f := be.Open(r, "x", testStripe)
 			t0 := r.Now()
-			f.WriteAt(r, 0, buf)
+			storage.Write(r, f, 0, buf)
 			dt = r.Now() - t0
 		})
 		return dt
@@ -50,7 +52,7 @@ func TestCountersAndDurability(t *testing.T) {
 	buf := bytes.Repeat([]byte{0x5A}, 1<<20)
 	runOne(t, Config{}, func(r *mpi.Rank, tier *Tier) {
 		f := tier.Open(r, "c", testStripe)
-		f.WriteAt(r, 0, buf)
+		storage.Write(r, f, 0, buf)
 		a, _, w := tier.Counters()
 		if a != 1<<20 || w != 0 {
 			t.Fatalf("after absorb: absorbed=%d writethrough=%d, want %d/0", a, w, 1<<20)
@@ -58,7 +60,7 @@ func TestCountersAndDurability(t *testing.T) {
 		if got := tier.Under().Open(r, "c", testStripe).Peek(0, 1<<20); !bytes.Equal(got, buf) {
 			t.Fatal("staged write not durable in under-backend at issue time")
 		}
-		if got := f.ReadAt(r, 0, 1<<20); !bytes.Equal(got, buf) {
+		if got := storage.Read(r, f, 0, 1<<20); !bytes.Equal(got, buf) {
 			t.Fatal("read-back through the tier mismatched")
 		}
 	})
@@ -70,8 +72,8 @@ func TestWritethroughWhenFull(t *testing.T) {
 	buf := make([]byte, 1<<20)
 	runOne(t, Config{Capacity: 1 << 20}, func(r *mpi.Rank, tier *Tier) {
 		f := tier.Open(r, "full", testStripe)
-		f.WriteAt(r, 0, buf)     // fits exactly
-		f.WriteAt(r, 1<<20, buf) // no room left: write through
+		storage.Write(r, f, 0, buf)     // fits exactly
+		storage.Write(r, f, 1<<20, buf) // no room left: write through
 		a, _, w := tier.Counters()
 		if a != 1<<20 {
 			t.Fatalf("absorbed = %d, want %d", a, 1<<20)
@@ -79,7 +81,7 @@ func TestWritethroughWhenFull(t *testing.T) {
 		if w != 1<<20 {
 			t.Fatalf("writethrough = %d, want %d", w, 1<<20)
 		}
-		if got := f.ReadAt(r, 0, 2<<20); int64(len(got)) != 2<<20 {
+		if got := storage.Read(r, f, 0, 2<<20); int64(len(got)) != 2<<20 {
 			t.Fatalf("read-back length %d, want %d", len(got), 2<<20)
 		}
 	})
@@ -92,11 +94,11 @@ func TestFIFOReclaimFreesCapacity(t *testing.T) {
 	buf := make([]byte, 1<<20)
 	runOne(t, Config{Capacity: 1 << 20}, func(r *mpi.Rank, tier *Tier) {
 		f := tier.Open(r, "reclaim", testStripe)
-		f.WriteAt(r, 0, buf)
+		storage.Write(r, f, 0, buf)
 		// Let the drain finish: a long compute phase advances the clock past
 		// every issued drain completion.
 		r.Compute(10)
-		f.WriteAt(r, 1<<20, buf)
+		storage.Write(r, f, 1<<20, buf)
 		a, d, w := tier.Counters()
 		if w != 0 {
 			t.Fatalf("writethrough = %d after reclaim window, want 0", w)
@@ -116,7 +118,7 @@ func TestDrainBarrierCharges(t *testing.T) {
 	buf := make([]byte, 16<<20)
 	runOne(t, Config{DrainBandwidth: 1e8}, func(r *mpi.Rank, tier *Tier) {
 		f := tier.Open(r, "drain", testStripe)
-		f.WriteAt(r, 0, buf)
+		storage.Write(r, f, 0, buf)
 		t0 := r.Now()
 		tier.Drain(r)
 		if r.Now() <= t0 {
@@ -142,8 +144,8 @@ func TestObsCounters(t *testing.T) {
 	tier.SetObs(reg)
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		f := tier.Open(r, "obs", testStripe)
-		f.WriteAt(r, 0, buf)
-		f.WriteAt(r, 1<<20, buf)
+		storage.Write(r, f, 0, buf)
+		storage.Write(r, f, 1<<20, buf)
 		tier.Drain(r)
 	})
 	snap := reg.Snapshot()
@@ -169,7 +171,7 @@ func TestRemoveEvictsStaged(t *testing.T) {
 	buf := make([]byte, 1<<20)
 	runOne(t, Config{Capacity: 1 << 20}, func(r *mpi.Rank, tier *Tier) {
 		f := tier.Open(r, "evict", testStripe)
-		f.WriteAt(r, 0, buf)
+		storage.Write(r, f, 0, buf)
 		tier.Remove("evict")
 		_, d, _ := tier.Counters()
 		if d != 0 {
@@ -177,10 +179,40 @@ func TestRemoveEvictsStaged(t *testing.T) {
 		}
 		// Capacity must be free again: the next write absorbs.
 		g := tier.Open(r, "evict", testStripe)
-		g.WriteAt(r, 0, buf)
+		storage.Write(r, g, 0, buf)
 		a, _, w := tier.Counters()
 		if w != 0 || a != 2<<20 {
 			t.Fatalf("after Remove: absorbed=%d writethrough=%d, want %d/0", a, w, 2<<20)
 		}
 	})
+}
+
+// TestTryWriteRoutesThroughInjectingUnder: over an under-backend whose
+// fault plan injects request errors, a Try write goes through the
+// under-backend's error path (counted write-through) so typed errors and
+// retry accounting surface as they would without the tier, while a plain
+// write on the same tier still absorbs into staging memory.
+func TestTryWriteRoutesThroughInjectingUnder(t *testing.T) {
+	cfg := lustre.DefaultConfig()
+	cfg.Faults = &fault.Plan{Name: "flaky", OSTFails: []fault.OSTFail{{OST: 0, Prob: 0.35, At: 1, For: 5e-3}}}
+	tier := New(lustre.NewFS(cfg), Config{})
+	buf := bytes.Repeat([]byte{0x3C}, 1<<20)
+	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
+		f := tier.Open(r, "try", testStripe)
+		if err := storage.TryWrite(r, f, 0, buf); err != nil {
+			t.Fatalf("Try write outside the fault window: %v", err)
+		}
+		if a, _, w := tier.Counters(); a != 0 || w != 1<<20 {
+			t.Fatalf("after Try write: absorbed=%d writethrough=%d, want 0/%d", a, w, 1<<20)
+		}
+		storage.Write(r, f, 1<<20, buf)
+		if a, _, w := tier.Counters(); a != 1<<20 || w != 1<<20 {
+			t.Fatalf("after plain write: absorbed=%d writethrough=%d, want %d/%d", a, w, 1<<20, 1<<20)
+		}
+	})
+	// One attempt for the Try write, one for the plain write's drain: the
+	// under-backend's retry engine served both.
+	if rs := tier.RetryStats(); rs != (recovery.RetryStats{Attempts: 2}) {
+		t.Fatalf("RetryStats() = %+v, want two clean attempts", rs)
+	}
 }

@@ -7,6 +7,10 @@ import (
 	"repro/internal/storage"
 )
 
+// The burst buffer's dirty-extent merge and residency probe are
+// storage.Coalesce and storage.Covered; these cases pin the shapes the
+// staging tier feeds them.
+
 func TestCoalesce(t *testing.T) {
 	cases := []struct {
 		name string
@@ -24,7 +28,7 @@ func TestCoalesce(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := Coalesce(c.in)
+			got := storage.Coalesce(c.in)
 			if len(got) != len(c.want) {
 				t.Fatalf("Coalesce(%v) = %v, want %v", c.in, got, c.want)
 			}
@@ -38,7 +42,7 @@ func TestCoalesce(t *testing.T) {
 }
 
 func TestCovered(t *testing.T) {
-	dirty := Coalesce([]storage.Extent{{Off: 0, Len: 10}, {Off: 20, Len: 5}})
+	dirty := storage.Coalesce([]storage.Extent{{Off: 0, Len: 10}, {Off: 20, Len: 5}})
 	for _, c := range []struct {
 		off, n int64
 		want   bool
@@ -47,8 +51,8 @@ func TestCovered(t *testing.T) {
 		{0, 11, false}, {9, 2, false}, {15, 2, false}, {19, 3, false}, {25, 1, false},
 		{5, 0, true}, // empty window is trivially covered
 	} {
-		if got := covered(dirty, c.off, c.n); got != c.want {
-			t.Errorf("covered(%v, %d, %d) = %v, want %v", dirty, c.off, c.n, got, c.want)
+		if got := storage.Covered(dirty, c.off, c.n); got != c.want {
+			t.Errorf("Covered(%v, %d, %d) = %v, want %v", dirty, c.off, c.n, got, c.want)
 		}
 	}
 }
@@ -65,7 +69,7 @@ func FuzzExtentCoalesce(f *testing.F) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			in = append(in, storage.Extent{Off: int64(raw[i]), Len: int64(raw[i+1] % 32)})
 		}
-		out := Coalesce(in)
+		out := storage.Coalesce(in)
 		for i, e := range out {
 			if e.Len <= 0 {
 				t.Fatalf("output extent %d has Len %d", i, e.Len)

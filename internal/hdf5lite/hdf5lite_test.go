@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 func testStripe() lustre.StripeInfo { return lustre.StripeInfo{Count: 4, Size: 4096} }
@@ -32,7 +33,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	})
 	var raw []byte
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		raw = fs.Open(r, "h", testStripe()).ReadAt(r, 0, HeaderBytes(2))
+		raw = storage.Read(r, fs.Open(r, "h", testStripe()), 0, HeaderBytes(2))
 	})
 	ds, attrs, err := ParseHeader(raw)
 	if err != nil {
@@ -132,7 +133,7 @@ func TestAttributesRoundTrip(t *testing.T) {
 	})
 	var raw []byte
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		raw = fs.Open(r, "at", testStripe()).ReadAt(r, 0, HeaderBytesAttrs(1, attrs))
+		raw = storage.Read(r, fs.Open(r, "at", testStripe()), 0, HeaderBytesAttrs(1, attrs))
 	})
 	_, got, err := ParseHeader(raw)
 	if err != nil {

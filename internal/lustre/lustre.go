@@ -19,6 +19,7 @@ package lustre
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/ldlm"
@@ -122,14 +123,10 @@ type FS struct {
 	sinceTrim  int           // requests since the last ledger compaction
 
 	// Retry engine, armed only when cfg.Faults injects OST errors. The
-	// healthy path never touches any of it, so plans without OSTFails are
+	// healthy path never touches it, so plans without OSTFails are
 	// bit-identical (and allocation-identical) to builds without the
 	// engine.
-	inj      bool
-	retry    recovery.Backoff
-	brk      *recovery.BreakerSet // keyed by OST id
-	rstats   recovery.RetryStats
-	rstatsBy map[int]*recovery.RetryStats // per JobID; lazily populated
+	rt *recovery.Retrier
 
 	// Server-side admission policy (nil = unshaped FIFO fast path). Every
 	// request's service start passes through qos.Admit, keyed by the
@@ -142,11 +139,14 @@ type FS struct {
 
 	// Pre-resolved obs instruments (nil unless SetObs armed them). The
 	// healthy fast path pays one nil check per request.
-	obsSvc     *obs.Histogram // per-request OST service time
-	obsWait    *obs.Histogram // per-request OST queue wait (Acquire start - arrival)
-	obsRetries *obs.Counter
-	obsOpens   *obs.Counter
+	obsSvc  *obs.Histogram // per-request OST service time
+	obsWait *obs.Histogram // per-request OST queue wait (Acquire start - arrival)
 }
+
+var (
+	_ storage.Backend = (*FS)(nil)
+	_ storage.File    = (*File)(nil)
+)
 
 // SetObs attaches a metrics registry: every served request observes its
 // service time and queue wait, and the retry engine counts retries and
@@ -154,14 +154,16 @@ type FS struct {
 // read values the simulation already computed — no clock advances, no RNG
 // draws — so an instrumented run is bit-identical to a bare one.
 func (fs *FS) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		fs.obsSvc, fs.obsWait, fs.obsRetries, fs.obsOpens = nil, nil, nil, nil
-		return
+	var retries, opens *obs.Counter
+	fs.obsSvc, fs.obsWait = nil, nil
+	if reg != nil {
+		fs.obsSvc = reg.Histogram("lustre.ost.service.secs", nil)
+		fs.obsWait = reg.Histogram("lustre.ost.queue_wait.secs", nil)
+		retries, opens = reg.Counter("lustre.retry.retries"), reg.Counter("lustre.retry.breaker_opens")
 	}
-	fs.obsSvc = reg.Histogram("lustre.ost.service.secs", nil)
-	fs.obsWait = reg.Histogram("lustre.ost.queue_wait.secs", nil)
-	fs.obsRetries = reg.Counter("lustre.retry.retries")
-	fs.obsOpens = reg.Counter("lustre.retry.breaker_opens")
+	if fs.rt != nil {
+		fs.rt.ObsRetries, fs.rt.ObsOpens = retries, opens
+	}
 }
 
 // trimEvery is how many I/O requests pass between ledger compactions.
@@ -202,10 +204,8 @@ func (fs *FS) svcTime(obj string, ost int, rank int, at float64, off, ln int64, 
 	st.Bytes += int64(virt)
 	svc := (fs.cfg.RequestOverhead + virt/fs.cfg.OSTBandwidth) * fs.noise()
 	if fs.cfg.Faults != nil {
-		base := svc
 		svc *= fs.cfg.Faults.OSTScale(ost)
 		svc += fs.cfg.Faults.OSTDownDelay(ost, at)
-		st.FaultSecs += svc - base
 	}
 	if fs.locks != nil {
 		key := fmt.Sprintf("%s/%d", obj, ost)
@@ -238,101 +238,38 @@ func (fs *FS) Stats() []OSTStat {
 
 // serve books one chunk's service on its OST, starting at virtual time `at`,
 // and returns the completion time. The fast path — no injected OST errors —
-// is exactly the pre-recovery sequence: one svcTime call, one Acquire, no
-// extra draws, branches on one bool. Under injection, each attempt first
-// consults the OST's circuit breaker (an open breaker stalls the request
-// until its half-open probe window), then the plan decides whether the
-// attempt fails. A failed attempt books only the request overhead (the RPC
-// that came back with an error still occupied the target), feeds the
-// breaker, and — unless the failure is permanent or the attempt budget is
-// spent — backs off per the capped exponential schedule and goes again.
-// Exhaustion and permanence surface as a typed *recovery.TargetError with
-// the clock already advanced past every failed attempt: failures cost time
-// even when they do not cost correctness.
+// is one svcTime call and one Acquire, no extra draws. Under injection the
+// chunk runs through the retry engine: each attempt asks the plan whether it
+// fails, and a failed attempt books only the request overhead (the RPC that
+// came back with an error still occupied the target).
 func (fs *FS) serve(obj string, ost, rank, job int, at float64, off, ln int64, virt float64, mode ldlm.Mode) (float64, error) {
-	if !fs.inj {
-		svc := fs.svcTime(obj, ost, rank, at, off, ln, virt, mode)
-		if fs.qos != nil {
-			at = fs.qos.Admit(ost, job, at, svc)
-		}
-		start, end := fs.osts[ost].Acquire(at, svc)
-		if fs.obsWait != nil {
-			fs.obsWait.Observe(start - at)
-		}
-		return end, nil
+	if fs.rt == nil {
+		return fs.book(obj, ost, rank, job, at, off, ln, virt, mode), nil
 	}
-	attempts := 0
-	brk := fs.brk.Get(ost)
-	jr := fs.jobRetry(job)
-	for {
-		if h := brk.HoldOff(at); h > 0 {
-			at += h
-			fs.rstats.BackoffSecs += h
-			jr.BackoffSecs += h
+	return fs.rt.Do(ost, job, at, func(at float64) (float64, bool, bool) {
+		if failed, perm := fs.cfg.Faults.OSTErrorAt(ost, at, fs.rng); failed {
+			fs.stats[ost].Errors++
+			cost := fs.cfg.RequestOverhead * fs.noise()
+			fs.stats[ost].BusySecs += cost
+			_, end := fs.osts[ost].Acquire(at, cost)
+			return end, true, perm
 		}
-		attempts++
-		fs.rstats.Attempts++
-		jr.Attempts++
-		if attempts > 1 {
-			fs.rstats.Retries++
-			jr.Retries++
-			if fs.obsRetries != nil {
-				fs.obsRetries.Inc()
-			}
-		}
-		failed, perm := fs.cfg.Faults.OSTErrorAt(ost, at, fs.rng)
-		if !failed {
-			svc := fs.svcTime(obj, ost, rank, at, off, ln, virt, mode)
-			if fs.qos != nil {
-				at = fs.qos.Admit(ost, job, at, svc)
-			}
-			start, end := fs.osts[ost].Acquire(at, svc)
-			if fs.obsWait != nil {
-				fs.obsWait.Observe(start - at)
-			}
-			brk.Success()
-			return end, nil
-		}
-		fs.rstats.Failures++
-		jr.Failures++
-		fs.stats[ost].Errors++
-		cost := fs.cfg.RequestOverhead * fs.noise()
-		fs.stats[ost].BusySecs += cost
-		_, end := fs.osts[ost].Acquire(at, cost)
-		at = end
-		opensBefore := brk.Opens
-		brk.Failure(at)
-		if opened := brk.Opens - opensBefore; opened > 0 {
-			fs.rstats.BreakerOpens += opened
-			jr.BreakerOpens += opened
-			if fs.obsOpens != nil {
-				fs.obsOpens.Add(uint64(opened))
-			}
-		}
-		if perm || fs.retry.Exhausted(attempts) {
-			fs.rstats.Exhausted++
-			jr.Exhausted++
-			return at, &recovery.TargetError{Layer: "lustre", Kind: "OST", Target: ost, Attempts: attempts, Permanent: perm}
-		}
-		d := fs.retry.Delay(attempts, fs.rng)
-		at += d
-		fs.rstats.BackoffSecs += d
-		jr.BackoffSecs += d
-	}
+		return fs.book(obj, ost, rank, job, at, off, ln, virt, mode), false, false
+	})
 }
 
-// jobRetry returns job's retry-counter bucket, creating it on first touch.
-// Only the injection path calls it, so healthy runs allocate nothing.
-func (fs *FS) jobRetry(job int) *recovery.RetryStats {
-	jr := fs.rstatsBy[job]
-	if jr == nil {
-		if fs.rstatsBy == nil {
-			fs.rstatsBy = make(map[int]*recovery.RetryStats)
-		}
-		jr = &recovery.RetryStats{}
-		fs.rstatsBy[job] = jr
+// book serves one chunk on its OST from virtual time `at`, through the
+// admission policy, and returns its completion.
+func (fs *FS) book(obj string, ost, rank, job int, at float64, off, ln int64, virt float64, mode ldlm.Mode) float64 {
+	svc := fs.svcTime(obj, ost, rank, at, off, ln, virt, mode)
+	if fs.qos != nil {
+		at = fs.qos.Admit(ost, job, at, svc)
 	}
-	return jr
+	start, end := fs.osts[ost].Acquire(at, svc)
+	if fs.obsWait != nil {
+		fs.obsWait.Observe(start - at)
+	}
+	return end
 }
 
 // noise returns the multiplicative service-time factor for one request.
@@ -368,26 +305,18 @@ func NewFS(cfg Config) *FS {
 		fs.lastClient[i] = -1
 	}
 	if cfg.Faults != nil && len(cfg.Faults.OSTFails) > 0 {
-		fs.inj = true
-		fs.retry = cfg.Retry.Defaults()
-		fs.brk = recovery.NewBreakerSet()
+		fs.rt = recovery.NewRetrier("lustre", "OST", cfg.Retry, fs.rng)
 	}
 	return fs
 }
 
 // RetryStats returns a copy of the retry engine's counters (all zero when
 // the plan injects no OST errors).
-func (fs *FS) RetryStats() recovery.RetryStats { return fs.rstats }
+func (fs *FS) RetryStats() recovery.RetryStats { return fs.rt.Stats() }
 
 // RetryStatsByJob returns the retry counters keyed by the issuing rank's
 // JobID — empty on healthy runs, one job-0 bucket for single-job tools.
-func (fs *FS) RetryStatsByJob() map[int]recovery.RetryStats {
-	out := make(map[int]recovery.RetryStats, len(fs.rstatsBy))
-	for id, jr := range fs.rstatsBy {
-		out[id] = *jr
-	}
-	return out
-}
+func (fs *FS) RetryStatsByJob() map[int]recovery.RetryStats { return fs.rt.StatsByJob() }
 
 // SetQoS installs a server-side admission policy (nil detaches). The nil
 // path is branch-identical to pre-QoS builds; see DESIGN.md §16.
@@ -453,16 +382,10 @@ func (fs *FS) Remove(name string) {
 	}
 }
 
-// Drain is a no-op: lustre buffers nothing — every write is durable on its
-// OSTs by the time the call's completion wait has been charged.
-func (fs *FS) Drain(r *mpi.Rank) {}
-
-// TryDrain is Drain with error plumbing for backends that can lose staged
-// data; lustre stages nothing, so it never fails.
-func (fs *FS) TryDrain(r *mpi.Rank) error {
-	fs.Drain(r)
-	return nil
-}
+// Drain returns nil at once: lustre buffers nothing — every write is
+// durable on its OSTs by the time the call's completion wait has been
+// charged, so nothing can be lost.
+func (fs *FS) Drain(r *mpi.Rank) error { return nil }
 
 // SetLedger attaches an integrity ledger: every subsequent store records a
 // seeded digest of the written extent at issue time. Pass nil to detach.
@@ -476,7 +399,7 @@ func (fs *FS) Params() storage.Params {
 		CostScale: fs.cfg.CostScale,
 		Targets:   fs.cfg.NumOSTs,
 		ListIO:    false,
-		Injecting: fs.inj,
+		Injecting: fs.rt != nil,
 	}
 }
 
@@ -488,6 +411,9 @@ func (f *File) Stripe() StripeInfo { return f.obj.stripe }
 
 // Size returns the file length (highest byte written so far).
 func (f *File) Size() int64 { return f.obj.data.Size() }
+
+// Name returns the file's name.
+func (f *File) Name() string { return f.obj.name }
 
 // ostIndexFor returns the OST id serving stripe unit index u.
 func (f *File) ostIndexFor(u int64) int {
@@ -511,198 +437,73 @@ func (f *File) chunks(off, n int64, fn func(o, l, unit int64)) {
 	}
 }
 
-// WriteAt writes data at the given offset, charging ClassIO time for the
-// slowest chunk's completion. Unrecoverable injected failures panic; callers
-// that can degrade use TryWriteAt.
-func (f *File) WriteAt(r *mpi.Rank, off int64, data []byte) {
-	if err := f.TryWriteAt(r, off, data); err != nil {
-		panic(fmt.Sprintf("lustre: WriteAt rank %d off %d: %v", r.WorldRank(), off, err))
-	}
-}
-
-// TryWriteAt is WriteAt returning the typed error instead of panicking.
-// Transient injected failures are absorbed by the retry engine and cost only
-// virtual time; a *recovery.TargetError (permanent target or exhausted budget)
-// aborts the operation with NO bytes stored — the store is all-or-nothing,
-// so a caller's whole-operation retry is idempotent. Elapsed time up to and
-// including the failed attempts is charged either way.
-func (f *File) TryWriteAt(r *mpi.Rank, off int64, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	if off < 0 {
-		panic("lustre: negative offset")
+// Submit issues q. Lustre has no native list I/O, so every extent's
+// stripe chunks go out as RPCs of their own, all from the rank's current
+// clock: a write chunk ships through the client's transmit NIC, then its
+// OST serves it and acknowledges; a read chunk's OST serves it, then the
+// data crosses the receive NIC. The request completes when its slowest
+// chunk does. Transient injected failures are absorbed by the retry engine
+// and cost only virtual time. A *recovery.TargetError (permanent target or
+// exhausted budget) stops the request: no further chunk is issued, a write
+// stores no bytes (all-or-nothing, so a whole-request retry is
+// idempotent), and the completion time still covers the failed attempts.
+func (f *File) Submit(r *mpi.Rank, q *storage.Req) (float64, error) {
+	if storage.SumLen(q.Exts) == 0 {
+		if !q.Write {
+			q.Bufs = append(q.Bufs, make([][]byte, len(q.Exts))...)
+		}
+		return r.Now(), nil
 	}
 	cl := r.W.Cluster
-	cfg := f.fs.cfg
+	lat, nicBW := cl.Config().Latency, cl.Config().NICBandwidth
+	nic, mode := cl.TxNIC(r.WorldRank()), ldlm.PW
+	if !q.Write {
+		nic, mode = cl.RxNIC(r.WorldRank()), ldlm.PR
+	}
 	r.P.Sync()
 	now := r.Now()
-	tx := cl.TxNIC(r.WorldRank())
-	lat := cl.Config().Latency
-	nicBW := cl.Config().NICBandwidth
-	var done float64
-	var firstErr error
-	f.chunks(off, int64(len(data)), func(o, l, unit int64) {
-		if firstErr != nil {
-			return
+	done := now
+	var err error
+	for _, e := range q.Exts {
+		if e.Len > 0 && e.Off < 0 {
+			panic("lustre: negative offset")
 		}
-		virt := float64(l) * cfg.CostScale
-		_, txEnd := tx.Acquire(now, virt/nicBW)
-		ost := f.ostIndexFor(unit)
-		ostEnd, err := f.fs.serve(f.obj.name, ost, r.WorldRank(), r.JobID(), txEnd+lat, o, l, virt, ldlm.PW)
-		if err != nil {
-			firstErr = err
-		}
-		if fin := ostEnd + lat; fin > done {
-			done = fin
-		}
-	})
-	if firstErr == nil {
-		f.store(off, data)
-	}
-	r.ChargeIO(done - now)
-	f.fs.maybeTrim(r)
-	return firstErr
-}
-
-// WriteAtAsync books the same NIC/OST resources as WriteAt — identical
-// sequence, identical RNG draws — and stores the data immediately, but
-// instead of charging the rank's clock it returns the virtual completion
-// time. The caller (the nonblocking layer) decides when and how much of
-// that tail to expose via ChargeIO; data is durable the moment this
-// returns, so `data` may be reused.
-func (f *File) WriteAtAsync(r *mpi.Rank, off int64, data []byte) float64 {
-	if len(data) == 0 {
-		return r.Now()
-	}
-	if off < 0 {
-		panic("lustre: negative offset")
-	}
-	cl := r.W.Cluster
-	cfg := f.fs.cfg
-	r.P.Sync()
-	now := r.Now()
-	tx := cl.TxNIC(r.WorldRank())
-	lat := cl.Config().Latency
-	nicBW := cl.Config().NICBandwidth
-	var done float64
-	f.chunks(off, int64(len(data)), func(o, l, unit int64) {
-		virt := float64(l) * cfg.CostScale
-		_, txEnd := tx.Acquire(now, virt/nicBW)
-		ost := f.ostIndexFor(unit)
-		ostEnd, err := f.fs.serve(f.obj.name, ost, r.WorldRank(), r.JobID(), txEnd+lat, o, l, virt, ldlm.PW)
-		if err != nil {
-			// The nonblocking path has no error plumbing; collectives gate
-			// to the blocking resilient path under failure plans.
-			panic(fmt.Sprintf("lustre: WriteAtAsync rank %d off %d: %v", r.WorldRank(), off, err))
-		}
-		if fin := ostEnd + lat; fin > done {
-			done = fin
-		}
-	})
-	f.store(off, data)
-	f.fs.maybeTrim(r)
-	if done < now {
-		done = now
-	}
-	return done
-}
-
-// ReadAtAsync books the same resources as ReadAt and returns the data plus
-// the virtual completion time instead of charging the clock. The bytes are
-// the file's contents at issue time (the store is immediate, so ordering
-// with preceding writes on the same proc is preserved).
-func (f *File) ReadAtAsync(r *mpi.Rank, off, n int64) ([]byte, float64) {
-	if n <= 0 {
-		return nil, r.Now()
-	}
-	if off < 0 {
-		panic("lustre: negative offset")
-	}
-	cl := r.W.Cluster
-	cfg := f.fs.cfg
-	r.P.Sync()
-	now := r.Now()
-	rx := cl.RxNIC(r.WorldRank())
-	lat := cl.Config().Latency
-	nicBW := cl.Config().NICBandwidth
-	var done float64
-	f.chunks(off, n, func(o, l, unit int64) {
-		virt := float64(l) * cfg.CostScale
-		ost := f.ostIndexFor(unit)
-		ostEnd, err := f.fs.serve(f.obj.name, ost, r.WorldRank(), r.JobID(), now+lat, o, l, virt, ldlm.PR)
-		if err != nil {
-			panic(fmt.Sprintf("lustre: ReadAtAsync rank %d off %d: %v", r.WorldRank(), off, err))
-		}
-		_, rxEnd := rx.Acquire(ostEnd+lat, virt/nicBW)
-		if rxEnd > done {
-			done = rxEnd
-		}
-	})
-	f.fs.maybeTrim(r)
-	if done < now {
-		done = now
-	}
-	return f.obj.load(off, n), done
-}
-
-// ReadAt reads n bytes from off; unwritten bytes read as zero. Time is
-// charged like WriteAt, with the data crossing the receive NIC.
-// Unrecoverable injected failures panic; callers that can degrade use
-// TryReadAt.
-func (f *File) ReadAt(r *mpi.Rank, off, n int64) []byte {
-	data, err := f.TryReadAt(r, off, n)
-	if err != nil {
-		panic(fmt.Sprintf("lustre: ReadAt rank %d off %d: %v", r.WorldRank(), off, err))
-	}
-	return data
-}
-
-// TryReadAt is ReadAt returning the typed error instead of panicking: nil
-// data with a *recovery.TargetError when a chunk's target is permanently dead
-// or the retry budget is exhausted. Elapsed time up to the failure is
-// charged either way.
-func (f *File) TryReadAt(r *mpi.Rank, off, n int64) ([]byte, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if off < 0 {
-		panic("lustre: negative offset")
-	}
-	cl := r.W.Cluster
-	cfg := f.fs.cfg
-	r.P.Sync()
-	now := r.Now()
-	rx := cl.RxNIC(r.WorldRank())
-	lat := cl.Config().Latency
-	nicBW := cl.Config().NICBandwidth
-	var done float64
-	var firstErr error
-	f.chunks(off, n, func(o, l, unit int64) {
-		if firstErr != nil {
-			return
-		}
-		virt := float64(l) * cfg.CostScale
-		ost := f.ostIndexFor(unit)
-		ostEnd, err := f.fs.serve(f.obj.name, ost, r.WorldRank(), r.JobID(), now+lat, o, l, virt, ldlm.PR)
-		if err != nil {
-			firstErr = err
-			if fin := ostEnd + lat; fin > done {
-				done = fin
+		f.chunks(e.Off, e.Len, func(o, l, unit int64) {
+			if err != nil {
+				return
 			}
-			return
-		}
-		_, rxEnd := rx.Acquire(ostEnd+lat, virt/nicBW)
-		if rxEnd > done {
-			done = rxEnd
-		}
-	})
-	r.ChargeIO(done - now)
-	f.fs.maybeTrim(r)
-	if firstErr != nil {
-		return nil, firstErr
+			virt := float64(l) * f.fs.cfg.CostScale
+			at := now + lat
+			if q.Write {
+				_, txEnd := nic.Acquire(now, virt/nicBW)
+				at = txEnd + lat
+			}
+			end, serr := f.fs.serve(f.obj.name, f.ostIndexFor(unit), r.WorldRank(), r.JobID(), at, o, l, virt, mode)
+			fin := end + lat
+			if serr != nil {
+				err = serr
+			} else if !q.Write {
+				_, fin = nic.Acquire(end+lat, virt/nicBW)
+			}
+			done = max(done, fin)
+		})
 	}
-	return f.obj.load(off, n), nil
+	f.fs.maybeTrim(r)
+	if err != nil {
+		return done, err
+	}
+	if !q.Write {
+		q.Bufs = slices.Grow(q.Bufs, len(q.Exts))
+	}
+	for i, e := range q.Exts {
+		switch {
+		case !q.Write:
+			q.Bufs = append(q.Bufs, f.obj.load(e.Off, e.Len))
+		case e.Len > 0:
+			f.store(e.Off, q.Bufs[i][:e.Len])
+		}
+	}
+	return done, nil
 }
 
 // store commits data to the file's byte store and, when an integrity ledger
@@ -730,50 +531,3 @@ func (f *File) Contents() []byte { return f.obj.load(0, f.obj.data.Size()) }
 
 // Peek returns the file's bytes in [off, off+n) with no simulated time cost.
 func (f *File) Peek(off, n int64) []byte { return f.obj.load(off, n) }
-
-// WritevAt writes one list of extents, bufs[i] at exts[i]. Lustre has no
-// native list-I/O (Params().ListIO is false), so the vectored call is the
-// per-extent loop the collective flush would otherwise run itself — same
-// RPCs, same cost; it exists so *FS satisfies storage.Backend and the
-// conformance suite can compare backends through one call shape.
-func (f *File) WritevAt(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) {
-	for i, e := range exts {
-		f.WriteAt(r, e.Off, bufs[i][:e.Len])
-	}
-}
-
-// WritevAtAsync is the per-extent WriteAtAsync loop; it returns the max of
-// the per-extent virtual completion times.
-func (f *File) WritevAtAsync(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 {
-	done := r.Now()
-	for i, e := range exts {
-		if d := f.WriteAtAsync(r, e.Off, bufs[i][:e.Len]); d > done {
-			done = d
-		}
-	}
-	return done
-}
-
-// ReadvAt reads one list of extents as the per-extent ReadAt loop.
-func (f *File) ReadvAt(r *mpi.Rank, exts []storage.Extent) [][]byte {
-	out := make([][]byte, len(exts))
-	for i, e := range exts {
-		out[i] = f.ReadAt(r, e.Off, e.Len)
-	}
-	return out
-}
-
-// ReadvAtAsync is the per-extent ReadAtAsync loop; it returns the buffers
-// plus the max of the per-extent virtual completion times.
-func (f *File) ReadvAtAsync(r *mpi.Rank, exts []storage.Extent) ([][]byte, float64) {
-	out := make([][]byte, len(exts))
-	done := r.Now()
-	for i, e := range exts {
-		var d float64
-		out[i], d = f.ReadAtAsync(r, e.Off, e.Len)
-		if d > done {
-			done = d
-		}
-	}
-	return out, done
-}

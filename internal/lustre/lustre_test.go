@@ -30,8 +30,8 @@ func TestReadAfterWrite(t *testing.T) {
 	runFS(t, 1, func(r *mpi.Rank, fs *FS) {
 		f := fs.Open(r, "a", smallStripe())
 		data := []byte("hello parallel world")
-		f.WriteAt(r, 100, data)
-		got := f.ReadAt(r, 100, int64(len(data)))
+		storage.Write(r, f, 100, data)
+		got := storage.Read(r, f, 100, int64(len(data)))
 		if !bytes.Equal(got, data) {
 			t.Errorf("read %q want %q", got, data)
 		}
@@ -44,8 +44,8 @@ func TestReadAfterWrite(t *testing.T) {
 func TestUnwrittenReadsZero(t *testing.T) {
 	runFS(t, 1, func(r *mpi.Rank, fs *FS) {
 		f := fs.Open(r, "z", smallStripe())
-		f.WriteAt(r, 10, []byte{1, 2, 3})
-		got := f.ReadAt(r, 0, 15)
+		storage.Write(r, f, 10, []byte{1, 2, 3})
+		got := storage.Read(r, f, 0, 15)
 		want := make([]byte, 15)
 		copy(want[10:], []byte{1, 2, 3})
 		if !bytes.Equal(got, want) {
@@ -62,8 +62,8 @@ func TestCrossPageWrite(t *testing.T) {
 			data[i] = byte(i * 7)
 		}
 		off := int64(pageSize - 5)
-		f.WriteAt(r, off, data)
-		if got := f.ReadAt(r, off, int64(len(data))); !bytes.Equal(got, data) {
+		storage.Write(r, f, off, data)
+		if got := storage.Read(r, f, off, int64(len(data))); !bytes.Equal(got, data) {
 			t.Error("cross-page read-after-write mismatch")
 		}
 	})
@@ -73,7 +73,7 @@ func TestIOTakesTime(t *testing.T) {
 	end := runFS(t, 1, func(r *mpi.Rank, fs *FS) {
 		f := fs.Open(r, "t", smallStripe())
 		t0 := r.Now()
-		f.WriteAt(r, 0, make([]byte, 1<<20))
+		storage.Write(r, f, 0, make([]byte, 1<<20))
 		if r.Now() <= t0 {
 			t.Error("write advanced no time")
 		}
@@ -97,7 +97,7 @@ func TestOSTContentionSlowsSharedTarget(t *testing.T) {
 			t0 := r.Now()
 			// stripeCount=1: both units on OST 0. stripeCount=2: units 0,1
 			// land on different OSTs.
-			f.WriteAt(r, int64(r.WorldRank())<<20, make([]byte, 1<<20))
+			storage.Write(r, f, int64(r.WorldRank())<<20, make([]byte, 1<<20))
 			if d := r.Now() - t0; d > worst {
 				worst = d
 			}
@@ -122,7 +122,7 @@ func TestPerRequestOverheadPenalizesSmallIO(t *testing.T) {
 			t0 := r.Now()
 			sz := (1 << 20) / requests
 			for i := 0; i < requests; i++ {
-				f.WriteAt(r, int64(i*sz), make([]byte, sz))
+				storage.Write(r, f, int64(i*sz), make([]byte, sz))
 			}
 			d = r.Now() - t0
 		})
@@ -140,7 +140,7 @@ func TestStripeDistribution(t *testing.T) {
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		st := StripeInfo{Count: 8, Size: 1024, Offset: 3}
 		f := fs.Open(r, "d", st)
-		f.WriteAt(r, 0, make([]byte, 8*1024))
+		storage.Write(r, f, 0, make([]byte, 8*1024))
 	})
 	busy := fs.OSTBusyTimes()
 	var active int
@@ -163,7 +163,7 @@ func TestStripeOffsetWraps(t *testing.T) {
 	fs := NewFS(cfg)
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		f := fs.Open(r, "w", StripeInfo{Count: 4, Size: 16, Offset: 2})
-		f.WriteAt(r, 0, make([]byte, 64))
+		storage.Write(r, f, 0, make([]byte, 64))
 	})
 	for i, b := range fs.OSTBusyTimes() {
 		if b <= 0 {
@@ -181,7 +181,7 @@ func TestCostScale(t *testing.T) {
 		mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 			f := fs.Open(r, "x", StripeInfo{Count: 4, Size: 4 << 20})
 			t0 := r.Now()
-			f.WriteAt(r, 0, make([]byte, 1<<20)) // one chunk: bandwidth-dominated
+			storage.Write(r, f, 0, make([]byte, 1<<20)) // one chunk: bandwidth-dominated
 			d = r.Now() - t0
 		})
 		return d
@@ -198,7 +198,7 @@ func TestConcurrentDisjointWritersCorrectness(t *testing.T) {
 	mpi.Run(n, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		f := fs.Open(r, "shared", smallStripe())
 		data := bytes.Repeat([]byte{byte(r.WorldRank() + 1)}, chunk)
-		f.WriteAt(r, int64(r.WorldRank())*chunk, data)
+		storage.Write(r, f, int64(r.WorldRank())*chunk, data)
 		mpi.WorldComm(r).Barrier()
 		if r.WorldRank() == 0 {
 			got := f.Contents()
@@ -240,11 +240,11 @@ func TestRandomDisjointWritesProperty(t *testing.T) {
 				if off+l > int64(len(data)) {
 					l = int64(len(data)) - off
 				}
-				file.WriteAt(r, base+off, data[off:off+l])
+				storage.Write(r, file, base+off, data[off:off+l])
 				off += l
 			}
 			mpi.WorldComm(r).Barrier()
-			got := file.ReadAt(r, base, int64(len(data)))
+			got := storage.Read(r, file, base, int64(len(data)))
 			okc <- bytes.Equal(got, data)
 		})
 		for i := 0; i < n; i++ {
@@ -307,7 +307,7 @@ func TestClientSwitchPenalty(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				off := int64(i*2+r.WorldRank()) * 4096
-				f.WriteAt(r, off, make([]byte, 4096))
+				storage.Write(r, f, off, make([]byte, 4096))
 			}
 			if d := r.Now() - t0; d > worst {
 				worst = d
@@ -333,7 +333,7 @@ func TestTailEventsOccur(t *testing.T) {
 		f := fs.Open(r, "tail", StripeInfo{Count: 8, Size: 4096})
 		t0 := r.Now()
 		for i := 0; i < 16; i++ {
-			f.WriteAt(r, int64(i)*4096, make([]byte, 4096))
+			storage.Write(r, f, int64(i)*4096, make([]byte, 4096))
 		}
 		d = r.Now() - t0
 	})
@@ -348,7 +348,7 @@ func TestNoiseDeterminism(t *testing.T) {
 		var d float64
 		mpi.Run(4, cluster.DefaultConfig(), 7, func(r *mpi.Rank) {
 			f := fs.Open(r, "det", smallStripe())
-			f.WriteAt(r, int64(r.WorldRank())*8192, make([]byte, 8192))
+			storage.Write(r, f, int64(r.WorldRank())*8192, make([]byte, 8192))
 			if v := mpi.WorldComm(r).MaxFinishTime(); r.WorldRank() == 0 {
 				d = v
 			}
@@ -366,7 +366,7 @@ func TestOSTStats(t *testing.T) {
 	fs := NewFS(cfg)
 	mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		f := fs.Open(r, "st", StripeInfo{Count: 1, Size: 1 << 20})
-		f.WriteAt(r, int64(r.WorldRank())*4096, make([]byte, 4096))
+		storage.Write(r, f, int64(r.WorldRank())*4096, make([]byte, 4096))
 	})
 	st := fs.Stats()[0]
 	if st.Requests != 2 || st.Bytes != 8192 {
@@ -402,7 +402,7 @@ func TestExtentLockPingPongPenalized(t *testing.T) {
 			n := 32 / writers
 			for i := 0; i < n; i++ {
 				off := int64(i*writers+r.WorldRank()) * 4096
-				f.WriteAt(r, off, make([]byte, 4096))
+				storage.Write(r, f, off, make([]byte, 4096))
 			}
 			if d := r.Now() - t0; d > worst {
 				worst = d
@@ -425,10 +425,28 @@ func TestExtentLockSequentialWriterPaysOnce(t *testing.T) {
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		f := fs.Open(r, "sq", StripeInfo{Count: 1, Size: 1 << 20})
 		for i := 0; i < 16; i++ {
-			f.WriteAt(r, int64(i)*4096, make([]byte, 4096))
+			storage.Write(r, f, int64(i)*4096, make([]byte, 4096))
 		}
 	})
 	if sw := fs.Stats()[0].Switches; sw != 0 {
 		t.Errorf("sequential writer paid %d revocations", sw)
 	}
+}
+
+// TestScalarSubmitAllocatesNothing: a one-extent request through a
+// caller-owned Req — the collective flush's untranslated path — allocates
+// nothing per call, even rewriting the same range again and again.
+func TestScalarSubmitAllocatesNothing(t *testing.T) {
+	runFS(t, 1, func(r *mpi.Rank, fs *FS) {
+		f := fs.Open(r, "alloc", smallStripe())
+		q := &storage.Req{Write: true, Exts: []storage.Extent{{Off: 0, Len: 4096}}, Bufs: [][]byte{make([]byte, 4096)}}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := f.Submit(r, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("scalar Submit: %v allocations per call, want 0", allocs)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 // TestRemoveReleasesLockState is the regression test for the Remove leak:
@@ -38,7 +39,7 @@ func TestRemoveReleasesLockState(t *testing.T) {
 		f := fs.Open(r, "ckpt", stripe)
 		buf := make([]byte, 1<<20)
 		for i := 0; i < 4; i++ {
-			f.WriteAt(r, int64(i)<<20, buf)
+			storage.Write(r, f, int64(i)<<20, buf)
 		}
 		comm.Barrier()
 		if r.WorldRank() == 0 {
@@ -58,7 +59,7 @@ func TestRemoveReleasesLockState(t *testing.T) {
 				t.Errorf("reopen after Remove: Size() = %d, want 0", g.Size())
 			}
 			for i := 0; i < 4; i++ {
-				g.WriteAt(r, int64(i)<<20, buf)
+				storage.Write(r, g, int64(i)<<20, buf)
 			}
 			after = sumSwitches(fs)
 		}
@@ -77,11 +78,11 @@ func TestRemoveReleasesFileState(t *testing.T) {
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		f := fs.Open(r, "f", stripe)
 		old := bytes.Repeat([]byte{0xAA}, 4096)
-		f.WriteAt(r, 0, old)
+		storage.Write(r, f, 0, old)
 		fs.Remove("f")
 		g := fs.Open(r, "f", stripe)
 		fresh := bytes.Repeat([]byte{0x55}, 128)
-		g.WriteAt(r, 1024, fresh)
+		storage.Write(r, g, 1024, fresh)
 		if got := g.Size(); got != 1024+128 {
 			t.Fatalf("recreated file Size() = %d, want %d", got, 1024+128)
 		}
@@ -112,10 +113,10 @@ func TestStatsDeterministicUnderJitter(t *testing.T) {
 			buf := make([]byte, 96<<10)
 			me := int64(r.WorldRank())
 			for i := int64(0); i < 6; i++ {
-				f.WriteAt(r, (me*6+i)*(96<<10), buf)
+				storage.Write(r, f, (me*6+i)*(96<<10), buf)
 			}
 			mpi.WorldComm(r).Barrier()
-			f.ReadAt(r, me*(96<<10), 96<<10)
+			storage.Read(r, f, me*(96<<10), 96<<10)
 		})
 		return fs.Stats()
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/recovery"
+	"repro/internal/storage"
 )
 
 func runFSCfg(t *testing.T, cfg Config, nprocs int, body func(r *mpi.Rank, fs *FS)) float64 {
@@ -35,8 +36,8 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 		var st recovery.RetryStats
 		end := runFSCfg(t, cfg, 1, func(r *mpi.Rank, fs *FS) {
 			f := fs.Open(r, "flaky", smallStripe())
-			f.WriteAt(r, 0, data)
-			if got := f.ReadAt(r, 0, int64(len(data))); !bytes.Equal(got, data) {
+			storage.Write(r, f, 0, data)
+			if got := storage.Read(r, f, 0, int64(len(data))); !bytes.Equal(got, data) {
 				t.Error("read-after-write mismatch under transient failures")
 			}
 			st = fs.RetryStats()
@@ -72,8 +73,8 @@ func TestRetryDeterministic(t *testing.T) {
 		var st recovery.RetryStats
 		end := runFSCfg(t, cfg, 2, func(r *mpi.Rank, fs *FS) {
 			f := fs.Open(r, "d", smallStripe())
-			f.WriteAt(r, int64(r.WorldRank())*8192, make([]byte, 8192))
-			f.ReadAt(r, 0, 4096)
+			storage.Write(r, f, int64(r.WorldRank())*8192, make([]byte, 8192))
+			storage.Read(r, f, 0, 4096)
 			if r.WorldRank() == 0 {
 				st = fs.RetryStats()
 			}
@@ -88,18 +89,18 @@ func TestRetryDeterministic(t *testing.T) {
 }
 
 // TestPermanentFailureSurfacesTypedError: a permanently dead OST yields a
-// *recovery.TargetError from TryWriteAt/TryReadAt without storing bytes, and
-// WriteAt panics on it.
+// *recovery.TargetError from TryWrite/TryRead without storing bytes, and
+// Write panics on it.
 func TestPermanentFailureSurfacesTypedError(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = &fault.Plan{OSTFails: []fault.OSTFail{{OST: 0, Prob: 1, Permanent: true}}}
 	runFSCfg(t, cfg, 1, func(r *mpi.Rank, fs *FS) {
 		// Stripe over OST 0 only: every chunk hits the dead target.
 		f := fs.Open(r, "dead", StripeInfo{Count: 1, Size: 1024})
-		err := f.TryWriteAt(r, 0, []byte("doomed"))
+		err := storage.TryWrite(r, f, 0, []byte("doomed"))
 		var oe *recovery.TargetError
 		if !errors.As(err, &oe) {
-			t.Fatalf("TryWriteAt error = %v, want *recovery.TargetError", err)
+			t.Fatalf("TryWrite error = %v, want *recovery.TargetError", err)
 		}
 		if !oe.Permanent || oe.Layer != "lustre" || oe.Target != 0 || oe.Attempts != 1 {
 			t.Fatalf("error detail = %+v", oe)
@@ -107,15 +108,15 @@ func TestPermanentFailureSurfacesTypedError(t *testing.T) {
 		if f.Size() != 0 {
 			t.Fatal("failed write stored bytes")
 		}
-		if _, err := f.TryReadAt(r, 0, 16); err == nil {
-			t.Fatal("TryReadAt from a dead OST succeeded")
+		if _, err := storage.TryRead(r, f, 0, 16); err == nil {
+			t.Fatal("TryRead from a dead OST succeeded")
 		}
 		defer func() {
 			if recover() == nil {
-				t.Error("WriteAt did not panic on a permanent failure")
+				t.Error("Write did not panic on a permanent failure")
 			}
 		}()
-		f.WriteAt(r, 0, []byte("doomed"))
+		storage.Write(r, f, 0, []byte("doomed"))
 	})
 }
 
@@ -128,7 +129,7 @@ func TestBreakerOpensUnderSustainedFailure(t *testing.T) {
 	runFSCfg(t, cfg, 1, func(r *mpi.Rank, fs *FS) {
 		f := fs.Open(r, "b", StripeInfo{Count: 1, Size: 1024})
 		for i := 0; i < 3; i++ {
-			if err := f.TryWriteAt(r, 0, []byte("x")); err == nil {
+			if err := storage.TryWrite(r, f, 0, []byte("x")); err == nil {
 				t.Fatal("write inside a certain-failure window succeeded")
 			}
 		}

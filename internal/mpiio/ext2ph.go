@@ -214,9 +214,7 @@ type call struct {
 	stage [2][]byte        // staging buffers: one blocking, two pipelined
 	ioreq [2]*nbio.Request // pipelined: the I/O tail last issued on each buffer
 
-	pieces []piece          // flush/fill scratch, reused across rounds
-	exts   []storage.Extent // vectored-call scratch
-	bufs   [][]byte
+	pieces []piece // flush/fill scratch, reused across rounds
 }
 
 // begin starts a collective call: it chooses how the call runs, plans it,
@@ -674,19 +672,31 @@ func nextRun(ps []piece, i int) (j int, n int64) {
 // vectored reports whether the call's rounds go to storage as one list-I/O
 // request each — one round-trip per touched target instead of an RPC per
 // extent (DESIGN.md §14). The resilient loop stays scalar even on list-I/O
-// backends: the seam has no vectored Try call.
+// backends: it retries and re-dumps extent by extent.
 func (c *call) vectored() bool { return c.f.vec && c.ft == nil }
+
+// submit issues the handle's request: a pipelined call returns its
+// completion time for the caller to account; a blocking one charges the
+// wait and returns the advanced clock.
+func (c *call) submit() float64 {
+	r := c.f.r
+	done := storage.Must(r, c.f.lf, &c.f.req)
+	if c.pipelined {
+		return done
+	}
+	r.ChargeIO(done - r.Now())
+	return r.Now()
+}
 
 // flush writes a domain's dirty extents from its staging buffer and returns
 // the virtual time the data is safe: now for a blocking call, which charges
 // the wait as it goes; the slowest write's completion for a pipelined one,
-// which books the same resources through the async path and charges
-// nothing.
+// which books the same resources and charges nothing.
 func (c *call) flush(d *domain) float64 {
 	f, r := c.f, c.f.r
 	ps := c.runs(d.dirty, d.buf, d.w0)
 	done := r.Now()
-	c.exts, c.bufs = c.exts[:0], c.bufs[:0]
+	q := f.request(true, 0)
 	for i, j := 0, 0; i < len(ps); i = j {
 		var n int64
 		j, n = nextRun(ps, i)
@@ -697,24 +707,19 @@ func (c *call) flush(d *domain) float64 {
 				data = append(data, p.data...)
 			}
 		}
-		switch {
-		case c.vectored():
-			c.exts = append(c.exts, storage.Extent{Off: ps[i].off, Len: n})
-			c.bufs = append(c.bufs, data)
-		case c.ft != nil:
+		if c.ft != nil {
 			f.resilientWrite(ps[i].off, data)
-		case c.pipelined:
-			done = max(done, f.lf.WriteAtAsync(r, ps[i].off, data))
-		default:
-			f.lf.WriteAt(r, ps[i].off, data)
+			continue
+		}
+		q.Exts = append(q.Exts, storage.Extent{Off: ps[i].off, Len: n})
+		q.Bufs = append(q.Bufs, data)
+		if !c.vectored() {
+			done = max(done, c.submit())
+			q.Exts, q.Bufs = q.Exts[:0], q.Bufs[:0]
 		}
 	}
-	if len(c.exts) > 0 {
-		if c.pipelined {
-			done = max(done, f.lf.WritevAtAsync(r, c.exts, c.bufs))
-		} else {
-			f.lf.WritevAt(r, c.exts, c.bufs)
-		}
+	if len(q.Exts) > 0 {
+		done = max(done, c.submit())
 	}
 	return max(done, r.Now())
 }
@@ -731,36 +736,26 @@ func (c *call) fill(d *domain, round int, buf []byte) float64 {
 	d.dirty = d.extentsIn(d.dirty[:0], w0, w1)
 	ps := c.runs(d.dirty, buf, w0)
 	done := t0
-	c.exts, c.bufs = c.exts[:0], c.bufs[:0]
+	q := f.request(false, 0)
 	for i, j := 0, 0; i < len(ps); i = j {
 		var n int64
 		j, n = nextRun(ps, i)
-		switch {
-		case c.vectored():
-			c.exts = append(c.exts, storage.Extent{Off: ps[i].off, Len: n})
-		case c.pipelined:
-			got, at := f.lf.ReadAtAsync(r, ps[i].off, n)
-			c.bufs, done = append(c.bufs, got), max(done, at)
-		default:
-			c.bufs = append(c.bufs, f.lf.ReadAt(r, ps[i].off, n))
+		q.Exts = append(q.Exts, storage.Extent{Off: ps[i].off, Len: n})
+		if !c.vectored() {
+			done = max(done, c.submit())
+			q.Exts = q.Exts[:0]
 		}
 	}
-	if len(c.exts) > 0 {
-		if c.pipelined {
-			var at float64
-			c.bufs, at = f.lf.ReadvAtAsync(r, c.exts)
-			done = max(done, at)
-		} else {
-			c.bufs = f.lf.ReadvAt(r, c.exts)
-		}
+	if len(q.Exts) > 0 {
+		done = max(done, c.submit())
 	}
 	// Scatter: the pieces, in order, consume the runs' bytes in order.
 	run, pos := 0, 0
 	for _, p := range ps {
-		for len(p.data) > 0 && pos == len(c.bufs[run]) {
+		for len(p.data) > 0 && pos == len(q.Bufs[run]) {
 			run, pos = run+1, 0
 		}
-		pos += copy(p.data, c.bufs[run][pos:])
+		pos += copy(p.data, q.Bufs[run][pos:])
 	}
 	done = max(done, r.Now())
 	f.traceRound("round-io", t0, done, round)

@@ -136,12 +136,15 @@ type File struct {
 	r     *mpi.Rank
 	comm  *mpi.Comm
 	lf    storage.File
+	req   storage.Req // storage request, reused across accesses and rounds
+	ext1  [1]storage.Extent
+	buf1  [1][]byte // ext1 and buf1 back req while it carries one extent
 	view  datatype.View
 	hints Hints
 	run   RunOptions
 	aggs  []int // comm ranks acting as I/O aggregators, ascending
 	scale float64
-	vec   bool // backend has native list-I/O: flush rounds use WritevAt/ReadvAt
+	vec   bool // backend has native list-I/O: one request per access, not per extent
 	inj   bool // backend injects request errors: storage-tier recovery armed
 	seq   int  // collective-call sequence, advances in lockstep
 	xlate Translator
@@ -261,6 +264,7 @@ func OpenWith(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.St
 		inj:       params.Injecting,
 		deadWorld: make(map[int]bool),
 	}
+	f.req.Exts, f.req.Bufs = f.ext1[:0], f.buf1[:0]
 	if run.Obs != nil {
 		f.obsRound = map[string]*obs.Histogram{
 			"round-sync":     run.Obs.Histogram("mpiio.round.sync.secs", nil),
@@ -395,53 +399,59 @@ func (f *File) Breakdown() Breakdown {
 // WriteAt writes independently (no coordination): the view maps the logical
 // range to physical segments, each written directly. This is the paper's
 // "w/o Coll" baseline. On a list-I/O backend the whole segment list goes
-// out as one vectored request — Ching et al.'s optimization for exactly
-// this noncontiguous independent pattern.
+// out as one request — Ching et al.'s optimization for exactly this
+// noncontiguous independent pattern.
 func (f *File) WriteAt(logOff int64, data []byte) {
 	segs := f.view.Map(logOff, int64(len(data)))
-	if f.vec && len(segs) > 1 {
-		exts := make([]storage.Extent, len(segs))
-		bufs := make([][]byte, len(segs))
-		var pos int64
-		for i, s := range segs {
-			exts[i] = storage.Extent{Off: s.Off, Len: s.Len}
-			bufs[i] = data[pos : pos+s.Len]
-			pos += s.Len
-		}
-		f.lf.WritevAt(f.r, exts, bufs)
-		f.absorbProf()
-		return
-	}
+	q := f.request(true, len(segs))
 	var pos int64
 	for _, s := range segs {
-		f.lf.WriteAt(f.r, s.Off, data[pos:pos+s.Len])
+		q.Exts = append(q.Exts, storage.Extent{Off: s.Off, Len: s.Len})
+		q.Bufs = append(q.Bufs, data[pos:pos+s.Len])
 		pos += s.Len
+		if !f.vec {
+			storage.Do(f.r, f.lf, q)
+			q.Exts, q.Bufs = q.Exts[:0], q.Bufs[:0]
+		}
+	}
+	if len(q.Exts) > 0 {
+		storage.Do(f.r, f.lf, q)
 	}
 	f.absorbProf()
 }
 
-// ReadAt reads independently through the view, vectored on list-I/O
-// backends like WriteAt.
+// ReadAt reads independently through the view, one request per access on
+// list-I/O backends like WriteAt.
 func (f *File) ReadAt(logOff, n int64) []byte {
 	segs := f.view.Map(logOff, n)
-	if f.vec && len(segs) > 1 {
-		exts := make([]storage.Extent, len(segs))
-		for i, s := range segs {
-			exts[i] = storage.Extent{Off: s.Off, Len: s.Len}
+	q := f.request(false, len(segs))
+	for _, s := range segs {
+		q.Exts = append(q.Exts, storage.Extent{Off: s.Off, Len: s.Len})
+		if !f.vec {
+			storage.Do(f.r, f.lf, q)
+			q.Exts = q.Exts[:0]
 		}
-		out := make([]byte, 0, n)
-		for _, b := range f.lf.ReadvAt(f.r, exts) {
-			out = append(out, b...)
-		}
-		f.absorbProf()
-		return out
+	}
+	if len(q.Exts) > 0 {
+		storage.Do(f.r, f.lf, q)
 	}
 	out := make([]byte, 0, n)
-	for _, s := range segs {
-		out = append(out, f.lf.ReadAt(f.r, s.Off, s.Len)...)
+	for _, b := range q.Bufs {
+		out = append(out, b...)
 	}
 	f.absorbProf()
 	return out
+}
+
+// request empties the handle's reusable storage request for an access of n
+// extents, sized up front when they all go out as one request.
+func (f *File) request(write bool, n int) *storage.Req {
+	q := &f.req
+	q.Write, q.Exts, q.Bufs = write, q.Exts[:0], q.Bufs[:0]
+	if f.vec {
+		q.Exts, q.Bufs = slices.Grow(q.Exts, n), slices.Grow(q.Bufs, n)
+	}
+	return q
 }
 
 func (f *File) String() string {

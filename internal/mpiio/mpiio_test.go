@@ -11,6 +11,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 func testStripe() lustre.StripeInfo { return lustre.StripeInfo{Count: 4, Size: 4096} }
@@ -467,13 +468,13 @@ func TestSievedWriteCorrect(t *testing.T) {
 	fs := runIO(t, 1, 1, func(r *mpi.Rank, fs *lustre.FS) {
 		f := Open(mpi.WorldComm(r), fs, "sw", testStripe(), Hints{})
 		// Pre-fill the holes so read-modify-write must preserve them.
-		f.Storage().WriteAt(r, 0, bytes.Repeat([]byte{0xEE}, 2048))
+		storage.Write(r, f.Storage(), 0, bytes.Repeat([]byte{0xEE}, 2048))
 		ft := datatype.NewVector(16, 32, 128)
 		f.SetView(datatype.View{Disp: 0, Filetype: ft})
 		f.WriteAtSieved(0, pattern(2, 16*32))
 	})
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		got := fs.Open(r, "sw", testStripe()).ReadAt(r, 0, 2048)
+		got := storage.Read(r, fs.Open(r, "sw", testStripe()), 0, 2048)
 		want := pattern(2, 16*32)
 		for i := 0; i < 2048; i++ {
 			blk, off := i/128, i%128

@@ -465,7 +465,7 @@ func (f *File) noteRecoverSpan(span float64) {
 // unrecoverable at this layer and panics.
 func (f *File) resilientWrite(off int64, data []byte) {
 	for {
-		err := f.lf.TryWriteAt(f.r, off, data)
+		err := storage.TryWrite(f.r, f.lf, off, data)
 		if err == nil {
 			return
 		}
@@ -519,7 +519,7 @@ func (f *File) independent(write bool, segs []datatype.Segment, pre []int64, dat
 // it is a real data-loss bug that must fail loudly.
 func (f *File) resilientRead(off, n int64) []byte {
 	for {
-		data, err := f.lf.TryReadAt(f.r, off, n)
+		data, err := storage.TryRead(f.r, f.lf, off, n)
 		if err == nil {
 			return data
 		}

@@ -1,6 +1,9 @@
 package mpiio
 
-import "repro/internal/datatype"
+import (
+	"repro/internal/datatype"
+	"repro/internal/storage"
+)
 
 // Data sieving (Thakur, Gropp & Lusk: "Data Sieving and Collective I/O in
 // ROMIO"): independent non-contiguous accesses are served by moving one
@@ -57,11 +60,11 @@ func (f *File) ReadAtSieved(logOff, n int64) []byte {
 	out := make([]byte, 0, n)
 	for _, win := range sieveWindows(segs, f.hints.sieveBuf()) {
 		if len(win) == 1 {
-			out = append(out, f.lf.ReadAt(f.r, win[0].Off, win[0].Len)...)
+			out = append(out, storage.Read(f.r, f.lf, win[0].Off, win[0].Len)...)
 			continue
 		}
 		base := win[0].Off
-		span := f.lf.ReadAt(f.r, base, win[len(win)-1].End()-base)
+		span := storage.Read(f.r, f.lf, base, win[len(win)-1].End()-base)
 		for _, s := range win {
 			out = append(out, span[s.Off-base:s.End()-base]...)
 		}
@@ -79,17 +82,17 @@ func (f *File) WriteAtSieved(logOff int64, data []byte) {
 	var pos int64
 	for _, win := range sieveWindows(segs, f.hints.sieveBuf()) {
 		if len(win) == 1 {
-			f.lf.WriteAt(f.r, win[0].Off, data[pos:pos+win[0].Len])
+			storage.Write(f.r, f.lf, win[0].Off, data[pos:pos+win[0].Len])
 			pos += win[0].Len
 			continue
 		}
 		base := win[0].Off
-		span := f.lf.ReadAt(f.r, base, win[len(win)-1].End()-base)
+		span := storage.Read(f.r, f.lf, base, win[len(win)-1].End()-base)
 		for _, s := range win {
 			copy(span[s.Off-base:s.End()-base], data[pos:pos+s.Len])
 			pos += s.Len
 		}
-		f.lf.WriteAt(f.r, base, span)
+		storage.Write(f.r, f.lf, base, span)
 	}
 	f.absorbProf()
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 // Sieving correctness, stated as a property: for any non-contiguous layout,
@@ -64,7 +65,7 @@ func checkSieveRMW(seed int64, sieveBuf int64) error {
 		var readBack []byte
 		mpi.Run(1, cluster.DefaultConfig(), seed, func(r *mpi.Rank) {
 			f := Open(mpi.WorldComm(r), fs, "sv", stripe, hints)
-			f.Storage().WriteAt(r, 0, junk) // pre-existing contents
+			storage.Write(r, f.Storage(), 0, junk) // pre-existing contents
 			f.SetView(view)
 			if sieved {
 				f.WriteAtSieved(0, payload)
@@ -73,7 +74,7 @@ func checkSieveRMW(seed int64, sieveBuf int64) error {
 				f.WriteAt(0, payload)
 				readBack = f.ReadAt(0, ft.Size())
 			}
-			got = f.Storage().ReadAt(r, 0, extent)
+			got = storage.Read(r, f.Storage(), 0, extent)
 		})
 		return got, readBack, nil
 	}

@@ -2,7 +2,7 @@
 // simulator: Request handles with Test/Wait/Waitall and completion
 // callbacks, in the mold of MPI's split collectives. A Request wraps an
 // operation whose resource bookings were already made at issue time (see
-// lustre.WriteAtAsync) but whose completion lies in the virtual future; the
+// storage.File.Submit) but whose completion lies in the virtual future; the
 // sim progress engine (sim.Proc.After) fires the completion when the owning
 // rank's clock reaches it, so time the application spends computing between
 // Begin and End absorbs — "hides" — the I/O tail. Whatever tail is still

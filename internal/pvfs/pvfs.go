@@ -23,6 +23,7 @@ package pvfs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/mpi"
@@ -81,12 +82,8 @@ type FS struct {
 	stats     []storage.TargetStat
 	sinceTrim int
 
-	inj      bool // fault plan injects server errors; zero plans stay inert
-	retry    recovery.Backoff
-	brk      *recovery.BreakerSet // per-server breakers
-	rstats   recovery.RetryStats
-	rstatsBy map[int]*recovery.RetryStats // per JobID; lazily populated
-	ledger   *storage.Ledger
+	rt     *recovery.Retrier // armed only when the plan injects server errors
+	ledger *storage.Ledger
 
 	// Server-side admission policy (nil = unshaped fast path); every
 	// list-I/O request's start passes through qos.Admit keyed by the
@@ -116,22 +113,9 @@ func NewFS(cfg Config) *FS {
 		fs.servers[i] = sim.NewResource(fmt.Sprintf("pvfs%d", i))
 	}
 	if cfg.Faults.HasServerFails() {
-		fs.inj = true
-		fs.retry = cfg.Retry.Defaults()
-		fs.brk = recovery.NewBreakerSet()
+		fs.rt = recovery.NewRetrier("pvfs", "server", cfg.Retry, fs.rng)
 	}
 	return fs
-}
-
-// Requests returns the total list-I/O requests served (one per touched
-// server per vectored call) — the counter the request-reduction acceptance
-// test pins against the lustre backend's per-extent RPC count.
-func (fs *FS) Requests() int64 {
-	var n int64
-	for i := range fs.stats {
-		n += fs.stats[i].Requests
-	}
-	return n
 }
 
 // SetObs attaches a metrics registry (nil detaches): every list-I/O request
@@ -149,14 +133,14 @@ func (fs *FS) Stats() []storage.TargetStat {
 	return append([]storage.TargetStat(nil), fs.stats...)
 }
 
-// Params reports native list-I/O, so the collective flush path issues
-// vectored calls instead of per-extent loops.
+// Params reports native list-I/O, so the collective flush path batches its
+// runs into one request instead of per-extent loops.
 func (fs *FS) Params() storage.Params {
 	return storage.Params{
 		CostScale: fs.cfg.CostScale,
 		Targets:   fs.cfg.NumServers,
 		ListIO:    true,
-		Injecting: fs.inj,
+		Injecting: fs.rt != nil,
 	}
 }
 
@@ -164,37 +148,16 @@ func (fs *FS) Params() storage.Params {
 // protocol difference, not the brand, is what the sweeps vary).
 func (fs *FS) Name() string { return "listio" }
 
-// Drain is a no-op: the servers buffer nothing.
-func (fs *FS) Drain(r *mpi.Rank) {}
-
-// TryDrain never fails: the servers buffer nothing, so nothing can be lost.
-func (fs *FS) TryDrain(r *mpi.Rank) error { return nil }
+// Drain returns nil at once: the servers buffer nothing, so nothing can be
+// lost.
+func (fs *FS) Drain(r *mpi.Rank) error { return nil }
 
 // RetryStats returns the retry-engine counters (all zero without a plan).
-func (fs *FS) RetryStats() recovery.RetryStats { return fs.rstats }
+func (fs *FS) RetryStats() recovery.RetryStats { return fs.rt.Stats() }
 
 // RetryStatsByJob returns the retry counters keyed by the issuing rank's
 // JobID — empty on healthy runs, one job-0 bucket for single-job tools.
-func (fs *FS) RetryStatsByJob() map[int]recovery.RetryStats {
-	out := make(map[int]recovery.RetryStats, len(fs.rstatsBy))
-	for id, jr := range fs.rstatsBy {
-		out[id] = *jr
-	}
-	return out
-}
-
-// jobRetry returns job's retry-counter bucket, creating it on first touch.
-func (fs *FS) jobRetry(job int) *recovery.RetryStats {
-	jr := fs.rstatsBy[job]
-	if jr == nil {
-		if fs.rstatsBy == nil {
-			fs.rstatsBy = make(map[int]*recovery.RetryStats)
-		}
-		jr = &recovery.RetryStats{}
-		fs.rstatsBy[job] = jr
-	}
-	return jr
-}
+func (fs *FS) RetryStatsByJob() map[int]recovery.RetryStats { return fs.rt.StatsByJob() }
 
 // SetQoS installs a server-side admission policy (nil detaches).
 func (fs *FS) SetQoS(p qos.Policy) { fs.qos = p }
@@ -276,11 +239,18 @@ func (f *File) Stripe() storage.Stripe { return f.obj.stripe }
 // Size returns the file length (highest byte written so far).
 func (f *File) Size() int64 { return f.obj.data.Size() }
 
+// Name returns the file's name.
+func (f *File) Name() string { return f.obj.name }
+
 // Contents returns the file's bytes in [0, Size) at no time cost.
 func (f *File) Contents() []byte { return f.obj.data.Load(0, f.obj.data.Size()) }
 
 // Peek returns the file's bytes in [off, off+n) at no time cost.
 func (f *File) Peek(off, n int64) []byte { return f.obj.data.Load(off, n) }
+
+// Punch zeroes stored bytes in [off, off+n) at no time cost — the staging
+// tier's durability-revocation hook. The ledger is deliberately untouched.
+func (f *File) Punch(off, n int64) { f.obj.data.Zero(off, n) }
 
 // serverFor returns the server id serving stripe unit index u.
 func (f *File) serverFor(u int64) int {
@@ -315,47 +285,13 @@ func (f *File) perServerBytes(exts []storage.Extent) map[int]float64 {
 // serveList books one list-I/O request on every touched server, all
 // starting at virtual time `at`, and returns the slowest completion. One
 // request (one overhead, one jitter draw) per server regardless of how many
-// extents land on it — the list-I/O economics.
-func (f *File) serveList(at float64, per map[int]float64, job int) float64 {
+// extents land on it — the list-I/O economics. Under an armed fault plan
+// each server's portion runs through the retry engine on its own: that is
+// the vectored call's scalar fallback — surviving servers serve on schedule
+// while a failed server's portion retries alone; the completion covers
+// every portion (retries included) and the first typed error is returned.
+func (f *File) serveList(at float64, per map[int]float64, job int) (float64, error) {
 	fs := f.fs
-	done := at
-	for s := 0; s < len(fs.servers); s++ {
-		virt, ok := per[s]
-		if !ok {
-			continue
-		}
-		st := &fs.stats[s]
-		st.Requests++
-		st.Bytes += int64(virt)
-		svc := (fs.cfg.RequestOverhead + virt/fs.cfg.ServerBandwidth) * fs.noise()
-		st.BusySecs += svc
-		sat := at
-		if fs.qos != nil {
-			sat = fs.qos.Admit(s, job, at, svc)
-		}
-		_, end := fs.servers[s].Acquire(sat, svc)
-		if end > done {
-			done = end
-		}
-		if fs.obsReqs != nil {
-			fs.obsReqs.Inc()
-		}
-	}
-	return done
-}
-
-// serveListTry is serveList with fault injection: every touched server is
-// still visited in ascending order, but each portion runs through serveOne's
-// retry loop independently. That is the vectored call's scalar fallback —
-// surviving servers serve on schedule while the failed server's portion
-// retries alone; the completion time covers every portion (retries included)
-// and the first typed error is returned. Without an armed plan it defers to
-// serveList, draw-for-draw identical to the healthy model.
-func (f *File) serveListTry(at float64, per map[int]float64, job int) (float64, error) {
-	fs := f.fs
-	if !fs.inj {
-		return f.serveList(at, per, job), nil
-	}
 	done := at
 	var firstErr error
 	for s := 0; s < len(fs.servers); s++ {
@@ -363,247 +299,106 @@ func (f *File) serveListTry(at float64, per map[int]float64, job int) (float64, 
 		if !ok {
 			continue
 		}
-		end, err := fs.serveOne(s, at, virt, job)
+		end, err := fs.serve(s, job, at, virt)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if end > done {
-			done = end
-		}
+		done = max(done, end)
 	}
 	return done, firstErr
 }
 
-// serveOne books one server's portion of a vectored call under an armed
-// fault plan: each attempt honors the server's breaker hold-off, consults
-// the plan, and on failure pays the request overhead, feeds the breaker, and
-// — unless the failure is permanent or the attempt budget is spent — backs
-// off per the capped exponential schedule and goes again. Exhaustion and
-// permanence surface as a typed *recovery.TargetError with the clock already
-// advanced past every failed attempt.
-func (fs *FS) serveOne(s int, at, virt float64, job int) (float64, error) {
-	attempts := 0
-	brk := fs.brk.Get(s)
-	jr := fs.jobRetry(job)
-	for {
-		if h := brk.HoldOff(at); h > 0 {
-			at += h
-			fs.rstats.BackoffSecs += h
-			jr.BackoffSecs += h
-		}
-		attempts++
-		fs.rstats.Attempts++
-		jr.Attempts++
-		if attempts > 1 {
-			fs.rstats.Retries++
-			jr.Retries++
-		}
-		failed, perm := fs.cfg.Faults.ServerErrorAt(s, at, fs.rng)
-		if !failed {
-			st := &fs.stats[s]
-			st.Requests++
-			st.Bytes += int64(virt)
-			svc := (fs.cfg.RequestOverhead + virt/fs.cfg.ServerBandwidth) * fs.noise()
-			st.BusySecs += svc
-			if fs.qos != nil {
-				at = fs.qos.Admit(s, job, at, svc)
-			}
-			_, end := fs.servers[s].Acquire(at, svc)
-			brk.Success()
-			if fs.obsReqs != nil {
-				fs.obsReqs.Inc()
-			}
-			return end, nil
-		}
-		fs.rstats.Failures++
-		jr.Failures++
-		fs.stats[s].Errors++
-		cost := fs.cfg.RequestOverhead * fs.noise()
-		fs.stats[s].BusySecs += cost
-		fs.stats[s].FaultSecs += cost
-		_, end := fs.servers[s].Acquire(at, cost)
-		at = end
-		opensBefore := brk.Opens
-		brk.Failure(at)
-		if opened := brk.Opens - opensBefore; opened > 0 {
-			fs.rstats.BreakerOpens += opened
-			jr.BreakerOpens += opened
-		}
-		if perm || fs.retry.Exhausted(attempts) {
-			fs.rstats.Exhausted++
-			jr.Exhausted++
-			return at, &recovery.TargetError{Layer: "pvfs", Kind: "server", Target: s, Attempts: attempts, Permanent: perm}
-		}
-		d := fs.retry.Delay(attempts, fs.rng)
-		at += d
-		fs.rstats.BackoffSecs += d
-		jr.BackoffSecs += d
+// serve books one server's portion of a request from virtual time at,
+// through the retry engine when the plan injects server errors: a failed
+// attempt pays the request overhead on the server.
+func (fs *FS) serve(s, job int, at, virt float64) (float64, error) {
+	if fs.rt == nil {
+		return fs.book(s, job, at, virt), nil
 	}
+	return fs.rt.Do(s, job, at, func(at float64) (float64, bool, bool) {
+		if failed, perm := fs.cfg.Faults.ServerErrorAt(s, at, fs.rng); failed {
+			fs.stats[s].Errors++
+			cost := fs.cfg.RequestOverhead * fs.noise()
+			fs.stats[s].BusySecs += cost
+			_, end := fs.servers[s].Acquire(at, cost)
+			return end, true, perm
+		}
+		return fs.book(s, job, at, virt), false, false
+	})
 }
 
-// totalLen sums the extents' real bytes.
-func totalLen(exts []storage.Extent) int64 {
-	var n int64
-	for _, e := range exts {
-		n += e.Len
+// book serves virt bytes on server s from virtual time at, through the
+// admission policy, and returns the completion.
+func (fs *FS) book(s, job int, at, virt float64) float64 {
+	st := &fs.stats[s]
+	st.Requests++
+	st.Bytes += int64(virt)
+	svc := (fs.cfg.RequestOverhead + virt/fs.cfg.ServerBandwidth) * fs.noise()
+	st.BusySecs += svc
+	if fs.qos != nil {
+		at = fs.qos.Admit(s, job, at, svc)
 	}
-	return n
+	_, end := fs.servers[s].Acquire(at, svc)
+	if fs.obsReqs != nil {
+		fs.obsReqs.Inc()
+	}
+	return end
 }
 
-// writev books one vectored write's resources and returns its virtual
-// completion time; the data is stored before return — unless a server
-// failure outlives the retry engine, in which case NO bytes are stored
-// (all-or-nothing: a whole-operation retry is idempotent) and the elapsed
+// Submit issues q as one list-I/O request. A write's extents ship through
+// the client's transmit NIC back-to-back (one summed transfer), then every
+// touched server serves its portion; a read's servers serve first and the
+// data crosses the receive NIC after the slowest. On a server failure that
+// outlives the retry engine, a write stores NO bytes (all-or-nothing: a
+// whole-request retry is idempotent) and a read returns none; the elapsed
 // time of every portion, retries included, is still in the returned clock.
-func (f *File) writev(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) (float64, error) {
-	if totalLen(exts) == 0 {
+func (f *File) Submit(r *mpi.Rank, q *storage.Req) (float64, error) {
+	for _, e := range q.Exts {
+		if e.Off < 0 {
+			panic("pvfs: negative offset")
+		}
+	}
+	base := len(q.Bufs)
+	if !q.Write {
+		q.Bufs = slices.Grow(q.Bufs, len(q.Exts))
+		for _, e := range q.Exts {
+			q.Bufs = append(q.Bufs, f.obj.data.Load(e.Off, e.Len))
+		}
+	}
+	total := storage.SumLen(q.Exts)
+	if total == 0 {
 		return r.Now(), nil
 	}
 	cl := r.W.Cluster
 	r.P.Sync()
 	now := r.Now()
 	lat := cl.Config().Latency
-	virtTotal := float64(totalLen(exts)) * f.fs.cfg.CostScale
-	_, txEnd := cl.TxNIC(r.WorldRank()).Acquire(now, virtTotal/cl.Config().NICBandwidth)
-	done, err := f.serveListTry(txEnd+lat, f.perServerBytes(exts), r.JobID())
-	done += lat
-	if err == nil {
-		for i, e := range exts {
-			if e.Off < 0 {
-				panic("pvfs: negative offset")
-			}
-			f.obj.data.Store(e.Off, bufs[i][:e.Len])
-			if f.fs.ledger != nil {
-				f.fs.ledger.Record(f.obj.name, e.Off, bufs[i][:e.Len])
-			}
-		}
+	xfer := float64(total) * f.fs.cfg.CostScale / cl.Config().NICBandwidth
+	var done float64
+	var err error
+	if q.Write {
+		_, txEnd := cl.TxNIC(r.WorldRank()).Acquire(now, xfer)
+		done, err = f.serveList(txEnd+lat, f.perServerBytes(q.Exts), r.JobID())
+		done += lat
+	} else {
+		var served float64
+		served, err = f.serveList(now+lat, f.perServerBytes(q.Exts), r.JobID())
+		_, done = cl.RxNIC(r.WorldRank()).Acquire(served+lat, xfer)
 	}
 	f.fs.maybeTrim(r)
-	if done < now {
-		done = now
+	done = max(done, now)
+	if err != nil {
+		q.Bufs = q.Bufs[:base]
+		return done, err
 	}
-	return done, err
-}
-
-// readv books one vectored read's resources and returns the data plus its
-// virtual completion time. On a post-retry server failure the data is nil.
-func (f *File) readv(r *mpi.Rank, exts []storage.Extent) ([][]byte, float64, error) {
-	out := make([][]byte, len(exts))
-	for i, e := range exts {
-		if e.Off < 0 {
-			panic("pvfs: negative offset")
+	if !q.Write {
+		return done, nil
+	}
+	for i, e := range q.Exts {
+		f.obj.data.Store(e.Off, q.Bufs[i][:e.Len])
+		if f.fs.ledger != nil {
+			f.fs.ledger.Record(f.obj.name, e.Off, q.Bufs[i][:e.Len])
 		}
-		out[i] = f.obj.data.Load(e.Off, e.Len)
 	}
-	if totalLen(exts) == 0 {
-		return out, r.Now(), nil
-	}
-	cl := r.W.Cluster
-	r.P.Sync()
-	now := r.Now()
-	lat := cl.Config().Latency
-	served, err := f.serveListTry(now+lat, f.perServerBytes(exts), r.JobID())
-	virtTotal := float64(totalLen(exts)) * f.fs.cfg.CostScale
-	_, rxEnd := cl.RxNIC(r.WorldRank()).Acquire(served+lat, virtTotal/cl.Config().NICBandwidth)
-	f.fs.maybeTrim(r)
-	if rxEnd < now {
-		rxEnd = now
-	}
-	if err != nil {
-		return nil, rxEnd, err
-	}
-	return out, rxEnd, nil
+	return done, nil
 }
-
-// TryWritevAt is WritevAt with error plumbing: elapsed time (failed attempts
-// included) is charged either way; on error no bytes are stored.
-func (f *File) TryWritevAt(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) error {
-	done, err := f.writev(r, exts, bufs)
-	r.ChargeIO(done - r.Now())
-	return err
-}
-
-// WritevAt writes one list-I/O request, charging ClassIO for the wait.
-func (f *File) WritevAt(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) {
-	if err := f.TryWritevAt(r, exts, bufs); err != nil {
-		panic(fmt.Sprintf("pvfs: WritevAt on %q: %v", f.obj.name, err))
-	}
-}
-
-// WritevAtAsync is WritevAt returning the virtual completion time instead
-// of charging the clock; data is durable on return.
-func (f *File) WritevAtAsync(r *mpi.Rank, exts []storage.Extent, bufs [][]byte) float64 {
-	done, err := f.writev(r, exts, bufs)
-	if err != nil {
-		panic(fmt.Sprintf("pvfs: WritevAtAsync on %q: %v", f.obj.name, err))
-	}
-	return done
-}
-
-// TryReadvAt is ReadvAt with error plumbing: elapsed time is charged either
-// way; on error the data is nil.
-func (f *File) TryReadvAt(r *mpi.Rank, exts []storage.Extent) ([][]byte, error) {
-	out, done, err := f.readv(r, exts)
-	r.ChargeIO(done - r.Now())
-	return out, err
-}
-
-// ReadvAt reads one list-I/O request, charging ClassIO for the wait.
-func (f *File) ReadvAt(r *mpi.Rank, exts []storage.Extent) [][]byte {
-	out, err := f.TryReadvAt(r, exts)
-	if err != nil {
-		panic(fmt.Sprintf("pvfs: ReadvAt on %q: %v", f.obj.name, err))
-	}
-	return out
-}
-
-// ReadvAtAsync is ReadvAt returning the data plus the virtual completion
-// time instead of charging the clock.
-func (f *File) ReadvAtAsync(r *mpi.Rank, exts []storage.Extent) ([][]byte, float64) {
-	out, done, err := f.readv(r, exts)
-	if err != nil {
-		panic(fmt.Sprintf("pvfs: ReadvAtAsync on %q: %v", f.obj.name, err))
-	}
-	return out, done
-}
-
-// WriteAt is the one-extent vectored write.
-func (f *File) WriteAt(r *mpi.Rank, off int64, data []byte) {
-	f.WritevAt(r, []storage.Extent{{Off: off, Len: int64(len(data))}}, [][]byte{data})
-}
-
-// TryWriteAt is WriteAt surfacing post-retry server failures as typed
-// *recovery.TargetError values instead of panicking.
-func (f *File) TryWriteAt(r *mpi.Rank, off int64, data []byte) error {
-	return f.TryWritevAt(r, []storage.Extent{{Off: off, Len: int64(len(data))}}, [][]byte{data})
-}
-
-// WriteAtAsync is the one-extent vectored async write.
-func (f *File) WriteAtAsync(r *mpi.Rank, off int64, data []byte) float64 {
-	return f.WritevAtAsync(r, []storage.Extent{{Off: off, Len: int64(len(data))}}, [][]byte{data})
-}
-
-// ReadAt is the one-extent vectored read.
-func (f *File) ReadAt(r *mpi.Rank, off, n int64) []byte {
-	return f.ReadvAt(r, []storage.Extent{{Off: off, Len: n}})[0]
-}
-
-// TryReadAt is ReadAt surfacing post-retry server failures as typed
-// *recovery.TargetError values instead of panicking.
-func (f *File) TryReadAt(r *mpi.Rank, off, n int64) ([]byte, error) {
-	out, err := f.TryReadvAt(r, []storage.Extent{{Off: off, Len: n}})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// ReadAtAsync is the one-extent vectored async read.
-func (f *File) ReadAtAsync(r *mpi.Rank, off, n int64) ([]byte, float64) {
-	out, done := f.ReadvAtAsync(r, []storage.Extent{{Off: off, Len: n}})
-	return out[0], done
-}
-
-// Punch zeroes stored bytes in [off, off+n) at no time cost — the staging
-// tier's durability-revocation hook. The ledger is deliberately untouched.
-func (f *File) Punch(off, n int64) { f.obj.data.Zero(off, n) }

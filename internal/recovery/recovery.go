@@ -1,20 +1,23 @@
 // Package recovery holds the fail-stop fault-tolerance policy shared by the
-// lustre client (retry/backoff + per-OST circuit breakers) and the mpiio
-// collective layer (round deadlines, aggregator failover budgets). It is
-// pure policy: virtual-time arithmetic and small state machines with no
-// dependency on the simulator, so every piece is unit-testable in isolation
-// and every consumer applies it under its own deterministic RNG.
+// storage backends (one retry loop with backoff and per-target circuit
+// breakers) and the mpiio collective layer (round deadlines, aggregator
+// failover budgets). It is pure policy: virtual-time arithmetic and small
+// state machines with no dependency on the simulator, so every piece is
+// unit-testable in isolation and every consumer applies it under its own
+// deterministic RNG.
 //
 // Determinism contract (same as package fault): nothing here owns random
-// state. Backoff jitter draws from a *rand.Rand handed in by the caller, and
-// a Backoff with Jitter == 0 consumes no draws at all — so healthy runs,
-// which never retry, are bit-identical with or without the machinery
-// installed.
+// state. Backoff jitter draws from a *rand.Rand handed in by the caller (a
+// Retrier keeps its backend's), and a Backoff with Jitter == 0 consumes no
+// draws at all — so healthy runs, which never retry, are bit-identical with
+// or without the machinery installed.
 package recovery
 
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/obs"
 )
 
 // --- retry/backoff ----------------------------------------------------------
@@ -78,6 +81,121 @@ func (b Backoff) Delay(retry int, rng *rand.Rand) float64 {
 // Exhausted reports whether `attempts` total attempts have used up the
 // budget.
 func (b Backoff) Exhausted(attempts int) bool { return attempts >= b.MaxAttempts }
+
+// --- the retry loop ---------------------------------------------------------
+
+// Retrier is one storage layer's retry engine: the backoff schedule, a
+// circuit breaker per target, and the retry counters, in aggregate and per
+// issuing job. Backends arm one only when their fault plan injects errors,
+// so a healthy run never touches it; the read-only methods accept a nil
+// Retrier and report zeroes.
+type Retrier struct {
+	layer, kind string // TargetError's vocabulary
+	backoff     Backoff
+	brk         *BreakerSet
+	rng         *rand.Rand
+	stats       RetryStats
+	byJob       map[int]*RetryStats
+
+	// ObsRetries and ObsOpens, when set, count retries and breaker trips as
+	// they happen.
+	ObsRetries, ObsOpens *obs.Counter
+}
+
+// NewRetrier arms a retry engine whose typed errors name targets as
+// layer/kind ("lustre"/"OST"), with b's schedule (zero fields take the
+// defaults). rng is the backend's own generator: the loop draws backoff
+// jitter from it in engine-serialized order.
+func NewRetrier(layer, kind string, b Backoff, rng *rand.Rand) *Retrier {
+	return &Retrier{layer: layer, kind: kind, backoff: b.Defaults(), brk: NewBreakerSet(), rng: rng}
+}
+
+// Breaker returns the target's circuit breaker.
+func (e *Retrier) Breaker(target int) *Breaker { return e.brk.Get(target) }
+
+// Do carries one request against target, issued by job, from virtual time
+// at. Each attempt first waits out the target's breaker hold-off (an open
+// breaker stalls the request until its half-open probe), then runs attempt,
+// which consults the fault plan and books the attempt: a served attempt
+// returns its completion, a failed one the time its error came back (the
+// failing RPC still occupied the target). A failure feeds the breaker and,
+// unless it is permanent or the attempt budget is spent, backs off per the
+// schedule and goes again. Permanence and exhaustion surface as a typed
+// *TargetError with the clock already past every failed attempt: failures
+// cost time even when they do not cost correctness.
+func (e *Retrier) Do(target, job int, at float64, attempt func(at float64) (end float64, failed, perm bool)) (float64, error) {
+	brk := e.brk.Get(target)
+	jr := e.byJob[job]
+	if jr == nil {
+		if e.byJob == nil {
+			e.byJob = make(map[int]*RetryStats)
+		}
+		jr = &RetryStats{}
+		e.byJob[job] = jr
+	}
+	for attempts := 1; ; attempts++ {
+		if h := brk.HoldOff(at); h > 0 {
+			at += h
+			e.stats.BackoffSecs += h
+			jr.BackoffSecs += h
+		}
+		e.stats.Attempts++
+		jr.Attempts++
+		if attempts > 1 {
+			e.stats.Retries++
+			jr.Retries++
+			if e.ObsRetries != nil {
+				e.ObsRetries.Inc()
+			}
+		}
+		end, failed, perm := attempt(at)
+		if !failed {
+			brk.Success()
+			return end, nil
+		}
+		at = end
+		e.stats.Failures++
+		jr.Failures++
+		opens := brk.Opens
+		brk.Failure(at)
+		if n := brk.Opens - opens; n > 0 {
+			e.stats.BreakerOpens += n
+			jr.BreakerOpens += n
+			if e.ObsOpens != nil {
+				e.ObsOpens.Add(n)
+			}
+		}
+		if perm || e.backoff.Exhausted(attempts) {
+			e.stats.Exhausted++
+			jr.Exhausted++
+			return at, &TargetError{Layer: e.layer, Kind: e.kind, Target: target, Attempts: attempts, Permanent: perm}
+		}
+		d := e.backoff.Delay(attempts, e.rng)
+		at += d
+		e.stats.BackoffSecs += d
+		jr.BackoffSecs += d
+	}
+}
+
+// Stats returns the aggregate counters (zero for a nil Retrier).
+func (e *Retrier) Stats() RetryStats {
+	if e == nil {
+		return RetryStats{}
+	}
+	return e.stats
+}
+
+// StatsByJob returns a copy of the counters keyed by issuing job: only jobs
+// that recorded events, so a healthy run's map is empty.
+func (e *Retrier) StatsByJob() map[int]RetryStats {
+	out := make(map[int]RetryStats)
+	if e != nil {
+		for id, s := range e.byJob {
+			out[id] = *s
+		}
+	}
+	return out
+}
 
 // --- circuit breaker --------------------------------------------------------
 

@@ -18,6 +18,9 @@ func TestCoalesce(t *testing.T) {
 		{"overlap-merge", []Extent{{Off: 0, Len: 6}, {Off: 4, Len: 6}}, []Extent{{Off: 0, Len: 10}}},
 		{"contained", []Extent{{Off: 0, Len: 10}, {Off: 2, Len: 3}}, []Extent{{Off: 0, Len: 10}}},
 		{"unsorted-disjoint", []Extent{{Off: 10, Len: 2}, {Off: 0, Len: 2}}, []Extent{{Off: 0, Len: 2}, {Off: 10, Len: 2}}},
+		{"sorted-gap", []Extent{{Off: 0, Len: 2}, {Off: 5, Len: 2}}, []Extent{{Off: 0, Len: 2}, {Off: 5, Len: 2}}},
+		{"unsorted-chain-merge", []Extent{{Off: 8, Len: 2}, {Off: 0, Len: 2}, {Off: 2, Len: 6}}, []Extent{{Off: 0, Len: 10}}},
+		{"zero-length-among-others", []Extent{{Off: 3, Len: 0}, {Off: 1, Len: 2}}, []Extent{{Off: 1, Len: 2}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -36,6 +39,7 @@ func TestCovered(t *testing.T) {
 	}{
 		{0, 10, true}, {2, 5, true}, {20, 10, true},
 		{5, 10, false}, {8, 20, false}, {30, 1, false},
+		{29, 1, true}, {9, 2, false}, {19, 2, false}, {15, 2, false},
 		{15, 0, true}, // empty ranges are vacuously covered
 	}
 	for _, c := range cases {

@@ -5,24 +5,24 @@
 // PVFS) and internal/bb (a node-local burst-buffer staging tier) plug in
 // behind the same interface.
 //
-// Contract highlights (DESIGN.md §14):
+// Every access is one Req — a list of extents to read or write — handed to
+// File.Submit (DESIGN.md §14). A contiguous access is the one-extent case,
+// as in Ching et al.'s list I/O. Contract highlights:
 //
-//   - Data is stored for real at issue time: after WriteAt or WriteAtAsync
-//     returns, the bytes are durable in the backend's store and the caller
-//     may reuse its buffer. Reads therefore see preceding writes of the same
+//   - Data is stored for real at issue time: after Submit returns, a
+//     write's bytes are durable in the backend's store and the caller may
+//     reuse its buffers. Reads therefore see preceding writes of the same
 //     proc regardless of virtual completion times.
-//   - Blocking variants charge the rank's ClassIO clock for the operation's
-//     completion wait; Async variants book the same simulated resources (in
-//     the same order, drawing the same randomness) but return the virtual
-//     completion time instead, for the nonblocking layer to account.
-//   - Try variants surface typed errors where the blocking variants panic;
-//     they exist for fault-injection plans whose request failures outlive
-//     the retry engine.
-//   - Vectored variants (WritevAt/ReadvAt and their Async twins) move a
-//     whole offset/length list in one call. Every backend implements them;
-//     only backends whose Params().ListIO is true make them cheaper than
-//     the equivalent per-extent loop, and only for those does the collective
-//     flush path in mpiio switch to the vectored calls.
+//   - Submit books the request's simulated resources from the rank's clock
+//     and returns the virtual completion time without charging it. The
+//     blocking form charges ClassIO for the wait (Do, Write, Read); the
+//     nonblocking layer accounts the tail itself (Must).
+//   - Submit returns the typed error the retry engine could not absorb; a
+//     failed write stores nothing, so a whole-request retry is idempotent.
+//     Must-succeed callers panic on it (Must, Do, Write, Read).
+//   - A multi-extent Req costs what its extents would cost issued one by
+//     one from the same clock, except on backends whose Params().ListIO is
+//     true; only for those does mpiio batch its runs into one Req.
 //   - Determinism: all service-time noise must come from seeded per-backend
 //     RNG consumed in engine-serialized order, so a run is a pure function
 //     of (config, workload, seed).
@@ -54,13 +54,12 @@ func (e Extent) End() int64 { return e.Off + e.Len }
 // TargetStat aggregates one storage target's service counters (an OST for
 // lustre, a server for pvfs; lustre.OSTStat is an alias of this type).
 type TargetStat struct {
-	Requests  int64
-	Bytes     int64 // virtual bytes served
-	Switches  int64 // client alternations (lock/seek penalties paid)
-	Tails     int64 // heavy-tail events
-	Errors    int64 // injected request failures (before retry)
-	BusySecs  float64
-	FaultSecs float64 // service time added by the fault plan
+	Requests int64
+	Bytes    int64 // virtual bytes served
+	Switches int64 // client alternations (lock/seek penalties paid)
+	Tails    int64 // heavy-tail events
+	Errors   int64 // injected request failures (before retry)
+	BusySecs float64
 }
 
 // Params describes a backend's protocol-relevant properties — the subset of
@@ -70,16 +69,32 @@ type Params struct {
 	CostScale float64
 	// Targets is the number of storage targets behind the backend.
 	Targets int
-	// ListIO reports native vectored I/O: a WritevAt/ReadvAt costs one
-	// request round-trip per touched target plus the summed transfer,
-	// instead of a per-extent service call each. The collective flush path
-	// uses the vectored calls only when this is set, so backends without
-	// native support keep their per-extent request accounting bit-exact.
+	// ListIO reports native list I/O: a multi-extent Req costs one request
+	// round-trip per touched target plus the summed transfer, instead of a
+	// per-extent service call each. The collective flush path batches its
+	// runs into one Req only when this is set, so backends without native
+	// support keep their per-extent request accounting bit-exact.
 	ListIO bool
-	// Injecting reports that a fault plan injects request errors, i.e. the
-	// Try variants can return non-nil and async paths may panic. Staging
-	// tiers consult it to route traffic through the error-plumbed path.
+	// Injecting reports that a fault plan injects request errors, i.e.
+	// Submit can return non-nil. Staging tiers consult it to route Try
+	// requests through the under-backend's error path.
 	Injecting bool
+}
+
+// Req is one storage request: a list of extents to write or read. For a
+// write, Bufs[i] lands at Exts[i]. For a read, Submit appends one buffer
+// per extent to Bufs. The extents of a multi-extent Req must be sorted and
+// non-overlapping (the collective flush merges before issuing). Callers on
+// hot paths keep one Req and reuse its slices.
+type Req struct {
+	Write bool
+	Exts  []Extent
+	Bufs  [][]byte
+	// Try marks a caller that handles the typed errors itself (the resilient
+	// paths). Only a staging tier reads it: a Try request surfaces pending
+	// staging losses first and, over an injecting under-backend, goes
+	// through the under-backend instead of staging memory.
+	Try bool
 }
 
 // File is an open handle on a backend. Handles are cheap; every rank opens
@@ -90,37 +105,12 @@ type File interface {
 	// Size returns the file length (highest byte written so far).
 	Size() int64
 
-	// WriteAt writes data at off, charging ClassIO for the completion wait.
-	WriteAt(r *mpi.Rank, off int64, data []byte)
-	// TryWriteAt is WriteAt returning the typed error instead of panicking.
-	// On error no bytes are stored (all-or-nothing), so a whole-operation
-	// retry is idempotent; elapsed time is charged either way.
-	TryWriteAt(r *mpi.Rank, off int64, data []byte) error
-	// WriteAtAsync books the same resources as WriteAt and stores the data
-	// immediately, but returns the virtual completion time instead of
-	// charging the clock.
-	WriteAtAsync(r *mpi.Rank, off int64, data []byte) float64
-
-	// ReadAt reads n bytes at off; unwritten bytes read as zero.
-	ReadAt(r *mpi.Rank, off, n int64) []byte
-	// TryReadAt is ReadAt returning the typed error instead of panicking.
-	TryReadAt(r *mpi.Rank, off, n int64) ([]byte, error)
-	// ReadAtAsync books the same resources as ReadAt and returns the data
-	// plus the virtual completion time instead of charging the clock.
-	ReadAtAsync(r *mpi.Rank, off, n int64) ([]byte, float64)
-
-	// WritevAt writes one list-I/O request: bufs[i] lands at exts[i]. The
-	// extents must be sorted and non-overlapping (the collective flush
-	// merges before issuing). Blocking; charges ClassIO.
-	WritevAt(r *mpi.Rank, exts []Extent, bufs [][]byte)
-	// WritevAtAsync is WritevAt returning the virtual completion time
-	// instead of charging the clock; data is durable on return.
-	WritevAtAsync(r *mpi.Rank, exts []Extent, bufs [][]byte) float64
-	// ReadvAt reads one list-I/O request, returning one buffer per extent.
-	ReadvAt(r *mpi.Rank, exts []Extent) [][]byte
-	// ReadvAtAsync is ReadvAt returning the data plus the virtual
-	// completion time instead of charging the clock.
-	ReadvAtAsync(r *mpi.Rank, exts []Extent) ([][]byte, float64)
+	// Submit issues q: it books q's resources from the rank's clock and
+	// returns the virtual completion time without charging it. A write
+	// stores its bytes at issue; a read appends its data to q.Bufs. err is
+	// whatever the backend's retry engine could not absorb; a failed write
+	// stores nothing and a failed read appends nothing.
+	Submit(r *mpi.Rank, q *Req) (done float64, err error)
 
 	// Peek returns the file's bytes in [off, off+n) with no simulated time
 	// cost — the staging tier serves buffer hits from it, and tests verify
@@ -161,12 +151,10 @@ type Backend interface {
 	Remove(name string)
 	// Drain blocks (in virtual time) until every buffered write involving
 	// the calling rank's node is durable on the final tier, charging the
-	// exposed wait to ClassIO. A pass-through backend returns immediately.
-	Drain(r *mpi.Rank)
-	// TryDrain is Drain with error plumbing: after the barrier it reports
-	// any staged data the backend has lost and not yet seen re-dumped, as a
-	// typed *StagingLostError. Backends that stage nothing never fail.
-	TryDrain(r *mpi.Rank) error
+	// exposed wait to ClassIO. After the barrier it reports any staged data
+	// the backend has lost and not yet seen re-dumped, as a typed
+	// *StagingLostError. A pass-through backend returns nil at once.
+	Drain(r *mpi.Rank) error
 	// Stats returns a copy of the per-target service counters.
 	Stats() []TargetStat
 	// RetryStats returns the backend's retry-engine counters — attempts,

@@ -1,10 +1,11 @@
 // Package storagetest is the conformance suite every storage.Backend must
 // pass. A backend package calls Run from its own tests with a constructor;
-// the suite exercises the whole interface — blocking, Try, Async, and
-// vectored variants — and checks the contract the consumers rely on:
+// the suite drives File.Submit in every request form the storage helpers
+// build — blocking and not, Try and must-succeed, one extent and many — and
+// Backend.Drain, and checks the contract the consumers rely on:
 //
-//   - data is durable at issue time (Async and staged writes included);
-//   - vectored calls move exactly the bytes the scalar calls would;
+//   - data is durable at issue time (unwaited and staged writes included);
+//   - multi-extent requests move exactly the bytes one-extent requests would;
 //   - Remove forgets a file completely (a reopen sees a fresh object);
 //   - two identical runs produce identical virtual times and Stats.
 //
@@ -74,20 +75,20 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			}
 			buf := make([]byte, 3000)
 			pattern(buf, 1, 100)
-			f.WriteAt(r, 100, buf)
+			storage.Write(r, f, 100, buf)
 			if got := f.Size(); got < 3100 {
 				t.Fatalf("Size() = %d after write to [100,3100)", got)
 			}
-			if got := f.ReadAt(r, 100, 3000); !bytes.Equal(got, buf) {
-				t.Fatal("ReadAt returned different bytes than WriteAt stored")
+			if got := storage.Read(r, f, 100, 3000); !bytes.Equal(got, buf) {
+				t.Fatal("Read returned different bytes than Write stored")
 			}
 			// Overwrite a middle window and re-check both edges survive.
 			mid := make([]byte, 500)
 			pattern(mid, 2, 0)
-			f.WriteAt(r, 1000, mid)
+			storage.Write(r, f, 1000, mid)
 			want := append([]byte{}, buf...)
 			copy(want[900:], mid)
-			if got := f.ReadAt(r, 100, 3000); !bytes.Equal(got, want) {
+			if got := storage.Read(r, f, 100, 3000); !bytes.Equal(got, want) {
 				t.Fatal("overwrite corrupted neighboring bytes")
 			}
 		})
@@ -98,28 +99,28 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			f := be.Open(r, "async", stripe)
 			b1 := make([]byte, 700)
 			pattern(b1, 3, 0)
-			if err := f.TryWriteAt(r, 0, b1); err != nil {
-				t.Fatalf("TryWriteAt on a healthy backend: %v", err)
+			if err := storage.TryWrite(r, f, 0, b1); err != nil {
+				t.Fatalf("TryWrite on a healthy backend: %v", err)
 			}
 			b2 := make([]byte, 700)
 			pattern(b2, 4, 0)
-			done := f.WriteAtAsync(r, 700, b2)
-			if done < r.Now() {
-				t.Fatalf("WriteAtAsync completion %g before now %g", done, r.Now())
+			w := &storage.Req{Write: true, Exts: []storage.Extent{{Off: 700, Len: 700}}, Bufs: [][]byte{b2}}
+			if done := storage.Must(r, f, w); done < r.Now() {
+				t.Fatalf("write completion %g before now %g", done, r.Now())
 			}
 			// The contract: bytes are visible immediately, not at `done`.
 			if got := f.Peek(700, 700); !bytes.Equal(got, b2) {
 				t.Fatal("async write not durable at issue time")
 			}
-			if got, err := f.TryReadAt(r, 0, 700); err != nil || !bytes.Equal(got, b1) {
-				t.Fatalf("TryReadAt: err=%v, match=%v", err, bytes.Equal(got, b1))
+			if got, err := storage.TryRead(r, f, 0, 700); err != nil || !bytes.Equal(got, b1) {
+				t.Fatalf("TryRead: err=%v, match=%v", err, bytes.Equal(got, b1))
 			}
-			rbuf, rdone := f.ReadAtAsync(r, 700, 700)
-			if rdone < r.Now() {
-				t.Fatalf("ReadAtAsync completion %g before now %g", rdone, r.Now())
+			rd := &storage.Req{Exts: []storage.Extent{{Off: 700, Len: 700}}}
+			if rdone := storage.Must(r, f, rd); rdone < r.Now() {
+				t.Fatalf("read completion %g before now %g", rdone, r.Now())
 			}
-			if !bytes.Equal(rbuf, b2) {
-				t.Fatal("ReadAtAsync returned different bytes than stored")
+			if len(rd.Bufs) != 1 || !bytes.Equal(rd.Bufs[0], b2) {
+				t.Fatal("Submit read returned different bytes than stored")
 			}
 		})
 	})
@@ -133,17 +134,19 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 		}
 		run(t, mk, func(r *mpi.Rank, be storage.Backend) {
 			f := be.Open(r, "vec", stripe)
-			f.WritevAt(r, exts, bufs)
-			got := f.ReadvAt(r, exts)
+			storage.Do(r, f, &storage.Req{Write: true, Exts: exts, Bufs: bufs})
+			rd := &storage.Req{Exts: exts}
+			storage.Do(r, f, rd)
+			got := rd.Bufs
 			if len(got) != len(exts) {
-				t.Fatalf("ReadvAt returned %d bufs, want %d", len(got), len(exts))
+				t.Fatalf("vectored read returned %d bufs, want %d", len(got), len(exts))
 			}
 			for i := range exts {
 				if !bytes.Equal(got[i], bufs[i]) {
 					t.Fatalf("extent %d: vectored read != vectored write", i)
 				}
 				// Scalar reads must see the vectored writes too.
-				if sc := f.ReadAt(r, exts[i].Off, exts[i].Len); !bytes.Equal(sc, bufs[i]) {
+				if sc := storage.Read(r, f, exts[i].Off, exts[i].Len); !bytes.Equal(sc, bufs[i]) {
 					t.Fatalf("extent %d: scalar read != vectored write", i)
 				}
 			}
@@ -155,22 +158,21 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 				abufs[i] = make([]byte, e.Len)
 				pattern(abufs[i], int64(20+i), aexts[i].Off)
 			}
-			done := f.WritevAtAsync(r, aexts, abufs)
-			if done < r.Now() {
-				t.Fatalf("WritevAtAsync completion %g before now %g", done, r.Now())
+			if done := storage.Must(r, f, &storage.Req{Write: true, Exts: aexts, Bufs: abufs}); done < r.Now() {
+				t.Fatalf("async vectored write completion %g before now %g", done, r.Now())
 			}
 			for i, e := range aexts {
 				if !bytes.Equal(f.Peek(e.Off, e.Len), abufs[i]) {
 					t.Fatalf("extent %d: async vectored write not durable at issue", i)
 				}
 			}
-			rbufs, rdone := f.ReadvAtAsync(r, aexts)
-			if rdone < r.Now() {
-				t.Fatalf("ReadvAtAsync completion %g before now %g", rdone, r.Now())
+			ard := &storage.Req{Exts: aexts}
+			if rdone := storage.Must(r, f, ard); rdone < r.Now() {
+				t.Fatalf("async vectored read completion %g before now %g", rdone, r.Now())
 			}
 			for i := range aexts {
-				if !bytes.Equal(rbufs[i], abufs[i]) {
-					t.Fatalf("extent %d: ReadvAtAsync != stored bytes", i)
+				if !bytes.Equal(ard.Bufs[i], abufs[i]) {
+					t.Fatalf("extent %d: async vectored read != stored bytes", i)
 				}
 			}
 		})
@@ -181,7 +183,7 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			f := be.Open(r, "gone", stripe)
 			buf := make([]byte, 2048)
 			pattern(buf, 5, 0)
-			f.WriteAt(r, 0, buf)
+			storage.Write(r, f, 0, buf)
 			be.Remove("gone")
 			g := be.Open(r, "gone", stripe)
 			if got := g.Size(); got != 0 {
@@ -189,8 +191,8 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			}
 			// The fresh object is fully writable again.
 			pattern(buf, 6, 0)
-			g.WriteAt(r, 0, buf)
-			if got := g.ReadAt(r, 0, 2048); !bytes.Equal(got, buf) {
+			storage.Write(r, g, 0, buf)
+			if got := storage.Read(r, g, 0, 2048); !bytes.Equal(got, buf) {
 				t.Fatal("reopen after Remove: write/read mismatch")
 			}
 		})
@@ -201,8 +203,10 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			f := be.Open(r, "drained", stripe)
 			buf := make([]byte, 4096)
 			pattern(buf, 7, 0)
-			f.WriteAt(r, 0, buf)
-			be.Drain(r)
+			storage.Write(r, f, 0, buf)
+			if err := be.Drain(r); err != nil {
+				t.Fatalf("Drain on a healthy backend: %v", err)
+			}
 			if got := f.Contents(); !bytes.Equal(got, buf) {
 				t.Fatal("Contents() after Drain != written bytes")
 			}
@@ -214,7 +218,7 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			f := be.Open(r, "punched", stripe)
 			buf := make([]byte, 4096)
 			pattern(buf, 8, 0)
-			f.WriteAt(r, 0, buf)
+			storage.Write(r, f, 0, buf)
 			f.Punch(1000, 500)
 			if got := f.Size(); got != 4096 {
 				t.Fatalf("Size() = %d after Punch, want 4096 (Punch must not shrink)", got)
@@ -228,8 +232,8 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 				t.Fatal("Punch disturbed bytes outside its range")
 			}
 			// A rewrite heals the hole completely.
-			f.WriteAt(r, 1000, buf[1000:1500])
-			if got := f.ReadAt(r, 0, 4096); !bytes.Equal(got, buf) {
+			storage.Write(r, f, 1000, buf[1000:1500])
+			if got := storage.Read(r, f, 0, 4096); !bytes.Equal(got, buf) {
 				t.Fatal("rewrite after Punch did not restore the original bytes")
 			}
 		})
@@ -240,9 +244,9 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			f := be.Open(r, "healthy", stripe)
 			buf := make([]byte, 2048)
 			pattern(buf, 9, 0)
-			f.WriteAt(r, 0, buf)
-			if err := be.TryDrain(r); err != nil {
-				t.Fatalf("TryDrain on a healthy backend: %v", err)
+			storage.Write(r, f, 0, buf)
+			if err := be.Drain(r); err != nil {
+				t.Fatalf("Drain on a healthy backend: %v", err)
 			}
 			if rs := be.RetryStats(); rs != (recovery.RetryStats{}) {
 				t.Fatalf("RetryStats() = %+v on a healthy backend, want all zero", rs)
@@ -257,8 +261,10 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			f := be.Open(r, "audited", stripe)
 			buf := make([]byte, 3000)
 			pattern(buf, 12, 0)
-			f.WriteAt(r, 512, buf)
-			be.Drain(r)
+			storage.Write(r, f, 512, buf)
+			if err := be.Drain(r); err != nil {
+				t.Fatalf("Drain on a healthy backend: %v", err)
+			}
 			if got := storage.SumLen(led.Acked("audited")); got != 3000 {
 				t.Fatalf("ledger acknowledged %d bytes, want 3000", got)
 			}
@@ -271,7 +277,7 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 			if err := led.VerifyFile("audited", f); err == nil {
 				t.Fatal("ledger audit passed over punched (corrupt) bytes")
 			}
-			f.WriteAt(r, 1024, buf[512:768])
+			storage.Write(r, f, 1024, buf[512:768])
 			if err := led.VerifyFile("audited", f); err != nil {
 				t.Fatalf("ledger audit after healing rewrite: %v", err)
 			}
@@ -287,13 +293,17 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 				buf := make([]byte, 1536)
 				for i := 0; i < 8; i++ {
 					pattern(buf, int64(i), int64(i)*1536)
-					f.WriteAt(r, int64(i)*1536, buf)
+					storage.Write(r, f, int64(i)*1536, buf)
 				}
-				f.WritevAt(r,
-					[]storage.Extent{{Off: 100, Len: 64}, {Off: 9000, Len: 64}},
-					[][]byte{make([]byte, 64), make([]byte, 64)})
-				f.ReadAt(r, 0, 4096)
-				be.Drain(r)
+				storage.Do(r, f, &storage.Req{
+					Write: true,
+					Exts:  []storage.Extent{{Off: 100, Len: 64}, {Off: 9000, Len: 64}},
+					Bufs:  [][]byte{make([]byte, 64), make([]byte, 64)},
+				})
+				storage.Read(r, f, 0, 4096)
+				if err := be.Drain(r); err != nil {
+					t.Fatalf("Drain on a healthy backend: %v", err)
+				}
 				stats = be.Stats()
 			})
 			return end, fmt.Sprintf("%+v", stats)
@@ -343,7 +353,7 @@ func allZero(b []byte) bool {
 //     acknowledged write; the lost ranges read as zeroes until the caller
 //     re-dumps them, which the script does from its master image.
 //
-// Either way the run must end with TryDrain clean, every byte equal to the
+// Either way the run must end with Drain clean, every byte equal to the
 // master image, and the integrity ledger's audit passing. The whole script
 // runs twice and must land on the identical virtual clock.
 func RunFaults(t *testing.T, name string, mk func() storage.Backend) {
@@ -361,8 +371,8 @@ func RunFaults(t *testing.T, name string, mk func() storage.Backend) {
 				if now := r.Now(); now >= FaultAt {
 					t.Fatalf("clock %g already inside the fault window before the first write", now)
 				}
-				if err := f.TryWriteAt(r, 0, w1); err != nil {
-					t.Fatalf("TryWriteAt before the fault window: %v", err)
+				if err := storage.TryWrite(r, f, 0, w1); err != nil {
+					t.Fatalf("TryWrite before the fault window: %v", err)
 				}
 				copy(master, w1)
 
@@ -374,12 +384,12 @@ func RunFaults(t *testing.T, name string, mk func() storage.Backend) {
 				}
 				w2 := make([]byte, 1024)
 				pattern(w2, 31, 4096)
-				err := f.TryWriteAt(r, 4096, w2)
+				err := storage.TryWrite(r, f, 4096, w2)
 				if err == nil {
-					t.Fatal("TryWriteAt inside the fault window succeeded, want a typed error")
+					t.Fatal("TryWrite inside the fault window succeeded, want a typed error")
 				}
 				if !allZero(f.Peek(4096, 1024)) {
-					t.Fatal("failed TryWriteAt left bytes behind (all-or-nothing violated)")
+					t.Fatal("failed TryWrite left bytes behind (all-or-nothing violated)")
 				}
 				var sl *storage.StagingLostError
 				var te *recovery.TargetError
@@ -396,7 +406,7 @@ func RunFaults(t *testing.T, name string, mk func() storage.Backend) {
 					}
 					// Re-dump the lost ranges from the master image.
 					for _, e := range sl.Lost {
-						if err := f.TryWriteAt(r, e.Off, master[e.Off:e.End()]); err != nil {
+						if err := storage.TryWrite(r, f, e.Off, master[e.Off:e.End()]); err != nil {
 							t.Fatalf("re-dump of lost range [%d,%d): %v", e.Off, e.End(), err)
 						}
 					}
@@ -420,19 +430,19 @@ func RunFaults(t *testing.T, name string, mk func() storage.Backend) {
 					r.Compute(FaultAt + FaultFor - now + FaultFor/8)
 				}
 				for i := 0; ; i++ {
-					if err := f.TryWriteAt(r, 4096, w2); err == nil {
+					if err := storage.TryWrite(r, f, 4096, w2); err == nil {
 						break
 					} else if i >= 8 {
-						t.Fatalf("TryWriteAt still failing after the window: %v", err)
+						t.Fatalf("TryWrite still failing after the window: %v", err)
 					}
 					r.Compute(FaultFor)
 				}
 				copy(master[4096:], w2)
 
-				if err := be.TryDrain(r); err != nil {
-					t.Fatalf("TryDrain after recovery: %v", err)
+				if err := be.Drain(r); err != nil {
+					t.Fatalf("Drain after recovery: %v", err)
 				}
-				if got, rerr := f.TryReadAt(r, 0, 8192); rerr != nil || !bytes.Equal(got, master) {
+				if got, rerr := storage.TryRead(r, f, 0, 8192); rerr != nil || !bytes.Equal(got, master) {
 					t.Fatalf("read-back after recovery: err=%v, bytes match=%v", rerr, rerr == nil && bytes.Equal(got, master))
 				}
 				if err := led.Verify("flt", f.Peek); err != nil {

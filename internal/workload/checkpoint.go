@@ -136,20 +136,20 @@ func (w CheckpointBurst) Run(r *mpi.Rank, env Env, name string) CheckpointResult
 	return out
 }
 
-// drain is the durability barrier. On the healthy path it is exactly
-// env.FS.Drain. When the backend injects staging-node failures, it runs the
-// erroring barrier instead: a reported staging loss makes every rank
-// regenerate the lost bytes inside its own blocks (checkpoint data is a
-// pure function of rank and offset) and rewrite them at honest
-// write-through cost, then synchronize and retry the barrier — so the loss
-// check after the barrier sees every rank's repair.
+// drain is the durability barrier. Without staging-node failures it is
+// exactly env.FS.Drain, which then has no loss to report. With them, a
+// reported staging loss makes every rank regenerate the lost bytes inside
+// its own blocks (checkpoint data is a pure function of rank and offset)
+// and rewrite them at honest write-through cost, then synchronize and
+// retry the barrier — so the loss check after the barrier sees every
+// rank's repair.
 func (w CheckpointBurst) drain(r *mpi.Rank, comm *mpi.Comm, env Env, name string, steps int) {
 	if !(env.FS.Params().Injecting && env.Opts.Run.Fault.HasBBFails()) {
-		env.FS.Drain(r)
+		_ = env.FS.Drain(r) // no staging-node failures: nothing to lose
 		return
 	}
 	for attempt := 0; ; attempt++ {
-		err := env.FS.TryDrain(r)
+		err := env.FS.Drain(r)
 		var sl *storage.StagingLostError
 		if err != nil {
 			if !errors.As(err, &sl) || sl.File != name || attempt >= 4 {
@@ -191,7 +191,7 @@ func (w CheckpointBurst) redump(r *mpi.Rank, env Env, name string, lost []storag
 					// A not-yet-reported second loss can surface here; the
 					// report consumes it, and the retry lands write-through
 					// on the degraded node.
-					if werr := f.TryWriteAt(r, e.Off, seg); werr == nil {
+					if werr := storage.TryWrite(r, f, e.Off, seg); werr == nil {
 						break
 					}
 				}
@@ -215,7 +215,7 @@ func (w CheckpointBurst) Verify(r *mpi.Rank, env Env, name string) error {
 		for c := int64(0); c < w.chunks(); c++ {
 			off := w.chunkAt(me, n, s, c)
 			local := int64(s)*w.BlockBytes + c*w.chunkSize()
-			got := f.ReadAt(r, off, w.chunkSize())
+			got := storage.Read(r, f, off, w.chunkSize())
 			for i, b := range got {
 				want := PatternByte(me, local+int64(i))
 				if b != want {

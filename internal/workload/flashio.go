@@ -8,6 +8,7 @@ import (
 	"repro/internal/hdf5lite"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/storage"
 )
 
 // FlashIO models the Flash I/O benchmark (paper §5.4): the I/O kernel of
@@ -123,7 +124,7 @@ func (w FlashIO) WriteCheckpointIndependent(r *mpi.Rank, env Env, name string) R
 // every dataset, returning an error on the first mismatch.
 func (w FlashIO) VerifyCheckpoint(r *mpi.Rank, env Env, name string) error {
 	lf := env.FS.Open(r, name, env.Stripe)
-	raw := lf.ReadAt(r, 0, hdf5lite.HeaderBytesAttrs(w.NVars, w.attrs(0)))
+	raw := storage.Read(r, lf, 0, hdf5lite.HeaderBytesAttrs(w.NVars, w.attrs(0)))
 	ds, attrs, err := hdf5lite.ParseHeader(raw)
 	if err != nil {
 		return err
@@ -137,7 +138,7 @@ func (w FlashIO) VerifyCheckpoint(r *mpi.Rank, env Env, name string) error {
 	me := r.JobRank()
 	per := w.PerProcBytes()
 	for v, d := range ds {
-		got := lf.ReadAt(r, d.Base+int64(me)*per, per)
+		got := storage.Read(r, lf, d.Base+int64(me)*per, per)
 		for i, b := range got {
 			if want := PatternByte(me, int64(v)*per+int64(i)); b != want {
 				return fmt.Errorf("flashio: rank %d var %d byte %d = %d want %d", me, v, i, b, want)

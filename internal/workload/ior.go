@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 // IOR models the IOR benchmark's shared-file collective mode used in the
@@ -92,7 +93,7 @@ func (w IOR) Verify(r *mpi.Rank, env Env, name string) int64 {
 	v := w.view(me, mpi.WorldComm(r).Size())
 	var pos int64
 	for _, s := range v.Map(0, w.Block) {
-		got := f.ReadAt(r, s.Off, s.Len)
+		got := storage.Read(r, f, s.Off, s.Len)
 		for i, b := range got {
 			if b != PatternByte(me, pos+int64(i)) {
 				return pos + int64(i)
@@ -144,7 +145,7 @@ func (w IOR) WriteFPP(r *mpi.Rank, env Env, prefix string) Result {
 				n = w.Block - off
 			}
 			Fill(buf[:n], me, off)
-			f.WriteAt(r, off, buf[:n])
+			storage.Write(r, f, off, buf[:n])
 		}
 	})
 	return Result{
@@ -159,7 +160,7 @@ func (w IOR) WriteFPP(r *mpi.Rank, env Env, prefix string) Result {
 func (w IOR) VerifyFPP(r *mpi.Rank, env Env, prefix string) int64 {
 	me := r.JobRank()
 	f := env.FS.Open(r, fmt.Sprintf("%s.%08d", prefix, me), env.Stripe)
-	got := f.ReadAt(r, 0, w.Block)
+	got := storage.Read(r, f, 0, w.Block)
 	for i, b := range got {
 		if b != PatternByte(me, int64(i)) {
 			return int64(i)

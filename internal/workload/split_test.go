@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/storage"
 )
 
 // Split-mode workloads must write exactly the bytes the blocking mode
@@ -71,7 +72,7 @@ func TestBTIOSplitWriteVerify(t *testing.T) {
 			for s := 0; s < w.Steps; s++ {
 				var pos int64
 				for _, seg := range v.Map(int64(s)*per, per) {
-					got := lf.ReadAt(r, seg.Off, seg.Len)
+					got := storage.Read(r, lf, seg.Off, seg.Len)
 					for i, b := range got {
 						want := PatternByte(p, int64(s)*per+pos+int64(i))
 						if b != want {

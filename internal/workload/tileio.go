@@ -76,7 +76,7 @@ func (w TileIO) drainFT(r *mpi.Rank, comm *mpi.Comm, env Env, name string, steps
 		return
 	}
 	for attempt := 0; ; attempt++ {
-		err := env.FS.TryDrain(r)
+		err := env.FS.Drain(r)
 		var sl *storage.StagingLostError
 		if err != nil {
 			if !errors.As(err, &sl) || sl.File != name || attempt >= 4 {
@@ -121,7 +121,7 @@ func (w TileIO) redump(r *mpi.Rank, env Env, name string, lost []storage.Extent,
 					// A not-yet-reported second loss can surface here;
 					// the report consumes it, and the retry lands
 					// write-through on the degraded node.
-					if werr := f.TryWriteAt(r, e.Off, seg); werr == nil {
+					if werr := storage.TryWrite(r, f, e.Off, seg); werr == nil {
 						break
 					}
 				}
@@ -248,7 +248,7 @@ func (w TileIO) VerifyTile(r *mpi.Rank, env Env, name string) error {
 	lf := env.FS.Open(r, name, env.Stripe)
 	var pos int64
 	for _, s := range v.Map(0, w.TileBytes()) {
-		got := lf.ReadAt(r, s.Off, s.Len)
+		got := storage.Read(r, lf, s.Off, s.Len)
 		for i, b := range got {
 			if b != PatternByte(me, pos+int64(i)) {
 				return fmt.Errorf("rank %d: tile byte %d (file off %d) = %d, want %d",

@@ -12,8 +12,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bb"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/mpi"
 )
 
 const burstProcs = 16
@@ -168,5 +171,34 @@ func TestChaosStorageFaults(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBBStagesPlainWritesOverFlakyOST pins the routing of plain writes on
+// the staging tier over an injecting under-backend: flaky-ost makes lustre
+// inject OST errors, but the collective layer's recovery path stays off
+// (no crashes, no staging-node failures), so its writes are plain and must
+// keep absorbing into staging memory instead of writing through.
+func TestBBStagesPlainWritesOverFlakyOST(t *testing.T) {
+	p := experiments.BenchPreset()
+	p.Backend = "bb"
+	plan, err := fault.Scenario(fault.FlakyOST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Fault = plan
+	env := experiments.EnvFor(p, p.TileScale, core.Options{NumGroups: 4})
+	var elapsed float64
+	mpi.RunPlan(burstProcs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
+		res := p.Tile.Write(r, env, "tile")
+		if r.WorldRank() == 0 {
+			elapsed = res.Elapsed
+		}
+	})
+	absorbed, drained, writethrough := env.FS.(*bb.Tier).Counters()
+	got := fmt.Sprintf("elapsed=%x absorbed=%d drained=%d writethrough=%d retry=%+v",
+		elapsed, absorbed, drained, writethrough, env.FS.RetryStats())
+	if want := "elapsed=0x1.33484e44d3e6ep-07 absorbed=100663296 drained=0 writethrough=0 retry={Attempts:24 Retries:0 Failures:0 Exhausted:0 BreakerOpens:0 BackoffSecs:0}"; got != want {
+		t.Errorf("got  %s\nwant %s", got, want)
 	}
 }

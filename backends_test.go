@@ -17,13 +17,14 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/job"
 )
 
 const backendProcs = 16
 
 func TestBackendSweepListIO(t *testing.T) {
 	p := experiments.BenchPreset()
-	pts := p.BackendSweep(backendProcs, experiments.BackendNames())
+	pts := p.BackendSweep(backendProcs, job.BackendNames())
 	if len(pts) != 3 {
 		t.Fatalf("sweep returned %d points, want 3", len(pts))
 	}
@@ -48,7 +49,7 @@ func TestBackendSweepListIO(t *testing.T) {
 	}
 
 	t.Run("RunTwiceIdentical", func(t *testing.T) {
-		again := p.BackendSweep(backendProcs, experiments.BackendNames())
+		again := p.BackendSweep(backendProcs, job.BackendNames())
 		for i := range pts {
 			if pts[i] != again[i] {
 				t.Errorf("%s: sweep differs between runs:\n  first:  %+v\n  second: %+v",
@@ -62,7 +63,7 @@ func TestCheckpointBurst(t *testing.T) {
 	p := experiments.BenchPreset()
 	// ratio 1: each step's compute equals the reference per-step I/O time —
 	// the acceptance threshold where a staging tier must win.
-	pts := p.CheckpointBurst(backendProcs, 1, experiments.BackendNames())
+	pts := p.CheckpointBurst(backendProcs, 1, job.BackendNames())
 	byName := map[string]experiments.BurstPoint{}
 	for _, pt := range pts {
 		byName[pt.Backend] = pt
@@ -85,7 +86,7 @@ func TestCheckpointBurst(t *testing.T) {
 	// Verify (it panics the run on mismatch); reaching here means it passed.
 
 	t.Run("RunTwiceIdentical", func(t *testing.T) {
-		again := p.CheckpointBurst(backendProcs, 1, experiments.BackendNames())
+		again := p.CheckpointBurst(backendProcs, 1, job.BackendNames())
 		for i := range pts {
 			if pts[i] != again[i] {
 				t.Errorf("%s: burst sweep differs between runs:\n  first:  %+v\n  second: %+v",

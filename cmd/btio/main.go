@@ -32,9 +32,12 @@ func main() {
 		for k*k < n {
 			k++
 		}
-		if n <= c.Procs && k*k == n && p.BT.N%int64(k) == 0 {
+		if n <= c.Spec.Procs && k*k == n && p.BT.N%int64(k) == 0 {
 			procs = append(procs, n)
 		}
+	}
+	if len(procs) == 0 {
+		cli.Fatalf("btio: no BT-IO process count fits under -procs %d (the smallest the sweep runs is 16)", c.Spec.Procs)
 	}
 	points := p.BTIOScale(procs, func(n int) []int {
 		var gs []int

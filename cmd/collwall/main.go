@@ -64,27 +64,30 @@ func main() {
 	c.RegisterScenario("fault scenario for the failures and scenarios modes ('all' runs the catalog: " + strings.Join(fault.Names(), ", ") + ")")
 	c.RegisterObs()
 	flag.CommandLine.Parse(rest)
+	if c.Spec.Scenario == "all" {
+		c.Spec.Scenario = "" // the catalog, as when the flag is omitted
+	}
 	c.ResolveSpec("")
 
-	scenName := c.Scenario
-	if scenName == "" {
-		scenName = "all"
-	}
+	// The modes take the scenario's plan themselves (nil = the whole
+	// catalog); the presets get only the machine knobs.
+	plan := c.Plan()
+	c.Spec.Scenario = ""
 
 	// The observability surface rides along with whatever mode ran.
-	defer maybeObserve(c, *groups)
+	defer maybeObserve(c, plan, *groups)
 
 	switch mode {
 	case "gantt":
-		renderGantt(c, c.Procs)
+		renderGantt(c)
 	case "overlap":
 		runOverlap(c, *groups, *steps, cli.ParseFloats("ratio", *ratios))
 	case "sweep":
 		runSweep(c, *groups, cli.ParseFloats("severity", *severities))
 	case "failures":
-		runFailures(c, scenName, *groups)
+		runFailures(c, plan, *groups)
 	case "scenarios":
-		runScenarios(c, scenName, *groups)
+		runScenarios(c, plan, *groups)
 	default:
 		runWall(c, *minProcs, *maxProcs)
 	}
@@ -94,7 +97,7 @@ func main() {
 // counts (Figures 1 and 2).
 func runWall(c *cli.Common, minProcs, maxProcs int) {
 	p := experiments.PaperPreset()
-	c.ApplyBase(&p)
+	c.Apply(&p)
 	var procs []int
 	for n := minProcs; n <= maxProcs; n *= 2 {
 		procs = append(procs, n)
@@ -124,17 +127,13 @@ func runWall(c *cli.Common, minProcs, maxProcs int) {
 // asked for it: the trace recorder and metrics registry thread through every
 // layer, the Perfetto export is schema-validated before it is written, and
 // the critical-path report names the bounding rank and phase.
-func maybeObserve(c *cli.Common, groups int) {
+func maybeObserve(c *cli.Common, plan *fault.Plan, groups int) {
 	if c.TraceOut == "" && !c.Metrics {
 		return
 	}
 	p := experiments.BenchPreset()
-	c.ApplyBase(&p)
-	var plan *fault.Plan
-	if c.Scenario != "" && c.Scenario != "all" {
-		plan = c.Plan()
-	}
-	o := experiments.ObservedTileWrite(p, c.Procs, groups, plan)
+	c.Apply(&p)
+	o := experiments.ObservedTileWrite(p, c.Spec.Procs, groups, plan)
 	if c.TraceOut != "" {
 		data, err := o.Perfetto()
 		if err != nil {
@@ -158,7 +157,7 @@ func maybeObserve(c *cli.Common, groups int) {
 			return
 		}
 		fmt.Printf("\nInstrumented tile write (%d procs, %d groups): %.6fs, %.2f GB/s\n",
-			c.Procs, groups, o.Result.Elapsed, o.Result.Bandwidth()/1e9)
+			c.Spec.Procs, groups, o.Result.Elapsed, o.Result.Bandwidth()/1e9)
 		fmt.Print(o.Snapshot.String())
 		fmt.Print(o.Path.String())
 	}
@@ -171,9 +170,9 @@ func maybeObserve(c *cli.Common, groups int) {
 // as the ratio grows the hidden fraction rises and the split variants pull
 // ahead of their blocking twins.
 func runOverlap(c *cli.Common, groups, steps int, ratios []float64) {
-	nprocs := c.Procs
+	nprocs := c.Spec.Procs
 	p := experiments.BenchPreset()
-	c.ApplyBase(&p)
+	c.Apply(&p)
 	plan, err := fault.Scenario(fault.OneStraggler)
 	if err != nil {
 		panic(err)
@@ -207,9 +206,9 @@ func runOverlap(c *cli.Common, groups, steps int, ratios []float64) {
 // the maximum within each subgroup, so its elapsed time degrades strictly
 // slower.
 func runSweep(c *cli.Common, groups int, severities []float64) {
-	nprocs := c.Procs
+	nprocs := c.Spec.Procs
 	p := experiments.BenchPreset()
-	c.ApplyBase(&p)
+	c.Apply(&p)
 	pts := p.StragglerSweep(nprocs, groups, severities)
 	if c.JSON {
 		cli.EmitJSON("straggler-sweep", pts)
@@ -231,19 +230,15 @@ func runSweep(c *cli.Common, groups int, severities []float64) {
 }
 
 // runScenarios profiles baseline vs ParColl tile writes under one named
-// fault scenario, or the whole catalog.
-func runScenarios(c *cli.Common, name string, groups int) {
-	nprocs := c.Procs
+// fault scenario's plan, or the whole catalog when plan is nil.
+func runScenarios(c *cli.Common, plan *fault.Plan, groups int) {
+	nprocs := c.Spec.Procs
 	p := experiments.BenchPreset()
-	c.ApplyBase(&p)
+	c.Apply(&p)
 	var pts []experiments.ScenarioPoint
-	if name == "all" {
+	if plan == nil {
 		pts = p.ScenarioSuite(nprocs, groups)
 	} else {
-		plan, err := fault.Scenario(name)
-		if err != nil {
-			panic(err)
-		}
 		pts = append(pts, p.TileUnderFault(nprocs, 1, plan), p.TileUnderFault(nprocs, groups, plan))
 	}
 	if c.JSON {
@@ -264,18 +259,14 @@ func runScenarios(c *cli.Common, name string, groups int) {
 // the unpartitioned baseline and ParColl. Partitioning confines failure
 // detection and domain re-partitioning to the crashed aggregator's subgroup,
 // so ParColl's time-to-recover comes out strictly lower.
-func runFailures(c *cli.Common, name string, groups int) {
-	nprocs := c.Procs
+func runFailures(c *cli.Common, plan *fault.Plan, groups int) {
+	nprocs := c.Spec.Procs
 	p := experiments.BenchPreset()
-	c.ApplyBase(&p)
+	c.Apply(&p)
 	var pts []experiments.FailurePoint
-	if name == "all" {
+	if plan == nil {
 		pts = p.RecoverySuite(nprocs, groups)
 	} else {
-		plan, err := fault.Scenario(name)
-		if err != nil {
-			panic(err)
-		}
 		pts = append(pts, p.TileUnderFailure(nprocs, 1, plan), p.TileUnderFailure(nprocs, groups, plan))
 	}
 	if c.JSON {
@@ -296,9 +287,10 @@ func runFailures(c *cli.Common, name string, groups int) {
 // renderGantt traces one baseline tile-IO collective write and draws the
 // per-rank timeline, making the interleaved sync/exchange/io rounds — and
 // the waiting that builds the wall — directly visible.
-func renderGantt(c *cli.Common, nprocs int) {
+func renderGantt(c *cli.Common) {
+	nprocs := c.Spec.Procs
 	p := experiments.PaperPreset()
-	c.ApplyBase(&p)
+	c.Apply(&p)
 	rec := trace.New()
 	env := experiments.EnvFor(p, p.TileScale, core.Options{})
 	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {

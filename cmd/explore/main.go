@@ -35,7 +35,17 @@ func main() {
 	flag.Parse()
 	c.ResolveSpec("")
 
+	base := experiments.PaperPreset()
+	c.Apply(&base)
+	if err := base.SetParam(*param, 0); err != nil {
+		cli.Fatalf("explore: %v", err)
+	}
 	vals := parseValues(*param, *values)
+	presets := make([]experiments.Preset, len(vals))
+	for i, v := range vals {
+		presets[i] = base
+		presets[i].SetParam(*param, v) // the name passed the check above
+	}
 
 	type row struct {
 		Param      string  `json:"param"`
@@ -48,15 +58,10 @@ func main() {
 	var rows []row
 	t := stats.NewTable(*param, "baseline", "sync-share", fmt.Sprintf("ParColl-%d", *groups), "speedup")
 	var xs, speedups []float64
-	presets := make([]experiments.Preset, len(vals))
-	for i, v := range vals {
-		presets[i] = applyParam(experiments.PaperPreset(), *param, v)
-		c.Apply(&presets[i])
-	}
 	// Point 2i is value i's baseline run, 2i+1 its ParColl run.
 	bw, share := make([]float64, 2*len(vals)), make([]float64, 2*len(vals))
-	experiments.ForEachPoint(len(bw), c.Procs, func(i int) {
-		bw[i], share[i] = runTile(presets[i/2], c.Procs, []int{1, *groups}[i%2])
+	experiments.ForEachPoint(len(bw), c.Spec.Procs, func(i int) {
+		bw[i], share[i] = runTile(presets[i/2], c.Spec.Procs, []int{1, *groups}[i%2])
 	})
 	for i, v := range vals {
 		base, pc := bw[2*i], bw[2*i+1]
@@ -70,7 +75,7 @@ func main() {
 		cli.EmitJSON("sensitivity", rows)
 		return
 	}
-	fmt.Printf("sensitivity of the collective wall to %s (%d procs, tile workload)\n\n", *param, c.Procs)
+	fmt.Printf("sensitivity of the collective wall to %s (%d procs, tile workload)\n\n", *param, c.Spec.Procs)
 	fmt.Println(t)
 	fmt.Println(viz.TrendChart([]viz.Series{
 		{Name: "ParColl speedup", X: xs, Y: speedups, Marker: 'x'},
@@ -94,24 +99,6 @@ func runTile(p experiments.Preset, nprocs, groups int) (bw, syncShare float64) {
 	return bw, syncShare
 }
 
-func applyParam(p experiments.Preset, param string, v float64) experiments.Preset {
-	switch param {
-	case "latency":
-		p.Cluster.Latency = v
-	case "tailprob":
-		p.Lustre.TailProb = v
-	case "jitter":
-		p.Lustre.Jitter = v
-	case "ostbw":
-		p.Lustre.OSTBandwidth = v
-	case "osts":
-		p.Lustre.NumOSTs = int(v)
-	case "switch":
-		p.Lustre.SwitchPenalty = v
-	}
-	return p
-}
-
 func parseValues(param, s string) []float64 {
 	if s == "" {
 		defaults := map[string][]float64{
@@ -122,11 +109,7 @@ func parseValues(param, s string) []float64 {
 			"osts":     {18, 36, 72, 144},
 			"switch":   {0, 1.5e-3, 5e-3},
 		}
-		d, ok := defaults[param]
-		if !ok {
-			cli.Fatalf("unknown param %q", param)
-		}
-		return d
+		return defaults[param]
 	}
 	return cli.ParseFloats("value", s)
 }

@@ -27,12 +27,12 @@ func main() {
 
 	p := experiments.PaperPreset()
 	c.Apply(&p)
-	points := p.FlashSeries(c.Procs, *groups, *aggs)
+	points := p.FlashSeries(c.Spec.Procs, *groups, *aggs)
 	if c.JSON {
 		cli.EmitJSON("flash-series", points)
 	} else {
 		fmt.Printf("Flash I/O checkpoint: %d procs, %d vars, %s virtual per proc\n\n",
-			c.Procs, p.Flash.NVars,
+			c.Spec.Procs, p.Flash.NVars,
 			stats.Bytes(p.Flash.PerProcBytes()*int64(p.Flash.NVars)*int64(p.FlashScale)))
 		t := stats.NewTable("series", "bandwidth")
 		for _, pt := range points {
@@ -41,16 +41,9 @@ func main() {
 		fmt.Println(t)
 	}
 	if *verify {
-		if err := experiments.VerifyFlash(p, min(c.Procs, 64), core.Options{NumGroups: *groups}); err != nil {
+		if err := experiments.VerifyFlash(p, min(c.Spec.Procs, 64), core.Options{NumGroups: *groups}); err != nil {
 			cli.Fatalf("VERIFY FAILED: %v", err)
 		}
 		fmt.Println("verify: checkpoint byte-exact")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -39,12 +39,12 @@ func main() {
 	}
 	gs := cli.ParseInts("group count", *groups)
 
-	points := p.IORGroups([]int{c.Procs}, func(int) []int { return gs })
+	points := p.IORGroups([]int{c.Spec.Procs}, func(int) []int { return gs })
 	if c.JSON {
 		cli.EmitJSON("ior-groups", points)
 	} else {
 		fmt.Printf("IOR collective write: %d procs, %s virtual per proc in %s units\n\n",
-			c.Procs, stats.Bytes(p.IORBlock*int64(p.IORScale)), stats.Bytes(p.IORTransfer*int64(p.IORScale)))
+			c.Spec.Procs, stats.Bytes(p.IORBlock*int64(p.IORScale)), stats.Bytes(p.IORTransfer*int64(p.IORScale)))
 		t := stats.NewTable("config", "bandwidth")
 		for _, pt := range points {
 			label := fmt.Sprintf("ParColl-%d", pt.Groups)
@@ -56,10 +56,10 @@ func main() {
 		fmt.Println(t)
 	}
 	if *ostStats {
-		printOSTStats(p, c.Procs, gs[len(gs)-1])
+		printOSTStats(p, c.Spec.Procs, gs[len(gs)-1])
 	}
 	if *verify {
-		if err := verifyRun(p, c.Procs, gs[len(gs)-1]); err != nil {
+		if err := verifyRun(p, c.Spec.Procs, gs[len(gs)-1]); err != nil {
 			cli.Fatalf("VERIFY FAILED: %v", err)
 		}
 		fmt.Println("verify: file contents byte-exact")
@@ -74,15 +74,15 @@ func verifyRun(p experiments.Preset, nprocs, groups int) error {
 // independent write (where list-I/O collapses per-extent requests) and the
 // checkpoint burst (where the burst buffer hides drains under compute).
 func runBackendSweep(p experiments.Preset, c *cli.Common, ratio float64) {
-	names := experiments.BackendNames()
-	sweep := p.BackendSweep(c.Procs, names)
-	burst := p.CheckpointBurst(c.Procs, ratio, names)
+	names := job.BackendNames()
+	sweep := p.BackendSweep(c.Spec.Procs, names)
+	burst := p.CheckpointBurst(c.Spec.Procs, ratio, names)
 	if c.JSON {
 		cli.EmitJSON("backend-sweep", map[string]any{"strided": sweep, "burst": burst})
 		return
 	}
 	fmt.Printf("Strided independent IOR write: %d procs, %s virtual per proc in %s units\n\n",
-		c.Procs, stats.Bytes(p.IORBlock*int64(p.IORScale)), stats.Bytes(p.IORTransfer*int64(p.IORScale)))
+		c.Spec.Procs, stats.Bytes(p.IORBlock*int64(p.IORScale)), stats.Bytes(p.IORTransfer*int64(p.IORScale)))
 	t := stats.NewTable("backend", "bandwidth", "requests")
 	for _, pt := range sweep {
 		t.AddRow(pt.Backend, stats.MBps(pt.BW), fmt.Sprintf("%d", pt.Requests))
@@ -127,11 +127,4 @@ func printOSTStats(p experiments.Preset, nprocs, groups int) {
 		bars = append(bars, viz.Bar{Label: fmt.Sprintf("OST %02d", i), Value: st[i].BusySecs})
 	}
 	fmt.Println(viz.BarChart(bars, 40, "%.2fs busy"))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

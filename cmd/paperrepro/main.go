@@ -32,15 +32,24 @@ func main() {
 	flag.BoolVar(&timings, "timings", true,
 		"print wall-clock duration after each figure (disable for a deterministic transcript)")
 	presetName := flag.String("preset", "paper", "parameter preset: paper or bench")
-	osts := flag.Int("osts", 0, "override number of OSTs")
-	ostBW := flag.Float64("ostbw", 0, "override per-OST bandwidth, bytes/s")
-	latency := flag.Float64("latency", 0, "override network latency, seconds")
-	jitter := flag.Float64("jitter", -1, "override OST service jitter fraction")
-	tailProb := flag.Float64("tailprob", -1, "override OST heavy-tail probability")
+	// Machine overrides, named as experiments.Preset.SetParam names them;
+	// only the ones given on the command line apply.
+	params := map[string]*float64{
+		"osts":     flag.Float64("osts", 0, "override number of OSTs"),
+		"ostbw":    flag.Float64("ostbw", 0, "override per-OST bandwidth, bytes/s"),
+		"latency":  flag.Float64("latency", 0, "override network latency, seconds"),
+		"jitter":   flag.Float64("jitter", 0, "override OST service jitter fraction"),
+		"tailprob": flag.Float64("tailprob", 0, "override OST heavy-tail probability"),
+	}
 	c = cli.Register(512)
 	c.RegisterScenario("")
 	flag.Parse()
 	c.ResolveSpec("")
+	switch *fig {
+	case "all", "1", "2", "6", "7", "8", "9", "10", "11":
+	default:
+		cli.Fatalf("paperrepro: unknown -fig %q (want all,1,2,6,7,8,9,10,11)", *fig)
+	}
 
 	var p experiments.Preset
 	switch *presetName {
@@ -52,43 +61,35 @@ func main() {
 		cli.Fatalf("unknown preset %q", *presetName)
 	}
 	c.Apply(&p)
-	if *osts > 0 {
-		p.Lustre.NumOSTs = *osts
-	}
-	if *ostBW > 0 {
-		p.Lustre.OSTBandwidth = *ostBW
-	}
-	if *latency > 0 {
-		p.Cluster.Latency = *latency
-	}
-	if *jitter >= 0 {
-		p.Lustre.Jitter = *jitter
-	}
-	if *tailProb >= 0 {
-		p.Lustre.TailProb = *tailProb
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if v, ok := params[f.Name]; ok {
+			if err := p.SetParam(f.Name, *v); err != nil {
+				cli.Fatalf("paperrepro: %v", err)
+			}
+		}
+	})
 	if !c.JSON {
-		fmt.Printf("ParColl reproduction — preset %s, up to %d procs\n\n", p.Name, c.Procs)
+		fmt.Printf("ParColl reproduction — preset %s, up to %d procs\n\n", p.Name, c.Spec.Procs)
 	}
 
 	want := func(f string) bool { return *fig == "all" || *fig == f }
 	if want("1") || want("2") {
-		fig12(p, c.Procs)
+		fig12(p, c.Spec.Procs)
 	}
 	if want("6") {
-		fig6(p, c.Procs)
+		fig6(p, c.Spec.Procs)
 	}
 	if want("7") || want("8") {
-		fig78(p, c.Procs)
+		fig78(p, c.Spec.Procs)
 	}
 	if want("9") {
-		fig9(p, c.Procs)
+		fig9(p, c.Spec.Procs)
 	}
 	if want("10") {
-		fig10(p, c.Procs)
+		fig10(p, c.Spec.Procs)
 	}
 	if want("11") {
-		fig11(p, c.Procs)
+		fig11(p, c.Spec.Procs)
 	}
 }
 

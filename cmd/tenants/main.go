@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
@@ -33,7 +34,7 @@ import (
 func main() {
 	tracePath := flag.String("trace", "", "trace JSON file (tenancy.Trace); empty runs the built-in mixed trace")
 	emit := flag.Bool("emit-trace", false, "print the effective trace as JSON and exit (a template for -trace)")
-	policy := flag.String("policy", "", "QoS policy: "+joinNames()+" (default fifo; overrides the trace file's)")
+	policy := flag.String("policy", "", "QoS policy: "+strings.Join(qos.Names(), ", ")+" (default fifo; overrides the trace file's)")
 	sweepAll := flag.Bool("sweep", false, "run the trace under every QoS policy and compare")
 	baseline := flag.Bool("baseline", true, "also run each job isolated and report slowdown ratios")
 	perJob := flag.Int("procs-per-job", 8, "size parameter of the built-in mixed trace (ignored with -trace)")
@@ -119,17 +120,6 @@ func main() {
 	if *metrics {
 		fmt.Print(reg.Snapshot().String())
 	}
-}
-
-func joinNames() string {
-	s := ""
-	for i, n := range qos.Names() {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
 }
 
 // printReport renders one trace run as a table; withSlowdown adds the

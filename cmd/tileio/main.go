@@ -28,10 +28,10 @@ func main() {
 	switch *sweep {
 	case "groups":
 		var groups []int
-		for g := 1; g <= c.Procs; g *= 2 {
+		for g := 1; g <= c.Spec.Procs; g *= 2 {
 			groups = append(groups, g)
 		}
-		points := p.TileGroupSweep(c.Procs, groups)
+		points := p.TileGroupSweep(c.Spec.Procs, groups)
 		if c.JSON {
 			cli.EmitJSON("tile-group-sweep", points)
 			break
@@ -42,11 +42,11 @@ func main() {
 				pt.Sync, fmt.Sprintf("%.0f%%", pt.SyncShare*100))
 		}
 		fmt.Printf("MPI-Tile-IO vs subgroups (%d procs, %s virtual per tile)\n\n",
-			c.Procs, stats.Bytes(p.Tile.TileBytes()*int64(p.TileScale)))
+			c.Spec.Procs, stats.Bytes(p.Tile.TileBytes()*int64(p.TileScale)))
 		fmt.Println(t)
 	case "procs":
 		var ps []int
-		for n := 16; n <= c.Procs; n *= 2 {
+		for n := 16; n <= c.Spec.Procs; n *= 2 {
 			ps = append(ps, n)
 		}
 		points := p.TileScalability(ps, func(n int) []int {
@@ -73,7 +73,7 @@ func main() {
 		cli.Fatalf("unknown sweep %q", *sweep)
 	}
 	if *verify {
-		if err := experiments.VerifyTile(p, c.Procs, core.Options{NumGroups: 4}); err != nil {
+		if err := experiments.VerifyTile(p, c.Spec.Procs, core.Options{NumGroups: 4}); err != nil {
 			cli.Fatalf("VERIFY FAILED: %v", err)
 		}
 		fmt.Println("verify: tile contents byte-exact")

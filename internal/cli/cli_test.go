@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -23,11 +24,11 @@ func TestParseLists(t *testing.T) {
 }
 
 func TestPlanAndApply(t *testing.T) {
-	c := &Common{Seed: 7}
+	c := &Common{Spec: job.Spec{Workload: job.WorkloadIOR, Procs: 8, Seed: 7}}
 	if c.Plan() != nil {
 		t.Fatal("empty scenario must yield nil plan")
 	}
-	c.Scenario = "one-straggler"
+	c.Spec.Scenario = "one-straggler"
 	plan := c.Plan()
 	if plan == nil || plan.Name != "one-straggler" {
 		t.Fatalf("Plan() = %+v", plan)

@@ -38,7 +38,7 @@ func (p Preset) BackendSweep(nprocs int, backends []string) []BackendPoint {
 		b := backends[i]
 		q := p
 		q.Backend = b
-		env := q.env(q.IORScale, core.Options{})
+		env := EnvFor(q, q.IORScale, core.Options{})
 		w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer, Strided: true}
 		out[i] = BackendPoint{Backend: b}
 		pt := &out[i]
@@ -93,7 +93,7 @@ func (p Preset) CheckpointBurst(nprocs int, ratio float64, backends []string) []
 	// Reference: per-step collective write time on pass-through lustre.
 	ref := p
 	ref.Backend = "lustre"
-	refEnv := ref.env(ref.TileScale, core.Options{})
+	refEnv := EnvFor(ref, ref.TileScale, core.Options{})
 	refW := ref.burstWorkload(0)
 	var refPerStep float64
 	ref.run(nprocs, func(r *mpi.Rank) {
@@ -109,7 +109,7 @@ func (p Preset) CheckpointBurst(nprocs int, ratio float64, backends []string) []
 		b := backends[i]
 		q := p
 		q.Backend = b
-		env := q.env(q.TileScale, core.Options{})
+		env := EnvFor(q, q.TileScale, core.Options{})
 		w := q.burstWorkload(compute)
 		out[i] = BurstPoint{Backend: b, Ratio: ratio}
 		pt := &out[i]

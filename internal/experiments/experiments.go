@@ -148,15 +148,10 @@ func BenchPreset() Preset {
 	return p
 }
 
-// EnvFor builds the environment a runner would use at the given scale
-// (exported for the cmd tools and ad-hoc harnesses).
+// EnvFor builds a fresh file system environment for one run at the given
+// scale, under the preset's fault plan (nil = healthy). Every runner and
+// the cmd tools build theirs here.
 func EnvFor(p Preset, scale float64, opts core.Options) workload.Env {
-	return p.env(scale, opts)
-}
-
-// env builds a fresh file system environment for one run, under the
-// preset's fault plan (nil = healthy).
-func (p Preset) env(scale float64, opts core.Options) workload.Env {
 	return p.envPlan(scale, opts, p.Fault)
 }
 
@@ -168,45 +163,55 @@ func (p Preset) run(nprocs int, body func(r *mpi.Rank)) float64 {
 	return end
 }
 
-// envPlan is env with a fault plan threaded through every layer that
-// consumes one: the lustre config (OST degradation) and the MPI-IO hints
+// envPlan is EnvFor with a fault plan threaded through every layer that
+// consumes one: the storage config (OST degradation) and the MPI-IO hints
 // (per-round compute noise). The sim- and cluster-level parts of the plan
 // are installed by mpi.RunPlan at run time.
 func (p Preset) envPlan(scale float64, opts core.Options, plan *fault.Plan) workload.Env {
+	env := p.mount(scale, plan)
+	env.Opts = p.normalize(opts, plan, env.Stripe.Size)
+	return env
+}
+
+// mount builds the storage half of an environment: the cost-scaled backend
+// under the plan, its stripe (4 MB virtual, at least 256 real bytes), and —
+// under a fault plan — the integrity ledger. Options are left zero.
+func (p Preset) mount(scale float64, plan *fault.Plan) workload.Env {
 	lcfg := p.Lustre
 	lcfg.CostScale = scale
 	if !plan.IsZero() {
 		lcfg.Faults = plan
-		opts.Run.Fault = plan
 	}
-	if p.IntraNode {
-		opts.Hints.IntraNode = true
-	}
-	stripeSize := int64(4<<20) / int64(scale)
-	if stripeSize < 256 {
-		stripeSize = 256
-	}
-	if opts.Hints.CBBufferSize == 0 {
-		opts.Hints.CBBufferSize = stripeSize // cb_buffer = 4 MB virtual
-	}
+	stripeSize := max(int64(4<<20)/int64(scale), 256)
 	env := workload.Env{
 		FS:     p.newBackend(lcfg),
 		Stripe: storage.Stripe{Count: p.StripeCount, Size: stripeSize},
-		Opts:   opts,
 	}
 	if !plan.IsZero() {
 		// Faulted runs carry the integrity audit: every acknowledged store
 		// is digested at issue time and recovery runners verify read-back
 		// against it. Recording is free in virtual time and draw-free.
-		led := storage.NewLedger(p.Seed)
-		env.FS.SetLedger(led)
-		env.Ledger = led
+		env.Ledger = storage.NewLedger(p.Seed)
+		env.FS.SetLedger(env.Ledger)
 	}
 	return env
 }
 
-// BackendNames lists the -backend flag's valid values.
-func BackendNames() []string { return []string{"lustre", "listio", "bb"} }
+// normalize completes a run's options against the preset and its mount:
+// the fault plan threaded into the run state, the preset's intra-node
+// hint, and the collective buffer defaulted to one stripe (4 MB virtual).
+func (p Preset) normalize(opts core.Options, plan *fault.Plan, stripeSize int64) core.Options {
+	if !plan.IsZero() {
+		opts.Run.Fault = plan
+	}
+	if p.IntraNode {
+		opts.Hints.IntraNode = true
+	}
+	if opts.Hints.CBBufferSize == 0 {
+		opts.Hints.CBBufferSize = stripeSize
+	}
+	return opts
+}
 
 // newBackend builds the preset's storage backend from the (already
 // fault-threaded, cost-scaled) lustre config. The listio farm reuses the
@@ -269,7 +274,7 @@ func (p Preset) CollectiveWall(procs []int) []WallPoint {
 // simulation engine's scheduler counters, for benchmark harnesses that
 // report simulator throughput.
 func (p Preset) CollectiveWallStats(n int) (WallPoint, sim.Stats) {
-	env := p.env(p.TileScale, core.Options{})
+	env := EnvFor(p, p.TileScale, core.Options{})
 	var bd mpiio.Breakdown
 	_, st := mpi.RunPlan(n, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {
 		res := p.Tile.Write(r, env, "tile")
@@ -297,7 +302,7 @@ type GroupPoint struct {
 func (p Preset) TileGroupSweep(nprocs int, groups []int) []GroupPoint {
 	out := make([]GroupPoint, len(groups))
 	ForEachPoint(len(groups), nprocs, func(i int) {
-		env := p.env(p.TileScale, core.Options{NumGroups: groups[i]})
+		env := EnvFor(p, p.TileScale, core.Options{NumGroups: groups[i]})
 		pt := &out[i]
 		pt.Groups = groups[i]
 		p.run(nprocs, func(r *mpi.Rank) {
@@ -337,7 +342,7 @@ func (p Preset) IORGroups(procs []int, groupsFor func(nprocs int) []int) []IORPo
 	}
 	ForEachPoint(len(out), maxRanks(procs), func(i int) {
 		pt := &out[i]
-		env := p.env(p.IORScale, core.Options{NumGroups: pt.Groups})
+		env := EnvFor(p, p.IORScale, core.Options{NumGroups: pt.Groups})
 		w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}
 		p.run(pt.Procs, func(r *mpi.Rank) {
 			res := w.Write(r, env, "ior")
@@ -365,7 +370,7 @@ type BTPoint = ScalePoint
 // count from candidates (Figure 9).
 func (p Preset) TileScalability(procs []int, candidates func(nprocs int) []int) []ScalePoint {
 	return bestGroups(procs, candidates, func(n, g int) (bw float64) {
-		env := p.env(p.TileScale, core.Options{NumGroups: g})
+		env := EnvFor(p, p.TileScale, core.Options{NumGroups: g})
 		p.run(n, func(r *mpi.Rank) {
 			res := p.Tile.Write(r, env, "tile")
 			if r.WorldRank() == 0 {
@@ -383,7 +388,7 @@ func (p Preset) BTIOScale(procs []int, candidates func(nprocs int) []int) []BTPo
 		// BT-IO's pattern (c) runs with the materialized intermediate
 		// view — the configuration that reproduces the paper's Figure
 		// 10 (see DESIGN.md on the layout interpretation).
-		env := p.env(p.BTScale, core.Options{NumGroups: g, MaterializeIntermediate: g > 1})
+		env := EnvFor(p, p.BTScale, core.Options{NumGroups: g, MaterializeIntermediate: g > 1})
 		p.run(n, func(r *mpi.Rank) {
 			res := p.BT.Write(r, env, "bt")
 			if r.WorldRank() == 0 {
@@ -440,7 +445,7 @@ func (p Preset) FlashSeries(nprocs, ngroups, hintAggs int) []FlashPoint {
 	}
 	opts := []core.Options{{}, {NumGroups: ngroups}, {Hints: aggHint}, {NumGroups: ngroups, Hints: aggHint}, {}}
 	ForEachPoint(len(out), nprocs, func(i int) {
-		env := p.env(p.FlashScale, opts[i])
+		env := EnvFor(p, p.FlashScale, opts[i])
 		p.run(nprocs, func(r *mpi.Rank) {
 			var res workload.Result
 			if i == len(out)-1 { // "Cray w/o Coll"

@@ -46,7 +46,7 @@ func ObservedTileWrite(p Preset, nprocs, groups int, plan *fault.Plan) Observed 
 	rec := trace.New()
 	reg := obs.New()
 	opts := core.Options{NumGroups: groups, Run: mpiio.RunOptions{Trace: rec, Obs: reg}}
-	env := p.env(p.TileScale, opts)
+	env := EnvFor(p, p.TileScale, opts)
 	env.FS.SetObs(reg)
 	var res workload.Result
 	end, st := mpi.RunPlan(nprocs, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/job"
 )
 
 // atProcs runs fn with GOMAXPROCS set to procs.
@@ -127,7 +128,7 @@ func TestLegFailuresKeepTheirText(t *testing.T) {
 		}},
 		{"dead-server", `pvfs: WritevAt on "ckpt": pvfs: server 0 permanent failure`, func(p Preset) {
 			p.Fault = &fault.Plan{Name: "dead-server", ServerFails: []fault.OSTFail{{OST: -1, Prob: 1, Permanent: true}}}
-			p.CheckpointBurst(16, 1, BackendNames())
+			p.CheckpointBurst(16, 1, job.BackendNames())
 		}},
 	}
 	for _, c := range cases {
@@ -165,8 +166,8 @@ func TestRunnersHostIndependent(t *testing.T) {
 		"RecoverySuite":   func() any { return p.RecoverySuite(16, 4) },
 		"IntraNodeSweep":  func() any { return p.IntraNodeSweep(16, 2, []int{2, 4}) },
 		"StragglerSweep":  func() any { return p.StragglerSweep(16, 4, []float64{0, 1, 2}) },
-		"BackendSweep":    func() any { return p.BackendSweep(16, BackendNames()) },
-		"CheckpointBurst": func() any { return p.CheckpointBurst(16, 1, BackendNames()) },
+		"BackendSweep":    func() any { return p.BackendSweep(16, job.BackendNames()) },
+		"CheckpointBurst": func() any { return p.CheckpointBurst(16, 1, job.BackendNames()) },
 	}
 	for name, run := range runners {
 		var serial, wide any

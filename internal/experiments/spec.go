@@ -19,26 +19,11 @@ import (
 
 // ApplySpec copies a spec's run knobs onto the preset — defaults applied,
 // validation errors returned — including the fault plan resolved from
-// Scenario ("" clears it). It is the spec-world twin of cli.Common.Apply.
+// Scenario ("" clears it). It is the one bridge from a spec to a preset:
+// cli.Common.Apply routes the tools' flags through it, and harnesses that
+// resolve scenarios themselves (collwall's modes, the tenancy trace) pass
+// a spec whose Scenario is "".
 func (p *Preset) ApplySpec(s job.Spec) error {
-	if err := p.ApplySpecBase(s); err != nil {
-		return err
-	}
-	if s2 := s.WithDefaults(); s2.Scenario != "" {
-		plan, err := fault.Scenario(s2.Scenario)
-		if err != nil {
-			return err
-		}
-		p.Fault = plan
-	} else {
-		p.Fault = nil
-	}
-	return nil
-}
-
-// ApplySpecBase is ApplySpec without the fault plan — for harnesses
-// (collwall's modes, the tenancy trace) that resolve scenarios themselves.
-func (p *Preset) ApplySpecBase(s job.Spec) error {
 	s = s.WithDefaults()
 	if err := s.Validate(); err != nil {
 		return err
@@ -53,6 +38,36 @@ func (p *Preset) ApplySpecBase(s job.Spec) error {
 	p.BBDrainBW = s.BBDrainBW
 	if s.Interleave > 0 {
 		p.BurstInterleave = s.Interleave
+	}
+	p.Fault = nil
+	if s.Scenario != "" {
+		p.Fault, _ = fault.Scenario(s.Scenario) // Validate has resolved it
+	}
+	return nil
+}
+
+// SetParam sets one named machine parameter of the preset — the knobs the
+// sensitivity sweeps vary: latency (network latency, seconds), tailprob
+// (OST heavy-tail probability), jitter (OST service jitter fraction),
+// ostbw (per-OST bandwidth, bytes/s), osts (OST count) and switch (OST
+// client-switch penalty, seconds). An unknown name is an error listing
+// the valid ones.
+func (p *Preset) SetParam(name string, v float64) error {
+	switch name {
+	case "latency":
+		p.Cluster.Latency = v
+	case "tailprob":
+		p.Lustre.TailProb = v
+	case "jitter":
+		p.Lustre.Jitter = v
+	case "ostbw":
+		p.Lustre.OSTBandwidth = v
+	case "osts":
+		p.Lustre.NumOSTs = int(v)
+	case "switch":
+		p.Lustre.SwitchPenalty = v
+	default:
+		return fmt.Errorf("experiments: unknown parameter %q (want one of latency, tailprob, jitter, ostbw, osts, switch)", name)
 	}
 	return nil
 }
@@ -126,42 +141,14 @@ type SpecWorkload struct {
 // returns it with a derivation function producing each job's environment
 // from its options. The per-job environments share FS, stripe, and ledger;
 // only the options differ, exactly as concurrent applications share a file
-// system but open files with their own hints. Option normalization (fault
-// threading, intra-node hint, scaled collective-buffer default) matches the
-// single-job env construction line for line, so a job inside a trace opens
-// files identically to the same job run alone.
+// system but open files with their own hints. Both halves are envPlan's
+// own (mount, then normalize), so a job inside a trace opens files
+// identically to the same job run alone.
 func (p Preset) TraceEnv(scale float64, plan *fault.Plan) (fs storage.Backend, envOf func(opts core.Options) workload.Env) {
-	lcfg := p.Lustre
-	lcfg.CostScale = scale
-	if !plan.IsZero() {
-		lcfg.Faults = plan
+	shared := p.mount(scale, plan)
+	return shared.FS, func(opts core.Options) workload.Env {
+		env := shared
+		env.Opts = p.normalize(opts, plan, env.Stripe.Size)
+		return env
 	}
-	fs = p.newBackend(lcfg)
-	var led *storage.Ledger
-	if !plan.IsZero() {
-		led = storage.NewLedger(p.Seed)
-		fs.SetLedger(led)
-	}
-	stripeSize := int64(4<<20) / int64(scale)
-	if stripeSize < 256 {
-		stripeSize = 256
-	}
-	envOf = func(opts core.Options) workload.Env {
-		if !plan.IsZero() {
-			opts.Run.Fault = plan
-		}
-		if p.IntraNode {
-			opts.Hints.IntraNode = true
-		}
-		if opts.Hints.CBBufferSize == 0 {
-			opts.Hints.CBBufferSize = stripeSize
-		}
-		return workload.Env{
-			FS:     fs,
-			Stripe: storage.Stripe{Count: p.StripeCount, Size: stripeSize},
-			Opts:   opts,
-			Ledger: led,
-		}
-	}
-	return fs, envOf
 }

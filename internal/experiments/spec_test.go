@@ -1,21 +1,11 @@
 package experiments
 
 import (
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/job"
 )
-
-// TestBackendNamesAgree pins the two backend catalogs to each other:
-// internal/job is a leaf package and cannot import this one, so it carries
-// its own copy of the list — this test is what keeps them one list.
-func TestBackendNamesAgree(t *testing.T) {
-	if !reflect.DeepEqual(job.BackendNames(), BackendNames()) {
-		t.Fatalf("job.BackendNames() = %v, experiments.BackendNames() = %v",
-			job.BackendNames(), BackendNames())
-	}
-}
 
 func TestApplySpec(t *testing.T) {
 	p := BenchPreset()
@@ -96,5 +86,45 @@ func TestWorkloadForOverrides(t *testing.T) {
 	}
 	if _, _, err := WorkloadFor(p, job.Spec{Workload: "mystery", Procs: 4}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestSetParam pins the machine-parameter setter: every name the
+// sensitivity tools accept lands on its preset field, and an unknown name
+// is an error that lists the valid ones.
+func TestSetParam(t *testing.T) {
+	cases := []struct {
+		name string
+		v    float64
+		got  func(p Preset) float64
+	}{
+		{"latency", 3e-6, func(p Preset) float64 { return p.Cluster.Latency }},
+		{"tailprob", 0.07, func(p Preset) float64 { return p.Lustre.TailProb }},
+		{"jitter", 0.2, func(p Preset) float64 { return p.Lustre.Jitter }},
+		{"ostbw", 9e7, func(p Preset) float64 { return p.Lustre.OSTBandwidth }},
+		{"osts", 18, func(p Preset) float64 { return float64(p.Lustre.NumOSTs) }},
+		{"switch", 2e-3, func(p Preset) float64 { return p.Lustre.SwitchPenalty }},
+	}
+	for _, c := range cases {
+		p := BenchPreset()
+		if err := p.SetParam(c.name, c.v); err != nil {
+			t.Fatalf("SetParam(%q): %v", c.name, err)
+		}
+		if got := c.got(p); got != c.v {
+			t.Errorf("SetParam(%q, %g) left the field at %g", c.name, c.v, got)
+		}
+	}
+	p := BenchPreset()
+	err := p.SetParam("bogus", 1)
+	if err == nil {
+		t.Fatal("unknown parameter accepted")
+	}
+	for _, c := range cases {
+		if !strings.Contains(err.Error(), c.name) {
+			t.Errorf("error %q does not list %q", err, c.name)
+		}
+	}
+	if p != BenchPreset() {
+		t.Error("a rejected parameter changed the preset")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // VerifyIOR writes the preset's IOR workload and validates every rank's
 // slab.
 func VerifyIOR(p Preset, nprocs int, opts core.Options) error {
-	env := p.env(p.IORScale, opts)
+	env := EnvFor(p, p.IORScale, opts)
 	w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}
 	var firstErr error
 	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
@@ -31,7 +31,7 @@ func VerifyIOR(p Preset, nprocs int, opts core.Options) error {
 
 // VerifyTile writes the preset's tile workload and validates every tile.
 func VerifyTile(p Preset, nprocs int, opts core.Options) error {
-	env := p.env(p.TileScale, opts)
+	env := EnvFor(p, p.TileScale, opts)
 	var firstErr error
 	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		p.Tile.Write(r, env, "tile-verify")
@@ -52,7 +52,7 @@ func VerifyBT(p Preset, nprocs int, opts core.Options) error {
 	if opts.NumGroups > 1 {
 		opts.MaterializeIntermediate = true // match the Figure 10 configuration
 	}
-	env := p.env(p.BTScale, opts)
+	env := EnvFor(p, p.BTScale, opts)
 	var firstErr error
 	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		comm := mpi.WorldComm(r)
@@ -82,7 +82,7 @@ func VerifyBT(p Preset, nprocs int, opts core.Options) error {
 
 // VerifyFlash writes the preset's Flash checkpoint and validates it.
 func VerifyFlash(p Preset, nprocs int, opts core.Options) error {
-	env := p.env(p.FlashScale, opts)
+	env := EnvFor(p, p.FlashScale, opts)
 	var firstErr error
 	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		p.Flash.WriteCheckpoint(r, env, "flash-verify")

@@ -38,9 +38,8 @@ func WorkloadNames() []string {
 	return []string{WorkloadTileIO, WorkloadIOR, WorkloadBTIO, WorkloadFlashIO, WorkloadCheckpoint}
 }
 
-// BackendNames lists the valid Spec.Backend values. The list is fixed here
-// rather than imported from experiments so the dependency arrow keeps
-// pointing downward; experiments_test pins the two lists equal.
+// BackendNames lists the valid Spec.Backend values: the storage backends
+// experiments.Preset builds and the cmd tools' -backend flag accepts.
 func BackendNames() []string { return []string{"lustre", "listio", "bb"} }
 
 // Hints is the declarative subset of the MPI-IO hints a Spec can set —
@@ -231,8 +230,13 @@ func (s Spec) Encode() []byte {
 // The decoded spec is returned as-is: callers apply WithDefaults and
 // Validate themselves (the trace loader needs the raw form to distinguish
 // "unset" from "explicitly zero").
-func Decode(data []byte) (Spec, error) {
-	var s Spec
+func Decode(data []byte) (Spec, error) { return DecodeOver(Spec{}, data) }
+
+// DecodeOver is Decode starting from base instead of the zero Spec: a
+// field the document sets wins, one it omits keeps base's value. The cmd
+// tools decode a -spec file over their flag values this way.
+func DecodeOver(base Spec, data []byte) (Spec, error) {
+	s := base
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {

@@ -46,6 +46,27 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestDecodeOver pins the -spec override rule: a field the document sets
+// wins, one it omits keeps the base value, and the strictness is Decode's.
+func TestDecodeOver(t *testing.T) {
+	base := Spec{Workload: WorkloadTileIO, Procs: 64, Seed: 3, Backend: "bb", Hints: Hints{CBNodes: 4}}
+	got, err := DecodeOver(base, []byte(`{"procs": 16, "hints": {"cb_buffer_size": 512}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base
+	want.Procs, want.Hints.CBBufferSize = 16, 512
+	if got != want {
+		t.Fatalf("DecodeOver = %+v, want %+v", got, want)
+	}
+	if _, err := DecodeOver(base, []byte(`{"procs": 16, "stripes": 9}`)); err == nil {
+		t.Fatal("unknown field accepted")
+	}
+	if _, err := DecodeOver(base, []byte(`{"procs": 16} {}`)); err == nil {
+		t.Fatal("trailing object accepted")
+	}
+}
+
 func TestDecodeList(t *testing.T) {
 	specs, err := DecodeList([]byte(`[{"workload": "ior", "procs": 8}, {"workload": "btio", "procs": 9}]`))
 	if err != nil {

@@ -86,7 +86,7 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 		PEsPerNode: t.PEsPerNode,
 		IntraNode:  t.IntraNode,
 	}
-	if err := p.ApplySpecBase(machine); err != nil {
+	if err := p.ApplySpec(machine); err != nil {
 		return Report{}, err
 	}
 	var plan *fault.Plan

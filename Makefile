@@ -120,7 +120,7 @@ storage-faults: vet
 	$(GO) test ./internal/fault/ -count=1
 	$(GO) test ./internal/lustre/ ./internal/pvfs/ ./internal/bb/ -run 'TestBackendFaultConformance' -count=1
 	$(GO) test ./internal/storage/... -count=1
-	$(GO) test . -run 'TestCheckpointBurstSurvivesBBNodeLoss|TestCheckpointBurstUnderFlakyDrain|TestTileUnderDeadPVFSServer|TestBurstUnderFailureDeterministic|TestChaosStorageFaults' -count=1 -v
+	$(GO) test . -run 'TestCheckpointBurstSurvivesBBNodeLoss|TestCheckpointBurstUnderFlakyDrain|TestTileUnderDeadPVFSServer|TestBurstUnderFailureDeterministic|TestChaosStorageFaults|TestGoldenBurstStagingLoss|TestGoldenTileStagingLoss' -count=1 -v
 
 # Regenerate the checked-in full-scale transcript. -timings=false drops the
 # wall-clock lines so the file is a pure function of the simulation — any

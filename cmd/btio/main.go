@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/stats"
@@ -61,7 +60,7 @@ func main() {
 	}
 	if *verify {
 		n := procs[0]
-		if err := experiments.VerifyBT(p, n, core.Options{NumGroups: 4}); err != nil {
+		if err := experiments.Verify(p, job.Spec{Workload: job.WorkloadBTIO, Procs: n, Groups: 4}); err != nil {
 			cli.Fatalf("VERIFY FAILED: %v", err)
 		}
 		fmt.Printf("verify: %d-proc BT-IO file byte-exact\n", n)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/stats"
@@ -41,7 +40,7 @@ func main() {
 		fmt.Println(t)
 	}
 	if *verify {
-		if err := experiments.VerifyFlash(p, min(c.Spec.Procs, 64), core.Options{NumGroups: *groups}); err != nil {
+		if err := experiments.Verify(p, job.Spec{Workload: job.WorkloadFlashIO, Procs: min(c.Spec.Procs, 64), Groups: *groups}); err != nil {
 			cli.Fatalf("VERIFY FAILED: %v", err)
 		}
 		fmt.Println("verify: checkpoint byte-exact")

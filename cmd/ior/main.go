@@ -59,15 +59,11 @@ func main() {
 		printOSTStats(p, c.Spec.Procs, gs[len(gs)-1])
 	}
 	if *verify {
-		if err := verifyRun(p, c.Spec.Procs, gs[len(gs)-1]); err != nil {
+		if err := experiments.Verify(p, job.Spec{Workload: job.WorkloadIOR, Procs: c.Spec.Procs, Groups: gs[len(gs)-1]}); err != nil {
 			cli.Fatalf("VERIFY FAILED: %v", err)
 		}
 		fmt.Println("verify: file contents byte-exact")
 	}
-}
-
-func verifyRun(p experiments.Preset, nprocs, groups int) error {
-	return experiments.VerifyIOR(p, nprocs, core.Options{NumGroups: groups})
 }
 
 // runBackendSweep compares the storage backends head to head: the strided

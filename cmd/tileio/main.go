@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/stats"
@@ -73,7 +72,7 @@ func main() {
 		cli.Fatalf("unknown sweep %q", *sweep)
 	}
 	if *verify {
-		if err := experiments.VerifyTile(p, c.Spec.Procs, core.Options{NumGroups: 4}); err != nil {
+		if err := experiments.Verify(p, job.Spec{Workload: job.WorkloadTileIO, Procs: c.Spec.Procs, Groups: 4}); err != nil {
 			cli.Fatalf("VERIFY FAILED: %v", err)
 		}
 		fmt.Println("verify: tile contents byte-exact")

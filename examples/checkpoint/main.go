@@ -46,12 +46,12 @@ func main() {
 		}
 		var res workload.Result
 		mpi.Run(nprocs, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			out := flash.WriteCheckpoint(r, env, "chk0001")
+			out := flash.Write(r, env, "chk0001")
 			if r.WorldRank() == 0 {
 				res = out
 			}
 			mpi.WorldComm(r).Barrier()
-			if err := flash.VerifyCheckpoint(r, env, "chk0001"); err != nil {
+			if err := flash.Check(r, env, "chk0001"); err != nil {
 				log.Fatal(err)
 			}
 		})

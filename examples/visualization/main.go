@@ -48,7 +48,7 @@ func main() {
 					share = bd.Sync / tot
 				}
 			}
-			if err := tile.VerifyTile(r, env, "frame.raw"); err != nil {
+			if err := tile.Check(r, env, "frame.raw"); err != nil {
 				log.Fatal(err)
 			}
 		})

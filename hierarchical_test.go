@@ -128,9 +128,8 @@ func TestHierarchicalStridedReadBackVerifies(t *testing.T) {
 		w := workload.IOR{Block: 4096, Transfer: 64, Strided: true}
 		mpi.Run(64, p.Cluster, p.Seed, func(r *mpi.Rank) {
 			w.Write(r, env, "strided")
-			if off := w.Verify(r, env, "strided"); off >= 0 {
-				t.Errorf("intra=%v rank %d: first mismatch at rank-local offset %d",
-					intra, r.WorldRank(), off)
+			if err := w.Check(r, env, "strided"); err != nil {
+				t.Errorf("intra=%v: %v", intra, err)
 			}
 		})
 	}

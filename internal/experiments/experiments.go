@@ -344,12 +344,8 @@ func (p Preset) IORGroups(procs []int, groupsFor func(nprocs int) []int) []IORPo
 		pt := &out[i]
 		env := EnvFor(p, p.IORScale, core.Options{NumGroups: pt.Groups})
 		w := workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}
-		p.run(pt.Procs, func(r *mpi.Rank) {
-			res := w.Write(r, env, "ior")
-			if r.WorldRank() == 0 {
-				pt.BW = res.Bandwidth()
-			}
-		})
+		res, _ := p.once(pt.Procs, p.Fault, w, env, "ior", false)
+		pt.BW = res.Bandwidth()
 	})
 	return out
 }
@@ -369,33 +365,23 @@ type BTPoint = ScalePoint
 // TileScalability sweeps process counts, picking ParColl's best subgroup
 // count from candidates (Figure 9).
 func (p Preset) TileScalability(procs []int, candidates func(nprocs int) []int) []ScalePoint {
-	return bestGroups(procs, candidates, func(n, g int) (bw float64) {
+	return bestGroups(procs, candidates, func(n, g int) float64 {
 		env := EnvFor(p, p.TileScale, core.Options{NumGroups: g})
-		p.run(n, func(r *mpi.Rank) {
-			res := p.Tile.Write(r, env, "tile")
-			if r.WorldRank() == 0 {
-				bw = res.Bandwidth()
-			}
-		})
-		return bw
+		res, _ := p.once(n, p.Fault, p.Tile, env, "tile", false)
+		return res.Bandwidth()
 	})
 }
 
 // BTIOScale sweeps (square) process counts for BT-IO full mode
 // (Figure 10). BT-IO's scattered pattern exercises intermediate file views.
 func (p Preset) BTIOScale(procs []int, candidates func(nprocs int) []int) []BTPoint {
-	return bestGroups(procs, candidates, func(n, g int) (bw float64) {
+	return bestGroups(procs, candidates, func(n, g int) float64 {
 		// BT-IO's pattern (c) runs with the materialized intermediate
 		// view — the configuration that reproduces the paper's Figure
 		// 10 (see DESIGN.md on the layout interpretation).
 		env := EnvFor(p, p.BTScale, core.Options{NumGroups: g, MaterializeIntermediate: g > 1})
-		p.run(n, func(r *mpi.Rank) {
-			res := p.BT.Write(r, env, "bt")
-			if r.WorldRank() == 0 {
-				bw = res.Bandwidth()
-			}
-		})
-		return bw
+		res, _ := p.once(n, p.Fault, p.BT, env, "bt", false)
+		return res.Bandwidth()
 	})
 }
 
@@ -446,13 +432,13 @@ func (p Preset) FlashSeries(nprocs, ngroups, hintAggs int) []FlashPoint {
 	opts := []core.Options{{}, {NumGroups: ngroups}, {Hints: aggHint}, {NumGroups: ngroups, Hints: aggHint}, {}}
 	ForEachPoint(len(out), nprocs, func(i int) {
 		env := EnvFor(p, p.FlashScale, opts[i])
-		p.run(nprocs, func(r *mpi.Rank) {
-			var res workload.Result
-			if i == len(out)-1 { // "Cray w/o Coll"
-				res = p.Flash.WriteCheckpointIndependent(r, env, "flash")
-			} else {
-				res = p.Flash.WriteCheckpoint(r, env, "flash")
-			}
+		if i < len(out)-1 {
+			res, _ := p.once(nprocs, p.Fault, p.Flash, env, "flash", false)
+			out[i].BW = res.Bandwidth()
+			return
+		}
+		p.run(nprocs, func(r *mpi.Rank) { // "Cray w/o Coll"
+			res := p.Flash.WriteCheckpointIndependent(r, env, "flash")
 			if r.WorldRank() == 0 {
 				out[i].BW = res.Bandwidth()
 			}

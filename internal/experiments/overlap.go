@@ -13,7 +13,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mpi"
 	"repro/internal/workload"
 )
 
@@ -44,13 +43,7 @@ func (p Preset) overlapRun(nprocs, groups, steps int, compute float64, split boo
 	w.Steps = steps
 	w.Compute = compute
 	w.Split = split
-	var res workload.Result
-	mpi.RunPlan(nprocs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
-		out := w.Write(r, env, "tile")
-		if r.WorldRank() == 0 {
-			res = out
-		}
-	})
+	res, _ := p.once(nprocs, plan, w, env, "tile", false)
 	return res
 }
 

@@ -10,11 +10,9 @@ package experiments
 // machine a failure drags into replanning.
 
 import (
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mpi"
+	"repro/internal/job"
 	"repro/internal/recovery"
-	"repro/internal/workload"
 )
 
 // FailurePoint is one (plan, groups) tile write-under-failure measurement.
@@ -37,35 +35,24 @@ type FailurePoint struct {
 // in-run. The plan may carry crashes, OST failures, and message loss; nil
 // runs the healthy reference.
 func (p Preset) TileUnderFailure(nprocs, groups int, plan *fault.Plan) FailurePoint {
-	opts := core.Options{NumGroups: groups}
-	env := p.envPlan(p.TileScale, opts, plan)
-	pt := FailurePoint{Groups: groups, Verified: true}
+	return p.underFailure(job.Spec{Workload: job.WorkloadTileIO, Procs: nprocs, Groups: groups}, plan, "tile-failure")
+}
+
+// underFailure writes the spec's workload once under the plan, checks
+// every rank's bytes and audits the ledger (checkAudited), and reports
+// rank 0's elapsed time, recovery record and goodput.
+func (p Preset) underFailure(s job.Spec, plan *fault.Plan, name string) FailurePoint {
+	w, scale, err := WorkloadFor(p, s)
+	if err != nil {
+		panic(err)
+	}
+	res, err := p.once(s.Procs, plan, w, p.envPlan(scale, OptionsFor(s), plan), name, true)
+	pt := FailurePoint{Groups: s.Groups, Elapsed: res.Elapsed, Recovery: res.Recovery, Verified: err == nil}
 	if plan != nil {
 		pt.Scenario = plan.Name
 	}
-	var virt int64
-	mpi.RunPlan(nprocs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
-		res := p.Tile.Write(r, env, "tile-failure")
-		mpi.WorldComm(r).Barrier()
-		if err := p.Tile.VerifyTile(r, env, "tile-failure"); err != nil {
-			pt.Verified = false
-		}
-		if r.WorldRank() == 0 && env.Ledger != nil {
-			// Integrity audit: every acknowledged store must read back
-			// byte-identical to its issue-time digest's bytes.
-			lf := env.FS.Open(r, "tile-failure", env.Stripe)
-			if err := env.Ledger.VerifyFile("tile-failure", lf); err != nil {
-				pt.Verified = false
-			}
-		}
-		if r.WorldRank() == 0 {
-			pt.Elapsed = res.Elapsed
-			pt.Recovery = res.Recovery
-			virt = res.VirtBytes
-		}
-	})
 	if pt.Verified && pt.Elapsed > 0 {
-		pt.Goodput = float64(virt) / pt.Elapsed
+		pt.Goodput = float64(res.VirtBytes) / pt.Elapsed
 	}
 	return pt
 }
@@ -87,52 +74,10 @@ func (p Preset) RecoverySuite(nprocs, groups int) []FailurePoint {
 
 // BTUnderFailure is TileUnderFailure's BT-IO sibling: Steps solution dumps
 // written collectively under the plan, then read back dump-by-dump through
-// the same handles and compared to the pattern. Exercises recovery across
+// the same options and compared to the pattern. Exercises recovery across
 // repeated collective calls on one file handle (a corpse detected in call k
 // must fail over at round zero of call k+1 without paying the watchdog
 // again).
 func (p Preset) BTUnderFailure(nprocs, groups int, plan *fault.Plan) FailurePoint {
-	opts := core.Options{NumGroups: groups}
-	if groups > 1 {
-		opts.MaterializeIntermediate = true // match the Figure 10 configuration
-	}
-	env := p.envPlan(p.BTScale, opts, plan)
-	pt := FailurePoint{Groups: groups, Verified: true}
-	if plan != nil {
-		pt.Scenario = plan.Name
-	}
-	var virt int64
-	mpi.RunPlan(nprocs, p.Cluster, p.Seed, plan, func(r *mpi.Rank) {
-		res := p.BT.Write(r, env, "bt-failure")
-		comm := mpi.WorldComm(r)
-		comm.Barrier()
-		f := core.Open(comm, env.FS, "bt-failure", env.Stripe, env.Opts)
-		me := r.WorldRank()
-		f.SetView(p.BT.View(me, nprocs))
-		per := p.BT.DumpBytes(nprocs)
-		for s := 0; s < p.BT.Steps; s++ {
-			got := f.ReadAtAll(int64(s)*per, per)
-			for i, b := range got {
-				if b != workload.PatternByte(me, int64(s)*per+int64(i)) {
-					pt.Verified = false
-					break
-				}
-			}
-		}
-		if r.WorldRank() == 0 && env.Ledger != nil {
-			lf := env.FS.Open(r, "bt-failure", env.Stripe)
-			if err := env.Ledger.VerifyFile("bt-failure", lf); err != nil {
-				pt.Verified = false
-			}
-		}
-		if r.WorldRank() == 0 {
-			pt.Elapsed = res.Elapsed
-			pt.Recovery = res.Recovery
-			virt = res.VirtBytes
-		}
-	})
-	if pt.Verified && pt.Elapsed > 0 {
-		pt.Goodput = float64(virt) / pt.Elapsed
-	}
-	return pt
+	return p.underFailure(job.Spec{Workload: job.WorkloadBTIO, Procs: nprocs, Groups: groups}, plan, "bt-failure")
 }

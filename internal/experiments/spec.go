@@ -93,20 +93,20 @@ func OptionsFor(s job.Spec) core.Options {
 // returned workloads are the exact values the single-job runners use, so a
 // job inside a tenancy trace reproduces the corresponding figure's I/O
 // pattern bit-for-bit.
-func WorkloadFor(p Preset, s job.Spec) (w SpecWorkload, scale float64, err error) {
+func WorkloadFor(p Preset, s job.Spec) (w workload.Workload, scale float64, err error) {
 	switch s.Workload {
 	case job.WorkloadTileIO:
-		return SpecWorkload{Tile: &p.Tile}, p.TileScale, nil
+		return p.Tile, p.TileScale, nil
 	case job.WorkloadIOR:
-		return SpecWorkload{IOR: &workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}}, p.IORScale, nil
+		return workload.IOR{Block: p.IORBlock, Transfer: p.IORTransfer}, p.IORScale, nil
 	case job.WorkloadBTIO:
 		bt := p.BT
 		if s.Steps > 0 {
 			bt.Steps = s.Steps
 		}
-		return SpecWorkload{BT: &bt}, p.BTScale, nil
+		return bt, p.BTScale, nil
 	case job.WorkloadFlashIO:
-		return SpecWorkload{Flash: &p.Flash}, p.FlashScale, nil
+		return p.Flash, p.FlashScale, nil
 	case job.WorkloadCheckpoint:
 		cb := p.burstWorkload(s.Compute)
 		if s.BlockBytes > 0 {
@@ -119,21 +119,11 @@ func WorkloadFor(p Preset, s job.Spec) (w SpecWorkload, scale float64, err error
 			cb.Interleave = s.Interleave
 		}
 		if cb.Interleave > 0 && cb.BlockBytes%cb.Interleave != 0 {
-			return SpecWorkload{}, 0, fmt.Errorf("experiments: interleave %d does not divide block bytes %d", cb.Interleave, cb.BlockBytes)
+			return nil, 0, fmt.Errorf("experiments: interleave %d does not divide block bytes %d", cb.Interleave, cb.BlockBytes)
 		}
-		return SpecWorkload{Burst: &cb}, p.TileScale, nil
+		return cb, p.TileScale, nil
 	}
-	return SpecWorkload{}, 0, fmt.Errorf("experiments: unknown workload %q", s.Workload)
-}
-
-// SpecWorkload is the tagged union WorkloadFor returns: exactly one field
-// is non-nil.
-type SpecWorkload struct {
-	Tile  *workload.TileIO
-	IOR   *workload.IOR
-	BT    *workload.BTIO
-	Flash *workload.FlashIO
-	Burst *workload.CheckpointBurst
+	return nil, 0, fmt.Errorf("experiments: unknown workload %q", s.Workload)
 }
 
 // TraceEnv builds the shared machine for a multi-tenant trace — ONE backend

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/job"
+	"repro/internal/workload"
 )
 
 func TestApplySpec(t *testing.T) {
@@ -66,7 +67,7 @@ func TestWorkloadForOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.BT == nil || w.BT.Steps != 2 {
+	if bt, ok := w.(workload.BTIO); !ok || bt.Steps != 2 {
 		t.Fatalf("BT steps override not applied: %+v", w)
 	}
 	if scale != p.BTScale {
@@ -77,8 +78,8 @@ func TestWorkloadForOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cw.Burst == nil || cw.Burst.BlockBytes != 8<<10 || cw.Burst.Steps != 3 || cw.Burst.Interleave != 2<<10 {
-		t.Fatalf("checkpoint overrides not applied: %+v", cw.Burst)
+	if cb, ok := cw.(workload.CheckpointBurst); !ok || cb.BlockBytes != 8<<10 || cb.Steps != 3 || cb.Interleave != 2<<10 {
+		t.Fatalf("checkpoint overrides not applied: %+v", cw)
 	}
 	if _, _, err := WorkloadFor(p, job.Spec{Workload: job.WorkloadCheckpoint, Procs: 4,
 		BlockBytes: 5 << 10, Interleave: 2 << 10}); err == nil {

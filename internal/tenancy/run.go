@@ -131,7 +131,7 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 	// own latency recorder, own file-name prefix.
 	envs := make([]workload.Env, njobs)
 	recs := make([]*obs.LatencyRecorder, njobs)
-	works := make([]experiments.SpecWorkload, njobs)
+	works := make([]workload.Workload, njobs)
 	for j, s := range t.Jobs {
 		w, _, err := experiments.WorkloadFor(p, s)
 		if err != nil {
@@ -155,7 +155,10 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 			// Unscaled by straggler plans: arrival is trace input, not noise.
 			r.P.AdvanceTo(s.Arrival)
 		}
-		vb, verr := runJob(r, works[j], envs[j], "job:"+s.Name)
+		// Write, then byte-exact read-back verification, all in virtual time.
+		w, env, name := works[j], envs[j], "job:"+s.Name
+		res := w.Write(r, env, name)
+		verr := w.Check(r, env, name)
 		comm := mpi.WorldComm(r)
 		bad := int64(0)
 		if verr != nil {
@@ -165,7 +168,7 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 		fin := comm.MaxFinishTime()
 		if r.JobRank() == 0 {
 			ends[j] = fin
-			bytes[j] = vb
+			bytes[j] = res.VirtBytes
 			fails[j] = nbad
 		}
 	})
@@ -249,31 +252,4 @@ func RunWithBaseline(p experiments.Preset, t Trace) (Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// runJob dispatches one tenant's workload: write, then byte-exact read-back
-// verification, all in virtual time. Returns the job's virtual payload and
-// the rank-local verification error.
-func runJob(r *mpi.Rank, w experiments.SpecWorkload, env workload.Env, name string) (int64, error) {
-	switch {
-	case w.Tile != nil:
-		res := w.Tile.Write(r, env, name)
-		return res.VirtBytes, w.Tile.VerifyTile(r, env, name)
-	case w.IOR != nil:
-		res := w.IOR.Write(r, env, name)
-		if off := w.IOR.Verify(r, env, name); off >= 0 {
-			return res.VirtBytes, fmt.Errorf("ior: first mismatch at offset %d", off)
-		}
-		return res.VirtBytes, nil
-	case w.BT != nil:
-		res := w.BT.Write(r, env, name)
-		return res.VirtBytes, w.BT.Verify(r, env, name)
-	case w.Flash != nil:
-		res := w.Flash.WriteCheckpoint(r, env, name)
-		return res.VirtBytes, w.Flash.VerifyCheckpoint(r, env, name)
-	case w.Burst != nil:
-		res := w.Burst.Run(r, env, name)
-		return res.VirtBytes, w.Burst.Verify(r, env, name)
-	}
-	panic("tenancy: empty SpecWorkload")
 }

@@ -58,9 +58,9 @@ func (w FlashIO) specs(nprocs int) []hdf5lite.Spec {
 	return specs
 }
 
-// WriteCheckpoint writes a full checkpoint collectively (ParColl path) and
-// returns this rank's Result.
-func (w FlashIO) WriteCheckpoint(r *mpi.Rank, env Env, name string) Result {
+// Write writes a full checkpoint collectively (ParColl path) and returns
+// this rank's Result.
+func (w FlashIO) Write(r *mpi.Rank, env Env, name string) Result {
 	comm := mpi.WorldComm(r)
 	cf := core.Open(comm, env.FS, name, env.Stripe, env.Opts)
 	me := r.JobRank()
@@ -120,9 +120,9 @@ func (w FlashIO) WriteCheckpointIndependent(r *mpi.Rank, env Env, name string) R
 	}
 }
 
-// VerifyCheckpoint validates the container header and this rank's data in
-// every dataset, returning an error on the first mismatch.
-func (w FlashIO) VerifyCheckpoint(r *mpi.Rank, env Env, name string) error {
+// Check validates the container header and reads this rank's data in
+// every dataset back against the pattern.
+func (w FlashIO) Check(r *mpi.Rank, env Env, name string) error {
 	lf := env.FS.Open(r, name, env.Stripe)
 	raw := storage.Read(r, lf, 0, hdf5lite.HeaderBytesAttrs(w.NVars, w.attrs(0)))
 	ds, attrs, err := hdf5lite.ParseHeader(raw)
@@ -135,15 +135,10 @@ func (w FlashIO) VerifyCheckpoint(r *mpi.Rank, env Env, name string) error {
 	if len(ds) != w.NVars {
 		return fmt.Errorf("flashio: %d datasets, want %d", len(ds), w.NVars)
 	}
-	me := r.JobRank()
 	per := w.PerProcBytes()
+	pieces := make([]datatype.Segment, len(ds))
 	for v, d := range ds {
-		got := storage.Read(r, lf, d.Base+int64(me)*per, per)
-		for i, b := range got {
-			if want := PatternByte(me, int64(v)*per+int64(i)); b != want {
-				return fmt.Errorf("flashio: rank %d var %d byte %d = %d want %d", me, v, i, b, want)
-			}
-		}
+		pieces[v] = datatype.Segment{Off: d.Base + int64(r.JobRank())*per, Len: per}
 	}
-	return nil
+	return readBack(r, lf, pieces)
 }

@@ -20,7 +20,7 @@ func TestTileIOSplitWriteVerify(t *testing.T) {
 	const nprocs = 8
 	mpi.Run(nprocs, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		res := w.Write(r, env, "tile")
-		if err := w.VerifyTile(r, env, "tile"); err != nil {
+		if err := w.Check(r, env, "tile"); err != nil {
 			t.Error(err)
 		}
 		if res.Overlap.Hidden <= 0 {

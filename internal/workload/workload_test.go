@@ -54,8 +54,8 @@ func TestIORWriteVerify(t *testing.T) {
 			t.Errorf("virt bytes = %d", res.VirtBytes)
 		}
 		mpi.WorldComm(r).Barrier()
-		if bad := w.Verify(r, env, "ior"); bad >= 0 {
-			t.Errorf("rank %d: mismatch at %d", r.WorldRank(), bad)
+		if err := w.Check(r, env, "ior"); err != nil {
+			t.Error(err)
 		}
 	})
 }
@@ -82,7 +82,7 @@ func TestTileIOWriteVerify(t *testing.T) {
 			t.Error("no elapsed time")
 		}
 		mpi.WorldComm(r).Barrier()
-		if err := w.VerifyTile(r, env, "tile"); err != nil {
+		if err := w.Check(r, env, "tile"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -230,7 +230,7 @@ func TestFlashCheckpointVerify(t *testing.T) {
 	env := testEnv(core.Options{NumGroups: 2, Hints: mpiio.Hints{CBBufferSize: 8192}})
 	w := FlashIO{NxB: 4, NyB: 4, NzB: 4, NBlocks: 3, NVars: 4, Elem: 8}
 	mpi.Run(4, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		res := w.WriteCheckpoint(r, env, "flash")
+		res := w.Write(r, env, "flash")
 		if res.Elapsed <= 0 {
 			t.Error("no elapsed time")
 		}
@@ -238,7 +238,7 @@ func TestFlashCheckpointVerify(t *testing.T) {
 			t.Errorf("virt bytes %d want %d", res.VirtBytes, want)
 		}
 		mpi.WorldComm(r).Barrier()
-		if err := w.VerifyCheckpoint(r, env, "flash"); err != nil {
+		if err := w.Check(r, env, "flash"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -253,7 +253,7 @@ func TestFlashIndependentVerify(t *testing.T) {
 			t.Error("no elapsed time")
 		}
 		mpi.WorldComm(r).Barrier()
-		if err := w.VerifyCheckpoint(r, env, "flashi"); err != nil {
+		if err := w.Check(r, env, "flashi"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -356,9 +356,9 @@ func TestFlashAttrsInHeader(t *testing.T) {
 	env := testEnv(core.Options{})
 	w := FlashIO{NxB: 2, NyB: 2, NzB: 2, NBlocks: 2, NVars: 2, Elem: 8}
 	mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		w.WriteCheckpoint(r, env, "fa")
+		w.Write(r, env, "fa")
 		mpi.WorldComm(r).Barrier()
-		if err := w.VerifyCheckpoint(r, env, "fa"); err != nil {
+		if err := w.Check(r, env, "fa"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -373,8 +373,8 @@ func TestIORFilePerProcess(t *testing.T) {
 			t.Error("no elapsed time")
 		}
 		mpi.WorldComm(r).Barrier()
-		if bad := w.VerifyFPP(r, env, "fpp"); bad >= 0 {
-			t.Errorf("rank %d mismatch at %d", r.WorldRank(), bad)
+		if err := w.CheckFPP(r, env, "fpp"); err != nil {
+			t.Error(err)
 		}
 	})
 }

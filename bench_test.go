@@ -17,6 +17,7 @@ import (
 	"repro/internal/lustre"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -286,7 +287,7 @@ func BenchmarkAblationLockModel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			env := workload.Env{
 				FS:     lustre.NewFS(lcfg),
-				Stripe: lustre.StripeInfo{Count: 64, Size: stripeSize},
+				Stripe: storage.Stripe{Count: 64, Size: stripeSize},
 				Opts:   core.Options{Hints: mpiio.Hints{CBBufferSize: stripeSize}},
 			}
 			mpi.Run(64, p.Cluster, p.Seed, func(r *mpi.Rank) {

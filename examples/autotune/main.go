@@ -16,6 +16,7 @@ import (
 	"repro/internal/lustre"
 	"repro/internal/mpi"
 	"repro/internal/stats"
+	"repro/internal/storage"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func main() {
 		var sync, io float64
 		mpi.Run(nprocs, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 			comm := mpi.WorldComm(r)
-			f := core.Open(comm, fs, "data.bin", lustre.StripeInfo{Count: 16, Size: 64 << 10}, cfg.opts)
+			f := core.Open(comm, fs, "data.bin", storage.Stripe{Count: 16, Size: 64 << 10}, cfg.opts)
 			me := r.WorldRank()
 			// Banded strided layout: each rank owns `rows` rows of
 			// `rowLen` bytes inside its band (a pattern-(b) access).

@@ -17,6 +17,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func main() {
 	for _, cfg := range configs {
 		env := workload.Env{
 			FS:     lustre.NewFS(lustre.DefaultConfig()),
-			Stripe: lustre.StripeInfo{Count: 32, Size: 256 << 10},
+			Stripe: storage.Stripe{Count: 32, Size: 256 << 10},
 			Opts:   cfg.opts,
 		}
 		var res workload.Result

@@ -14,6 +14,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 func main() {
@@ -22,7 +23,7 @@ func main() {
 		perRank = 1 << 20 // 1 MiB per rank
 	)
 	fs := lustre.NewFS(lustre.DefaultConfig())
-	stripe := lustre.StripeInfo{Count: 8, Size: 1 << 20}
+	stripe := storage.Stripe{Count: 8, Size: 1 << 20}
 
 	// mpi.Run spawns the ranks on a simulated Cray-XT-like cluster and
 	// returns the virtual wall time of the job.

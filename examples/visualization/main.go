@@ -17,6 +17,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	for _, groups := range []int{1, 2, 4, 8, 16} {
 		env := workload.Env{
 			FS:     lustre.NewFS(lustre.DefaultConfig()),
-			Stripe: lustre.StripeInfo{Count: 16, Size: 64 << 10},
+			Stripe: storage.Stripe{Count: 16, Size: 64 << 10},
 			Opts: core.Options{
 				NumGroups: groups,
 				Hints:     mpiio.Hints{CBBufferSize: 64 << 10},

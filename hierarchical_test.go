@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -120,7 +121,7 @@ func TestHierarchicalStridedReadBackVerifies(t *testing.T) {
 		lcfg.CostScale = 1
 		env := workload.Env{
 			FS:     lustre.NewFS(lcfg),
-			Stripe: lustre.StripeInfo{Count: p.StripeCount, Size: 4096},
+			Stripe: storage.Stripe{Count: p.StripeCount, Size: 4096},
 		}
 		env.Opts.Hints.CBNodes = 2
 		env.Opts.Hints.CBBufferSize = 1024

@@ -12,9 +12,10 @@ import (
 	"repro/internal/lustre"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/storage"
 )
 
-func testStripe() lustre.StripeInfo { return lustre.StripeInfo{Count: 4, Size: 4096} }
+func testStripe() storage.Stripe { return storage.Stripe{Count: 4, Size: 4096} }
 
 func pattern(rank, n int) []byte {
 	b := make([]byte, n)

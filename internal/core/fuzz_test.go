@@ -11,6 +11,7 @@ import (
 	"repro/internal/lustre"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/storage"
 )
 
 // randomDisjointViews builds one random Indexed view per rank such that no
@@ -55,7 +56,7 @@ func TestFuzzParCollAgainstIndependent(t *testing.T) {
 			data[r] = make([]byte, sizes[r])
 			rng.Read(data[r])
 		}
-		stripe := lustre.StripeInfo{Count: 3, Size: 701}
+		stripe := storage.Stripe{Count: 3, Size: 701}
 
 		pcFS := lustre.NewFS(lustre.DefaultConfig())
 		mpi.Run(nprocs, cluster.DefaultConfig(), seed, func(r *mpi.Rank) {
@@ -101,7 +102,7 @@ func TestFuzzMaterializedRoundTrip(t *testing.T) {
 			data[r] = make([]byte, sizes[r])
 			rng.Read(data[r])
 		}
-		stripe := lustre.StripeInfo{Count: 4, Size: 613}
+		stripe := storage.Stripe{Count: 4, Size: 613}
 		ok := true
 		fs := lustre.NewFS(lustre.DefaultConfig())
 		mpi.Run(nprocs, cluster.DefaultConfig(), seed, func(r *mpi.Rank) {
@@ -165,7 +166,7 @@ func TestFuzzMultiCallSameView(t *testing.T) {
 			data[r] = make([]byte, per)
 			rng.Read(data[r])
 		}
-		stripe := lustre.StripeInfo{Count: 2, Size: 331}
+		stripe := storage.Stripe{Count: 2, Size: 331}
 		pcFS := lustre.NewFS(lustre.DefaultConfig())
 		mpi.Run(nprocs, cluster.DefaultConfig(), seed, func(r *mpi.Rank) {
 			f := Open(mpi.WorldComm(r), pcFS, "mc", stripe, Options{NumGroups: ngroups})

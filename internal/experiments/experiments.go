@@ -222,17 +222,7 @@ func (p Preset) newBackend(lcfg lustre.Config) storage.Backend {
 	case "", "lustre":
 		return lustre.NewFS(lcfg)
 	case "listio":
-		return pvfs.NewFS(pvfs.Config{
-			NumServers:      lcfg.NumOSTs,
-			ServerBandwidth: lcfg.OSTBandwidth,
-			RequestOverhead: lcfg.RequestOverhead,
-			OpenCost:        lcfg.OpenCost,
-			CostScale:       lcfg.CostScale,
-			Jitter:          lcfg.Jitter,
-			Seed:            lcfg.Seed,
-			Faults:          lcfg.Faults,
-			Retry:           lcfg.Retry,
-		})
+		return pvfs.NewFS(lcfg.FarmConfig)
 	case "bb":
 		return bb.New(lustre.NewFS(lcfg), bb.Config{
 			Capacity:       p.BBCapacity,

@@ -6,6 +6,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -72,7 +73,7 @@ func (p Preset) IntraNodePoint(nprocs, aggs, pesPerNode int, intra bool) IntraNo
 	lcfg.CostScale = 1
 	env := workload.Env{
 		FS:     lustre.NewFS(lcfg),
-		Stripe: lustre.StripeInfo{Count: p.StripeCount, Size: 4096},
+		Stripe: storage.Stripe{Count: p.StripeCount, Size: 4096},
 		Opts: core.Options{Hints: mpiio.Hints{
 			CBNodes: aggs, CBBufferSize: 1024, IntraNode: intra,
 		}},

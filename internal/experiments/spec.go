@@ -61,9 +61,9 @@ func (p *Preset) SetParam(name string, v float64) error {
 	case "jitter":
 		p.Lustre.Jitter = v
 	case "ostbw":
-		p.Lustre.OSTBandwidth = v
+		p.Lustre.Bandwidth = v
 	case "osts":
-		p.Lustre.NumOSTs = int(v)
+		p.Lustre.Targets = int(v)
 	case "switch":
 		p.Lustre.SwitchPenalty = v
 	default:

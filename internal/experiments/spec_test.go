@@ -102,8 +102,8 @@ func TestSetParam(t *testing.T) {
 		{"latency", 3e-6, func(p Preset) float64 { return p.Cluster.Latency }},
 		{"tailprob", 0.07, func(p Preset) float64 { return p.Lustre.TailProb }},
 		{"jitter", 0.2, func(p Preset) float64 { return p.Lustre.Jitter }},
-		{"ostbw", 9e7, func(p Preset) float64 { return p.Lustre.OSTBandwidth }},
-		{"osts", 18, func(p Preset) float64 { return float64(p.Lustre.NumOSTs) }},
+		{"ostbw", 9e7, func(p Preset) float64 { return p.Lustre.Bandwidth }},
+		{"osts", 18, func(p Preset) float64 { return float64(p.Lustre.Targets) }},
 		{"switch", 2e-3, func(p Preset) float64 { return p.Lustre.SwitchPenalty }},
 	}
 	for _, c := range cases {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/storage"
 )
 
-func testStripe() lustre.StripeInfo { return lustre.StripeInfo{Count: 4, Size: 4096} }
+func testStripe() storage.Stripe { return storage.Stripe{Count: 4, Size: 4096} }
 
 func TestHeaderRoundTrip(t *testing.T) {
 	specs := []Spec{{"alpha", 1000}, {"beta", 2000}}

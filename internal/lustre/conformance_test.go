@@ -12,9 +12,9 @@ import (
 // TestBackendConformance runs the shared storage.Backend suite against the
 // lustre model — the reference implementation the other backends mimic.
 func TestBackendConformance(t *testing.T) {
-	storagetest.Run(t, "lustre", func() storage.Backend {
-		return NewFS(DefaultConfig())
-	})
+	mk := func() storage.Backend { return NewFS(DefaultConfig()) }
+	storagetest.Run(t, "lustre", mk)
+	storagetest.RunAllocs(t, "lustre", mk)
 }
 
 // TestBackendFaultConformance runs the shared fault-injection leg: every

@@ -16,7 +16,7 @@ import (
 // storage package.
 const pageSize = storage.PageSize
 
-func smallStripe() StripeInfo { return StripeInfo{Count: 4, Size: 1024} }
+func smallStripe() storage.Stripe { return storage.Stripe{Count: 4, Size: 1024} }
 
 func runFS(t *testing.T, nprocs int, body func(r *mpi.Rank, fs *FS)) float64 {
 	t.Helper()
@@ -56,7 +56,7 @@ func TestUnwrittenReadsZero(t *testing.T) {
 
 func TestCrossPageWrite(t *testing.T) {
 	runFS(t, 1, func(r *mpi.Rank, fs *FS) {
-		f := fs.Open(r, "big", StripeInfo{Count: 2, Size: 1 << 20})
+		f := fs.Open(r, "big", storage.Stripe{Count: 2, Size: 1 << 20})
 		data := make([]byte, 3*pageSize+17)
 		for i := range data {
 			data[i] = byte(i * 7)
@@ -93,7 +93,7 @@ func TestOSTContentionSlowsSharedTarget(t *testing.T) {
 		var worst float64
 		fs := NewFS(DefaultConfig())
 		mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			f := fs.Open(r, "c", StripeInfo{Count: stripeCount, Size: 1 << 20})
+			f := fs.Open(r, "c", storage.Stripe{Count: stripeCount, Size: 1 << 20})
 			t0 := r.Now()
 			// stripeCount=1: both units on OST 0. stripeCount=2: units 0,1
 			// land on different OSTs.
@@ -118,7 +118,7 @@ func TestPerRequestOverheadPenalizesSmallIO(t *testing.T) {
 		var d float64
 		fs := NewFS(DefaultConfig())
 		mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			f := fs.Open(r, "s", StripeInfo{Count: 1, Size: 4 << 20})
+			f := fs.Open(r, "s", storage.Stripe{Count: 1, Size: 4 << 20})
 			t0 := r.Now()
 			sz := (1 << 20) / requests
 			for i := 0; i < requests; i++ {
@@ -138,14 +138,13 @@ func TestStripeDistribution(t *testing.T) {
 	// A full-stripe write must touch exactly stripe.Count OSTs.
 	fs := NewFS(DefaultConfig())
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		st := StripeInfo{Count: 8, Size: 1024, Offset: 3}
+		st := storage.Stripe{Count: 8, Size: 1024, Offset: 3}
 		f := fs.Open(r, "d", st)
 		storage.Write(r, f, 0, make([]byte, 8*1024))
 	})
-	busy := fs.OSTBusyTimes()
 	var active int
-	for i, b := range busy {
-		if b > 0 {
+	for i, st := range fs.Stats() {
+		if st.BusySecs > 0 {
 			active++
 			if i < 3 || i >= 11 {
 				t.Errorf("OST %d active outside stripe window", i)
@@ -159,14 +158,14 @@ func TestStripeDistribution(t *testing.T) {
 
 func TestStripeOffsetWraps(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.NumOSTs = 4
+	cfg.Targets = 4
 	fs := NewFS(cfg)
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		f := fs.Open(r, "w", StripeInfo{Count: 4, Size: 16, Offset: 2})
+		f := fs.Open(r, "w", storage.Stripe{Count: 4, Size: 16, Offset: 2})
 		storage.Write(r, f, 0, make([]byte, 64))
 	})
-	for i, b := range fs.OSTBusyTimes() {
-		if b <= 0 {
+	for i, st := range fs.Stats() {
+		if st.BusySecs <= 0 {
 			t.Errorf("OST %d unused despite wrap", i)
 		}
 	}
@@ -179,7 +178,7 @@ func TestCostScale(t *testing.T) {
 		fs := NewFS(cfg)
 		var d float64
 		mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			f := fs.Open(r, "x", StripeInfo{Count: 4, Size: 4 << 20})
+			f := fs.Open(r, "x", storage.Stripe{Count: 4, Size: 4 << 20})
 			t0 := r.Now()
 			storage.Write(r, f, 0, make([]byte, 1<<20)) // one chunk: bandwidth-dominated
 			d = r.Now() - t0
@@ -230,7 +229,7 @@ func TestRandomDisjointWritesProperty(t *testing.T) {
 		fs := NewFS(DefaultConfig())
 		mpi.Run(n, cluster.DefaultConfig(), seed, func(r *mpi.Rank) {
 			me := r.WorldRank()
-			file := fs.Open(r, "p", StripeInfo{Count: 3, Size: 512})
+			file := fs.Open(r, "p", storage.Stripe{Count: 3, Size: 512})
 			base := int64(me) * region
 			// Write in random-sized pieces.
 			data := bufs[me]
@@ -282,7 +281,7 @@ func TestInvalidStripePanics(t *testing.T) {
 		}
 	}()
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		fs.Open(r, "bad", StripeInfo{Count: 0, Size: 0})
+		fs.Open(r, "bad", storage.Stripe{Count: 0, Size: 0})
 	})
 }
 
@@ -296,7 +295,7 @@ func TestClientSwitchPenalty(t *testing.T) {
 		fs := NewFS(cfg)
 		var worst float64
 		mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			f := fs.Open(r, "sw", StripeInfo{Count: 1, Size: 1 << 20})
+			f := fs.Open(r, "sw", storage.Stripe{Count: 1, Size: 1 << 20})
 			if !interleave && r.WorldRank() == 1 {
 				return
 			}
@@ -330,7 +329,7 @@ func TestTailEventsOccur(t *testing.T) {
 	fs := NewFS(cfg)
 	var d float64
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		f := fs.Open(r, "tail", StripeInfo{Count: 8, Size: 4096})
+		f := fs.Open(r, "tail", storage.Stripe{Count: 8, Size: 4096})
 		t0 := r.Now()
 		for i := 0; i < 16; i++ {
 			storage.Write(r, f, int64(i)*4096, make([]byte, 4096))
@@ -365,7 +364,7 @@ func TestOSTStats(t *testing.T) {
 	cfg.TailProb = 1 // every request tails
 	fs := NewFS(cfg)
 	mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		f := fs.Open(r, "st", StripeInfo{Count: 1, Size: 1 << 20})
+		f := fs.Open(r, "st", storage.Stripe{Count: 1, Size: 1 << 20})
 		storage.Write(r, f, int64(r.WorldRank())*4096, make([]byte, 4096))
 	})
 	st := fs.Stats()[0]
@@ -397,7 +396,7 @@ func TestExtentLockPingPongPenalized(t *testing.T) {
 			if r.WorldRank() >= writers {
 				return
 			}
-			f := fs.Open(r, "el", StripeInfo{Count: 1, Size: 1 << 20})
+			f := fs.Open(r, "el", storage.Stripe{Count: 1, Size: 1 << 20})
 			t0 := r.Now()
 			n := 32 / writers
 			for i := 0; i < n; i++ {
@@ -423,7 +422,7 @@ func TestExtentLockSequentialWriterPaysOnce(t *testing.T) {
 	cfg.UseExtentLocks = true
 	fs := NewFS(cfg)
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		f := fs.Open(r, "sq", StripeInfo{Count: 1, Size: 1 << 20})
+		f := fs.Open(r, "sq", storage.Stripe{Count: 1, Size: 1 << 20})
 		for i := 0; i < 16; i++ {
 			storage.Write(r, f, int64(i)*4096, make([]byte, 4096))
 		}
@@ -431,22 +430,4 @@ func TestExtentLockSequentialWriterPaysOnce(t *testing.T) {
 	if sw := fs.Stats()[0].Switches; sw != 0 {
 		t.Errorf("sequential writer paid %d revocations", sw)
 	}
-}
-
-// TestScalarSubmitAllocatesNothing: a one-extent request through a
-// caller-owned Req — the collective flush's untranslated path — allocates
-// nothing per call, even rewriting the same range again and again.
-func TestScalarSubmitAllocatesNothing(t *testing.T) {
-	runFS(t, 1, func(r *mpi.Rank, fs *FS) {
-		f := fs.Open(r, "alloc", smallStripe())
-		q := &storage.Req{Write: true, Exts: []storage.Extent{{Off: 0, Len: 4096}}, Bufs: [][]byte{make([]byte, 4096)}}
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := f.Submit(r, q); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("scalar Submit: %v allocations per call, want 0", allocs)
-		}
-	})
 }

@@ -20,7 +20,7 @@ import (
 func TestRemoveReleasesLockState(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseExtentLocks = true
-	stripe := StripeInfo{Count: 4, Size: 1 << 20}
+	stripe := storage.Stripe{Count: 4, Size: 1 << 20}
 
 	sumSwitches := func(fs *FS) int64 {
 		var n int64
@@ -95,7 +95,7 @@ func TestRemoveReleasesFileState(t *testing.T) {
 // TestStatsDeterministicUnderJitter runs the same multi-rank workload twice
 // under the jittery-net scenario — randomized message delays and a degraded
 // NIC shifting every request's arrival time — and requires the full
-// []OSTStat ledgers to come back identical. The jitter draws ride the
+// []storage.TargetStat ledgers to come back identical. The jitter draws ride the
 // seeded, engine-serialized RNGs, so even the noisy path must replay
 // exactly.
 func TestStatsDeterministicUnderJitter(t *testing.T) {
@@ -103,11 +103,11 @@ func TestStatsDeterministicUnderJitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := func() []OSTStat {
+	one := func() []storage.TargetStat {
 		cfg := DefaultConfig()
 		cfg.Faults = plan
 		fs := NewFS(cfg)
-		stripe := StripeInfo{Count: 8, Size: 1 << 18}
+		stripe := storage.Stripe{Count: 8, Size: 1 << 18}
 		mpi.RunPlan(4, cluster.DefaultConfig(), 1, plan, func(r *mpi.Rank) {
 			f := fs.Open(r, "jitter", stripe)
 			buf := make([]byte, 96<<10)

@@ -96,7 +96,7 @@ func TestPermanentFailureSurfacesTypedError(t *testing.T) {
 	cfg.Faults = &fault.Plan{OSTFails: []fault.OSTFail{{OST: 0, Prob: 1, Permanent: true}}}
 	runFSCfg(t, cfg, 1, func(r *mpi.Rank, fs *FS) {
 		// Stripe over OST 0 only: every chunk hits the dead target.
-		f := fs.Open(r, "dead", StripeInfo{Count: 1, Size: 1024})
+		f := fs.Open(r, "dead", storage.Stripe{Count: 1, Size: 1024})
 		err := storage.TryWrite(r, f, 0, []byte("doomed"))
 		var oe *recovery.TargetError
 		if !errors.As(err, &oe) {
@@ -127,7 +127,7 @@ func TestBreakerOpensUnderSustainedFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = &fault.Plan{OSTFails: []fault.OSTFail{{OST: 0, Prob: 1, At: 0, For: 0.5}}}
 	runFSCfg(t, cfg, 1, func(r *mpi.Rank, fs *FS) {
-		f := fs.Open(r, "b", StripeInfo{Count: 1, Size: 1024})
+		f := fs.Open(r, "b", storage.Stripe{Count: 1, Size: 1024})
 		for i := 0; i < 3; i++ {
 			if err := storage.TryWrite(r, f, 0, []byte("x")); err == nil {
 				t.Fatal("write inside a certain-failure window succeeded")

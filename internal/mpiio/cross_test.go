@@ -77,9 +77,7 @@ func crossBackend(name string, plan *fault.Plan) storage.Backend {
 	lcfg.Faults = plan
 	switch name {
 	case "listio":
-		pcfg := pvfs.DefaultConfig()
-		pcfg.Faults = plan
-		return pvfs.NewFS(pcfg)
+		return pvfs.NewFS(lcfg.FarmConfig)
 	case "bb":
 		return bb.New(lustre.NewFS(lcfg), bb.Config{Faults: plan})
 	}

@@ -14,7 +14,7 @@ import (
 	"repro/internal/storage"
 )
 
-func testStripe() lustre.StripeInfo { return lustre.StripeInfo{Count: 4, Size: 4096} }
+func testStripe() storage.Stripe { return storage.Stripe{Count: 4, Size: 4096} }
 
 // pattern fills a buffer with rank-and-offset dependent bytes.
 func pattern(rank int, n int) []byte {
@@ -444,7 +444,7 @@ func TestSievedReadFasterOnStrided(t *testing.T) {
 		var d float64
 		fs := lustre.NewFS(lustre.DefaultConfig())
 		mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			f := Open(mpi.WorldComm(r), fs, "sp", lustre.StripeInfo{Count: 4, Size: 1 << 20}, Hints{})
+			f := Open(mpi.WorldComm(r), fs, "sp", storage.Stripe{Count: 4, Size: 1 << 20}, Hints{})
 			ft := datatype.NewVector(64, 256, 512) // 50% density
 			f.SetView(datatype.View{Disp: 0, Filetype: ft})
 			f.WriteAt(0, pattern(1, 64*256))

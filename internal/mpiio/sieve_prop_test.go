@@ -56,7 +56,7 @@ func checkSieveRMW(seed int64, sieveBuf int64) error {
 	extent := disp + segs[len(segs)-1].End() + rng.Int63n(100)
 	junk := make([]byte, extent)
 	rng.Read(junk)
-	stripe := lustre.StripeInfo{Count: 3, Size: 509}
+	stripe := storage.Stripe{Count: 3, Size: 509}
 	hints := Hints{IndBufferSize: sieveBuf}
 
 	write := func(sieved bool) ([]byte, []byte, error) {

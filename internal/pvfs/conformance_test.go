@@ -12,9 +12,9 @@ import (
 // TestBackendConformance runs the shared storage.Backend suite against the
 // list-I/O server farm.
 func TestBackendConformance(t *testing.T) {
-	storagetest.Run(t, "listio", func() storage.Backend {
-		return NewFS(DefaultConfig())
-	})
+	mk := func() storage.Backend { return NewFS(storage.DefaultFarmConfig()) }
+	storagetest.Run(t, "listio", mk)
+	storagetest.RunAllocs(t, "listio", mk)
 }
 
 // TestBackendFaultConformance runs the shared fault-injection leg: every
@@ -23,7 +23,7 @@ func TestBackendConformance(t *testing.T) {
 // and a whole-operation retry after the window recovers byte-exact.
 func TestBackendFaultConformance(t *testing.T) {
 	storagetest.RunFaults(t, "listio", func() storage.Backend {
-		cfg := DefaultConfig()
+		cfg := storage.DefaultFarmConfig()
 		cfg.Faults = &fault.Plan{
 			Name:        "conf-dead-servers",
 			ServerFails: []fault.OSTFail{{OST: -1, Prob: 1, At: storagetest.FaultAt, For: storagetest.FaultFor}},

@@ -4,8 +4,9 @@ import "fmt"
 
 // Ledger is the end-to-end integrity audit: a seeded checksum record of
 // every extent a backend stored, written at issue time by the layer that
-// owns the bytes (lustre's and pvfs's store paths — the bb tier forwards
-// the ledger to its under-backend, which performs its actual stores).
+// owns the bytes (the target farm's Object.Store under lustre and pvfs —
+// the bb tier forwards the ledger to its under-backend, which performs its
+// actual stores).
 // Recovery tests verify read-back against it, so "byte-exact after failure"
 // is asserted by construction rather than per-test comparison code.
 //

@@ -35,8 +35,7 @@ import (
 	"repro/internal/recovery"
 )
 
-// Stripe is a file's striping layout, fixed at create time (lustre.StripeInfo
-// is an alias of this type, so existing call sites read unchanged).
+// Stripe is a file's striping layout, fixed at create time.
 type Stripe struct {
 	Count  int   // number of targets the file stripes over
 	Size   int64 // stripe unit in bytes
@@ -52,7 +51,7 @@ type Extent struct {
 func (e Extent) End() int64 { return e.Off + e.Len }
 
 // TargetStat aggregates one storage target's service counters (an OST for
-// lustre, a server for pvfs; lustre.OSTStat is an alias of this type).
+// lustre, a server for pvfs).
 type TargetStat struct {
 	Requests int64
 	Bytes    int64 // virtual bytes served

@@ -7,10 +7,12 @@
 //   - data is durable at issue time (unwaited and staged writes included);
 //   - multi-extent requests move exactly the bytes one-extent requests would;
 //   - Remove forgets a file completely (a reopen sees a fresh object);
+//   - every job's requests pass the admission policy under its own JobID;
 //   - two identical runs produce identical virtual times and Stats.
 //
-// The suite runs single-rank: the cross-rank semantics are covered by the
-// collective goldens, which all ride on the same backend methods.
+// The suite runs single-rank, but for the two-job QoS case: the cross-rank
+// semantics are covered by the collective goldens, which all ride on the
+// same backend methods.
 package storagetest
 
 import (
@@ -21,6 +23,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/qos"
 	"repro/internal/recovery"
 	"repro/internal/storage"
 )
@@ -285,6 +288,23 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 		})
 	})
 
+	t.Run(name+"/qos-admits-every-job", func(t *testing.T) {
+		be := mk()
+		pol := qos.NewFIFO()
+		be.SetQoS(pol)
+		mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
+			id := r.WorldRank()
+			r.SetJob(id, []int{id})
+			storage.Write(r, be.Open(r, fmt.Sprintf("job%d", id), stripe), 0, make([]byte, 2048))
+		})
+		u := pol.Usage()
+		for id := 0; id < 2; id++ {
+			if j := u[id]; j.Requests == 0 || j.ServiceSecs <= 0 {
+				t.Fatalf("job %d usage %+v, want Requests > 0 and ServiceSecs > 0 (all: %+v)", id, j, u)
+			}
+		}
+	})
+
 	t.Run(name+"/deterministic", func(t *testing.T) {
 		one := func() (float64, string) {
 			var stats []storage.TargetStat
@@ -319,6 +339,27 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 	})
 }
 
+// RunAllocs is the allocation leg for backends whose healthy path owns
+// its scratch: a one-extent write through a caller-owned Req — the
+// collective flush's untranslated path — allocates nothing per call, even
+// rewriting the same range again and again.
+func RunAllocs(t *testing.T, name string, mk func() storage.Backend) {
+	t.Run(name+"/scalar-submit-allocates-nothing", func(t *testing.T) {
+		run(t, mk, func(r *mpi.Rank, be storage.Backend) {
+			f := be.Open(r, "alloc", stripe)
+			q := &storage.Req{Write: true, Exts: []storage.Extent{{Off: 0, Len: 4096}}, Bufs: [][]byte{make([]byte, 4096)}}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := f.Submit(r, q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("scalar Submit: %v allocations per call, want 0", allocs)
+			}
+		})
+	})
+}
+
 // Fault-window timing shared by RunFaults and the backend plans it runs
 // against. A conforming constructor arms its fault plan so that requests
 // (or staged drains) issued inside [FaultAt, FaultAt+FaultFor) fail, and
@@ -329,14 +370,7 @@ const (
 	FaultFor = 8e-3 // window length: longer than any default retry budget
 )
 
-func allZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
+func allZero(b []byte) bool { return bytes.Equal(b, make([]byte, len(b))) }
 
 // RunFaults is the fault-injection conformance leg: inject → typed error →
 // recover → checksum-verified read-back. mk must return a fresh backend

@@ -15,7 +15,7 @@ import (
 func testEnv(opts core.Options) Env {
 	return Env{
 		FS:     lustre.NewFS(lustre.DefaultConfig()),
-		Stripe: lustre.StripeInfo{Count: 8, Size: 4096},
+		Stripe: storage.Stripe{Count: 8, Size: 4096},
 		Opts:   opts,
 	}
 }
@@ -296,7 +296,7 @@ func TestPatternByteDistinguishesRanks(t *testing.T) {
 func TestScaledWorkloadReportsVirtualBytes(t *testing.T) {
 	cfg := lustre.DefaultConfig()
 	cfg.CostScale = 64
-	env := Env{FS: lustre.NewFS(cfg), Stripe: lustre.StripeInfo{Count: 4, Size: 1024}, Opts: core.Options{}}
+	env := Env{FS: lustre.NewFS(cfg), Stripe: storage.Stripe{Count: 4, Size: 1024}, Opts: core.Options{}}
 	w := IOR{Block: 4096, Transfer: 4096}
 	mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
 		res := w.Write(r, env, "sc")

@@ -16,8 +16,10 @@ test:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=4 $(GO) test -count=1 ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists files to format:"; gofmt -l .; exit 1; }
 
 # The sim engine is the concurrency-sensitive core (cooperative goroutine
 # scheduling: one proc runs at a time, hand-offs go through channels, and a
@@ -67,7 +69,7 @@ fuzz:
 # EXPERIMENTS.md "Fat-node sweep").
 hierarchical: vet
 	$(GO) test ./internal/mpi/ -run 'TestSplitByNode|TestHierarchy|TestIntraComm|FuzzNodeSplit' -count=1
-	$(GO) test ./internal/mpiio/ -run 'TestHier|TestIntraNode' -count=1
+	$(GO) test ./internal/mpiio/ -run 'TestHier' -count=1
 	$(GO) test . -run 'TestHierarchical|TestIntraNodeAggregationReducesExchange' -count=1 -v
 
 # Fail-stop recovery gate: the retry/backoff/breaker unit tests, the

@@ -125,8 +125,8 @@ func TestEmitBenchJSON(t *testing.T) {
 			AllocsPerOp: float64(res.AllocsPerOp()),
 			BytesPerOp:  float64(res.AllocedBytesPerOp()),
 			Metrics: map[string]float64{
-				"jobs":        float64(len(tp.Jobs)),
-				"makespan":    tp.End,
+				"jobs":         float64(len(tp.Jobs)),
+				"makespan":     tp.End,
 				"hog_coll_p99": tp.Jobs[0].P99,
 			},
 		}

@@ -57,11 +57,11 @@ func goldenMetrics(p experiments.Preset) map[string]string {
 // goldenWant are the bit-exact hex-float golden values (captured from the
 // original implementation).
 var goldenWant = map[string]string{
-		"fig1/procs=16": "sync=0x1.45cec2a04607cp-05 exch=0x1.9f291cfc318a2p-10 io=0x1.9862d41837c06p-05 other=0x1.2741be9e3558ap-06 share=0x1.74da491cba4cfp-02",
-		"fig1/procs=32": "sync=0x1.509a2c87cceeep-05 exch=0x1.841fb4d12d7fbp-09 io=0x1.9c2172baaaefp-05 other=0x1.4d30eda4e7a59p-06 share=0x1.6ed7d409ded58p-02",
-		"fig1/procs=64": "sync=0x1.63e9487928e0ap-05 exch=0x1.841fb4d12d7f5p-09 io=0x1.a68c260b0a957p-05 other=0x1.5fa469d194fa5p-06 share=0x1.74725da5c14dcp-02",
-		"fig7/groups=1": "writeBW=0x1.923130a372c17p+31 readBW=0x1.d81cae2666af7p+30 sync=0x1.63e9487928e0ap-05",
-		"fig7/groups=8": "writeBW=0x1.9e2cb7465c2a8p+31 readBW=0x1.4145bdf0281b8p+31 sync=0x1.41d74f087c9f3p-05",
+	"fig1/procs=16": "sync=0x1.45cec2a04607cp-05 exch=0x1.9f291cfc318a2p-10 io=0x1.9862d41837c06p-05 other=0x1.2741be9e3558ap-06 share=0x1.74da491cba4cfp-02",
+	"fig1/procs=32": "sync=0x1.509a2c87cceeep-05 exch=0x1.841fb4d12d7fbp-09 io=0x1.9c2172baaaefp-05 other=0x1.4d30eda4e7a59p-06 share=0x1.6ed7d409ded58p-02",
+	"fig1/procs=64": "sync=0x1.63e9487928e0ap-05 exch=0x1.841fb4d12d7f5p-09 io=0x1.a68c260b0a957p-05 other=0x1.5fa469d194fa5p-06 share=0x1.74725da5c14dcp-02",
+	"fig7/groups=1": "writeBW=0x1.923130a372c17p+31 readBW=0x1.d81cae2666af7p+30 sync=0x1.63e9487928e0ap-05",
+	"fig7/groups=8": "writeBW=0x1.9e2cb7465c2a8p+31 readBW=0x1.4145bdf0281b8p+31 sync=0x1.41d74f087c9f3p-05",
 	"fig6/groups=8": "BW=0x1.63122dc8f9919p+30",
 }
 

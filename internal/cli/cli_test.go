@@ -52,13 +52,13 @@ func TestValidateTraceEvents(t *testing.T) {
 		t.Fatalf("exporter output must validate: %v", err)
 	}
 	for _, bad := range []string{
-		"{}",                           // not an array
-		"[]",                           // empty
-		`[{"ph":"X"}]`,                 // no name
-		`[{"name":"x","ph":"Z"}]`,      // unknown phase
-		`[{"name":"x"}]`,               // missing phase
-		`[{"name":"x","ph":"X"}, 5]`,   // non-object element
-		`[{"name":"x","ph":"X"}`,       // truncated
+		"{}",                         // not an array
+		"[]",                         // empty
+		`[{"ph":"X"}]`,               // no name
+		`[{"name":"x","ph":"Z"}]`,    // unknown phase
+		`[{"name":"x"}]`,             // missing phase
+		`[{"name":"x","ph":"X"}, 5]`, // non-object element
+		`[{"name":"x","ph":"X"}`,     // truncated
 	} {
 		if err := ValidateTraceEvents([]byte(bad)); err == nil {
 			t.Errorf("ValidateTraceEvents(%q) must fail", bad)

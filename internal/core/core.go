@@ -70,12 +70,6 @@ type Options struct {
 	// processes (the paper's empirical sweet spot across IOR and
 	// MPI-Tile-IO), clipped to what the access pattern can support.
 	AutoGroups bool
-	// AutoTune goes further than AutoGroups: the first collective calls
-	// after a SetView try a ladder of group counts, timing each call
-	// collectively, and subsequent calls stick with the fastest. Useful
-	// for periodic-output applications (checkpoints, solution dumps)
-	// where the first few writes can pay for measurement.
-	AutoTune bool
 	// Hints passes through the MPI-IO hints (collective buffer size,
 	// aggregator count or list, alltoallv algorithm).
 	Hints mpiio.Hints
@@ -123,27 +117,6 @@ type Plan struct {
 // eight processes per group (Figures 6 and 7).
 const autoGroupSize = 8
 
-// tuneState drives AutoTune's measure-then-commit ladder.
-type tuneState struct {
-	gen        int       // view generation being tuned
-	candidates []int     // group counts to try
-	next       int       // next candidate index to try
-	elapsed    []float64 // measured global seconds per candidate
-	chosen     int       // committed group count (0 = still tuning)
-	callStart  float64
-}
-
-// tuneLadder returns the group counts AutoTune tries.
-func tuneLadder(size int) []int {
-	var out []int
-	for _, g := range []int{1, size / 16, size / 8, size / 4} {
-		if g >= 1 && (len(out) == 0 || g != out[len(out)-1]) {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // File is a ParColl file handle. Like an MPI_File, each rank holds its own.
 type File struct {
 	r      *mpi.Rank
@@ -160,7 +133,6 @@ type File struct {
 	subComm *mpi.Comm
 	subFile *mpiio.File
 	plan    Plan
-	tune    tuneState
 
 	prof mpiio.Breakdown
 	prev [mpi.NumClasses]float64
@@ -226,16 +198,12 @@ func (f *File) Close() mpiio.Breakdown {
 // call is collective only within the rank's subgroup.
 func (f *File) WriteAtAll(logOff int64, data []byte) {
 	t0 := f.r.Now()
-	tuning := f.tuneBegin()
 	f.ensurePlan()
 	if f.plan.Mode != ModeIntermediate {
 		f.subFile.SetView(f.view)
 	}
 	f.reelectDegraded()
 	f.subFile.WriteAtAll(logOff, data)
-	if tuning {
-		f.tuneEnd()
-	}
 	f.absorb()
 	if rec := f.opts.Run.Lat; rec != nil {
 		rec.Add(f.r.Now() - t0)
@@ -264,15 +232,11 @@ func (f *File) ReadAt(logOff, n int64) []byte {
 // ReadAtAll collectively reads n view-logical bytes at logOff.
 func (f *File) ReadAtAll(logOff, n int64) []byte {
 	t0 := f.r.Now()
-	tuning := f.tuneBegin()
 	f.ensurePlan()
 	if f.plan.Mode != ModeIntermediate {
 		f.subFile.SetView(f.view)
 	}
 	out := f.subFile.ReadAtAll(logOff, n)
-	if tuning {
-		f.tuneEnd()
-	}
 	f.absorb()
 	if rec := f.opts.Run.Lat; rec != nil {
 		rec.Add(f.r.Now() - t0)
@@ -287,7 +251,6 @@ func (f *File) ReadAtAll(logOff, n int64) []byte {
 // Begin and WriteAllEnd hides their tails. No other collective may run on
 // this handle until End.
 func (f *File) WriteAllBegin(logOff int64, data []byte) *nbio.Request {
-	tuning := f.tuneBegin()
 	f.ensurePlan()
 	if f.plan.Mode != ModeIntermediate {
 		f.subFile.SetView(f.view)
@@ -296,9 +259,6 @@ func (f *File) WriteAllBegin(logOff int64, data []byte) *nbio.Request {
 	sub := f.subFile.WriteAllBegin(logOff, data)
 	return nbio.Start(f.r, f.r.Now(), func() {
 		f.subFile.WriteAllEnd(sub)
-		if tuning {
-			f.tuneEnd()
-		}
 		f.absorb()
 	}, nil, sub)
 }
@@ -308,7 +268,6 @@ func (f *File) WriteAllEnd(q *nbio.Request) { q.Wait() }
 
 // ReadAllBegin starts a split collective read; ReadAllEnd returns the data.
 func (f *File) ReadAllBegin(logOff, n int64) *nbio.Request {
-	tuning := f.tuneBegin()
 	f.ensurePlan()
 	if f.plan.Mode != ModeIntermediate {
 		f.subFile.SetView(f.view)
@@ -317,9 +276,6 @@ func (f *File) ReadAllBegin(logOff, n int64) *nbio.Request {
 	out := new([]byte)
 	return nbio.Start(f.r, f.r.Now(), func() {
 		*out = f.subFile.ReadAllEnd(sub)
-		if tuning {
-			f.tuneEnd()
-		}
 		f.absorb()
 	}, nil, out)
 }
@@ -423,51 +379,6 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// tuneBegin reports whether this call is an AutoTune measurement and, if
-// so, stamps the globally synchronized start time and forces a re-plan
-// with the next candidate group count.
-func (f *File) tuneBegin() bool {
-	if !f.opts.AutoTune {
-		return false
-	}
-	if f.tune.gen != f.viewGen {
-		f.tune = tuneState{gen: f.viewGen, candidates: tuneLadder(f.comm.Size())}
-	}
-	if f.tune.chosen > 0 {
-		return false
-	}
-	f.planGen = 0 // re-plan with the current candidate
-	old := f.r.SetClass(mpi.ClassSync)
-	f.tune.callStart = f.comm.MaxFinishTime()
-	f.r.SetClass(old)
-	return true
-}
-
-// tuneEnd records the measured call time and advances (or commits) the
-// candidate ladder. Every rank computes the same result: the measurement
-// is a collective max-finish time.
-func (f *File) tuneEnd() {
-	old := f.r.SetClass(mpi.ClassSync)
-	end := f.comm.MaxFinishTime()
-	f.r.SetClass(old)
-	f.tune.elapsed = append(f.tune.elapsed, end-f.tune.callStart)
-	f.tune.next++
-	if f.tune.next >= len(f.tune.candidates) {
-		best := 0
-		for i, d := range f.tune.elapsed {
-			if d < f.tune.elapsed[best] {
-				best = i
-			}
-		}
-		f.tune.chosen = f.tune.candidates[best]
-		f.planGen = 0 // next call re-plans once with the winner
-	}
-}
-
-// TunedGroups reports the group count AutoTune committed to (0 while still
-// measuring or when AutoTune is off).
-func (f *File) TunedGroups() int { return f.tune.chosen }
-
 // instanceSegs returns the physical segments of one instance of the rank's
 // view filetype (the footprint ParColl partitions on).
 func (f *File) instanceSegs() []datatype.Segment {
@@ -523,13 +434,6 @@ func (f *File) ensurePlan() {
 	ngroups := f.opts.NumGroups
 	if f.opts.AutoGroups {
 		ngroups = comm.Size() / autoGroupSize
-	}
-	if f.opts.AutoTune {
-		if f.tune.chosen > 0 {
-			ngroups = f.tune.chosen
-		} else {
-			ngroups = f.tune.candidates[f.tune.next]
-		}
 	}
 	if ngroups < 1 {
 		ngroups = 1

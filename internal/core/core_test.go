@@ -573,34 +573,6 @@ func TestAutoGroups(t *testing.T) {
 	})
 }
 
-func TestAutoTuneCommitsToFastest(t *testing.T) {
-	fs := lustre.NewFS(lustre.DefaultConfig())
-	const nprocs = 32
-	mpi.Run(nprocs, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		comm := mpi.WorldComm(r)
-		f := Open(comm, fs, "tune", testStripe(), Options{AutoTune: true})
-		const per = 4096
-		f.SetView(datatype.View{Disp: int64(r.WorldRank() * per), Filetype: datatype.Contig(per)})
-		buf := pattern(r.WorldRank(), per)
-		// Ladder for 32 procs: {1, 2, 4, 8} -> 4 measured calls + 2 more
-		// on the committed winner.
-		for i := 0; i < 6; i++ {
-			f.WriteAtAll(0, buf)
-		}
-		if got := f.TunedGroups(); got == 0 {
-			t.Error("AutoTune never committed")
-		} else if f.LastPlan().NumGroups != got {
-			t.Errorf("plan groups %d != tuned %d", f.LastPlan().NumGroups, got)
-		}
-		// A new view restarts tuning.
-		f.SetView(datatype.View{Disp: int64(r.WorldRank()*per) + 1, Filetype: datatype.Contig(per)})
-		f.WriteAtAll(0, buf)
-		if f.TunedGroups() != 0 {
-			t.Error("tuning did not restart after SetView")
-		}
-	})
-}
-
 func TestNaiveAggregatorsConcentration(t *testing.T) {
 	// Cyclic-style topology: ranks r and r+4 share node r%4. Allowed
 	// nodes {0,1}: naive gives both groups aggregators on nodes 0 and 1

@@ -113,20 +113,3 @@ func decSegs(b []byte) []datatype.Segment {
 	}
 	return segs
 }
-
-// segHash is a small FNV-1a fingerprint of a segment list, used to detect
-// layout changes between collective calls for plan caching.
-func segHash(segs []datatype.Segment) int64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	for _, s := range segs {
-		mix(uint64(s.Off))
-		mix(uint64(s.Len))
-	}
-	return int64(h >> 1)
-}

@@ -71,43 +71,3 @@ func (v View) Map(logOff, length int64) []Segment {
 	}
 	return coalesce(out)
 }
-
-// PhysicalSpan returns the first and last-plus-one physical byte that the
-// logical range [logOff, logOff+length) touches. It is what ext2ph gathers
-// as each process's (st_offset, end_offset).
-func (v View) PhysicalSpan(logOff, length int64) (st, end int64) {
-	segs := v.Map(logOff, length)
-	if len(segs) == 0 {
-		return 0, 0
-	}
-	return segs[0].Off, segs[len(segs)-1].End()
-}
-
-// LogicalSize returns how many data bytes the view exposes in the physical
-// range [0, physEnd): the inverse measure used when sizing intermediate
-// views.
-func (v View) LogicalSize(physEnd int64) int64 {
-	ft := v.Filetype
-	size, extent := ft.Size(), ft.Extent()
-	if physEnd <= v.Disp {
-		return 0
-	}
-	span := physEnd - v.Disp
-	if v.IsContiguous() {
-		return span
-	}
-	full := span / extent
-	rem := span % extent
-	n := full * size
-	for _, s := range ft.Segments() {
-		if rem <= s.Off {
-			break
-		}
-		take := rem - s.Off
-		if take > s.Len {
-			take = s.Len
-		}
-		n += take
-	}
-	return n
-}

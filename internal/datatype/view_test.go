@@ -60,40 +60,6 @@ func TestViewMapMidSegmentStart(t *testing.T) {
 	}
 }
 
-func TestPhysicalSpan(t *testing.T) {
-	ft := NewIndexed([]Segment{{4, 2}, {10, 2}})
-	v := View{Disp: 100, Filetype: ft}
-	st, end := v.PhysicalSpan(1, 2) // bytes 1..2 of data: [105,106) and [110,111)
-	if st != 105 || end != 111 {
-		t.Errorf("span = [%d,%d) want [105,111)", st, end)
-	}
-	if st, end := v.PhysicalSpan(0, 0); st != 0 || end != 0 {
-		t.Errorf("empty span = [%d,%d)", st, end)
-	}
-}
-
-func TestLogicalSize(t *testing.T) {
-	ft := NewVector(2, 4, 8) // size 8, extent 12
-	v := View{Disp: 10, Filetype: ft}
-	cases := []struct {
-		physEnd int64
-		want    int64
-	}{
-		{5, 0},   // before disp
-		{10, 0},  // at disp
-		{14, 4},  // first block fully
-		{16, 4},  // inside hole
-		{20, 6},  // 2 bytes into second block
-		{22, 8},  // full tile
-		{34, 16}, // two tiles
-	}
-	for _, c := range cases {
-		if got := v.LogicalSize(c.physEnd); got != c.want {
-			t.Errorf("LogicalSize(%d) = %d want %d", c.physEnd, got, c.want)
-		}
-	}
-}
-
 // Property: Map is measure-preserving (total mapped length == requested),
 // returns sorted non-overlapping segments, and adjacent logical ranges map
 // to disjoint physical bytes that concatenate to the same result.
@@ -124,27 +90,6 @@ func TestViewMapProperty(t *testing.T) {
 			}
 		}
 		return n == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: LogicalSize is the inverse measure of Map — for any logical
-// prefix length L, LogicalSize(end of Map(0,L)) == L when the mapped range
-// ends exactly at a data byte.
-func TestLogicalSizeInverseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ft := randomType(rng)
-		if ft.Size() == 0 {
-			return true
-		}
-		v := View{Disp: rng.Int63n(50), Filetype: ft}
-		l := rng.Int63n(ft.Size()*2) + 1
-		segs := v.Map(0, l)
-		end := segs[len(segs)-1].End()
-		return v.LogicalSize(end) == l
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/recovery"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -82,29 +81,38 @@ func (p Preset) burstWorkload(compute float64) workload.CheckpointBurst {
 	}
 }
 
+// burstCompute returns ratio times the reference per-step I/O time: the
+// checkpoint burst's collective write time per step with zero compute, at
+// the caller's group count, on pass-through lustre. The reference is always
+// healthy, whatever the preset's fault plan — the same convention as the
+// overlap sweep — so a plan changes the measured runs, not their compute
+// budget.
+func (p Preset) burstCompute(nprocs, groups int, ratio float64) float64 {
+	ref := p
+	ref.Backend = "lustre"
+	ref.Fault = nil
+	env := ref.envPlan(ref.TileScale, core.Options{NumGroups: groups}, nil)
+	w := ref.burstWorkload(0)
+	var perStep float64
+	ref.run(nprocs, func(r *mpi.Rank) {
+		res := w.Run(r, env, "ckpt-ref")
+		if r.WorldRank() == 0 {
+			perStep = res.WriteSecs / float64(w.Steps)
+		}
+	})
+	return ratio * perStep
+}
+
 // CheckpointBurst runs the checkpoint-burst scenario — compute phases
 // interleaved with collective dumps, drain forced at the end — on each
 // named backend. ratio sets each step's compute as a multiple of the
-// reference per-step I/O time, which is measured first on the plain lustre
-// backend with zero compute (the same convention as the overlap sweep). At
-// ratio >= 1 a staging tier has a whole I/O-time of compute per step to
-// hide each drain under, so its write-call seconds must drop strictly
-// below lustre's. Every run is verified byte-exact after its drain.
+// reference per-step I/O time (burstCompute: healthy lustre, zero compute,
+// measured first). At ratio >= 1 a staging tier has a whole I/O-time of
+// compute per step to hide each drain under, so its write-call seconds must
+// drop strictly below lustre's. Every run is verified byte-exact after its
+// drain.
 func (p Preset) CheckpointBurst(nprocs int, ratio float64, backends []string) []BurstPoint {
-	// Reference: per-step collective write time on pass-through lustre.
-	ref := p
-	ref.Backend = "lustre"
-	refEnv := EnvFor(ref, ref.TileScale, core.Options{})
-	refW := ref.burstWorkload(0)
-	var refPerStep float64
-	ref.run(nprocs, func(r *mpi.Rank) {
-		res := refW.Run(r, refEnv, "ckpt-ref")
-		if r.WorldRank() == 0 {
-			refPerStep = res.WriteSecs / float64(refW.Steps)
-		}
-	})
-	compute := ratio * refPerStep
-
+	compute := p.burstCompute(nprocs, 0, ratio)
 	out := make([]BurstPoint, len(backends))
 	ForEachPoint(len(backends), nprocs, func(i int) {
 		b := backends[i]
@@ -128,14 +136,6 @@ func (p Preset) CheckpointBurst(nprocs int, ratio float64, backends []string) []
 		})
 	})
 	return out
-}
-
-// BackendFor exposes the preset's backend construction at an explicit cost
-// scale (for harnesses that need a bare backend without a workload Env).
-func (p Preset) BackendFor(scale float64) storage.Backend {
-	lcfg := p.Lustre
-	lcfg.CostScale = scale
-	return p.newBackend(lcfg)
 }
 
 // BurstFailurePoint is one checkpoint burst under a storage-tier fault plan.
@@ -168,25 +168,12 @@ type BurstFailurePoint struct {
 // re-dumped (collective redumpLost for the open call, the workload's
 // regenerate-and-rewrite loop at the barrier), and the run must still end
 // with a checksum-verified, byte-exact checkpoint. ratio sets per-step
-// compute as a multiple of the reference per-step I/O time (measured on
-// healthy pass-through lustre, as in CheckpointBurst); plan == nil runs the
+// compute as a multiple of the reference per-step I/O time (burstCompute,
+// at this run's group count); plan == nil runs the
 // healthy reference for goodput-degradation comparisons.
 func (p Preset) CheckpointBurstUnderFailure(nprocs, groups int, ratio float64, plan *fault.Plan) BurstFailurePoint {
-	ref := p
-	ref.Backend = "lustre"
-	ref.Fault = nil
-	refEnv := ref.envPlan(ref.TileScale, core.Options{NumGroups: groups}, nil)
-	refW := ref.burstWorkload(0)
-	var refPerStep float64
-	ref.run(nprocs, func(r *mpi.Rank) {
-		res := refW.Run(r, refEnv, "ckpt-ref")
-		if r.WorldRank() == 0 {
-			refPerStep = res.WriteSecs / float64(refW.Steps)
-		}
-	})
-
 	env := p.envPlan(p.TileScale, core.Options{NumGroups: groups}, plan)
-	w := p.burstWorkload(ratio * refPerStep)
+	w := p.burstWorkload(p.burstCompute(nprocs, groups, ratio))
 	pt := BurstFailurePoint{Backend: env.FS.Name(), Groups: groups, Verified: true}
 	if plan != nil {
 		pt.Scenario = plan.Name

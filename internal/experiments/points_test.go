@@ -178,3 +178,17 @@ func TestRunnersHostIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointBurstReferenceIsHealthy: the burst's compute budget comes
+// from a healthy reference run, so a plan that only slows the OSTs — which
+// no list-I/O request reaches — leaves the listio point exactly as the
+// healthy sweep has it.
+func TestCheckpointBurstReferenceIsHealthy(t *testing.T) {
+	p := BenchPreset()
+	healthy := p.CheckpointBurst(16, 1, []string{"listio"})
+	p.Fault = &fault.Plan{Name: "slow-osts", OSTs: []fault.OSTFault{{OST: -1, Scale: 4}}}
+	slowOSTs := p.CheckpointBurst(16, 1, []string{"listio"})
+	if !reflect.DeepEqual(slowOSTs, healthy) {
+		t.Errorf("listio under slow OSTs = %+v, healthy = %+v", slowOSTs[0], healthy[0])
+	}
+}

@@ -334,30 +334,40 @@ func (p *Plan) OSTErrorAt(ost int, at float64, rng *rand.Rand) (failed, permanen
 	return failsAt(p.OSTFails, ost, at, rng)
 }
 
-// failsAt is the shared window/probability walk behind OSTErrorAt,
-// ServerErrorAt, and DrainErrorAt: every matching entry whose window covers
-// `at` draws (unless Prob >= 1, which short-circuits draw-free), and
-// permanence accumulates across entries. Kept byte-identical to the PR-4
-// OSTErrorAt draw pattern so existing goldens cannot move.
+// failsAt walks OSTFails or ServerFails for one request: every entry that
+// strikes it fails the request, and permanence accumulates across entries.
+// Every covering entry draws, in declaration order, even after a hit: the
+// goldens pin that draw sequence.
 func failsAt(fails []OSTFail, target int, at float64, rng *rand.Rand) (failed, permanent bool) {
 	for _, f := range fails {
-		if (f.OST != -1 && f.OST != target) || f.Prob <= 0 {
-			continue
-		}
-		start := f.At
-		if f.Every > 0 && at > start {
-			k := int((at - f.At) / f.Every)
-			start = f.At + float64(k)*f.Every
-		}
-		if at < start || (f.For > 0 && at >= start+f.For) {
-			continue
-		}
-		if f.Prob >= 1 || rng.Float64() < f.Prob {
+		if strikes(f.OST, target, f.Prob, f.At, f.For, f.Every, at, rng) {
 			failed = true
 			permanent = permanent || f.Permanent
 		}
 	}
 	return failed, permanent
+}
+
+// strikes is the one window/probability decision behind OSTErrorAt,
+// ServerErrorAt and DrainErrorAt. A failure entry aimed at id (-1 = every
+// target) strikes a request on target at virtual time at when its window —
+// opening at first, lasting length seconds (<= 0 = open-ended), recurring
+// every period seconds (0 = one-shot) — covers at, and then with
+// probability prob. Only an entry whose window covers at draws from rng, and
+// prob >= 1 strikes draw-free.
+func strikes(id, target int, prob, first, length, period, at float64, rng *rand.Rand) bool {
+	if (id != -1 && id != target) || prob <= 0 {
+		return false
+	}
+	start := first
+	if period > 0 && at > start {
+		k := int((at - first) / period)
+		start = first + float64(k)*period
+	}
+	if at < start || (length > 0 && at >= start+length) {
+		return false
+	}
+	return prob >= 1 || rng.Float64() < prob
 }
 
 // --- storage-tier hooks -----------------------------------------------------
@@ -447,18 +457,7 @@ func (p *Plan) DrainErrorAt(node int, at float64, rng *rand.Rand) bool {
 	}
 	failed := false
 	for _, f := range p.DrainFails {
-		if (f.Node != -1 && f.Node != node) || f.Prob <= 0 {
-			continue
-		}
-		start := f.At
-		if f.Every > 0 && at > start {
-			k := int((at - f.At) / f.Every)
-			start = f.At + float64(k)*f.Every
-		}
-		if at < start || (f.For > 0 && at >= start+f.For) {
-			continue
-		}
-		if f.Prob >= 1 || rng.Float64() < f.Prob {
+		if strikes(f.Node, node, f.Prob, f.At, f.For, f.Every, at, rng) {
 			failed = true
 		}
 	}

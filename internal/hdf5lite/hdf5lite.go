@@ -200,9 +200,6 @@ func (f *File) Dataset(name string) Dataset {
 	return *d
 }
 
-// Datasets lists the container's datasets in file order.
-func (f *File) Datasets() []Dataset { return f.datasets }
-
 // WriteAll collectively writes this rank's portion of the dataset at the
 // given offset within it. Every rank must call it (possibly with no data).
 func (f *File) WriteAll(name string, myOff int64, data []byte) {

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"repro/internal/perf"
 )
@@ -99,32 +98,6 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 	return out
 }
 
-// Scatter sends blocks[i] from root to member i and returns the local block.
-// Non-root callers pass nil (scatterv semantics: blocks may differ in size).
-// Ownership of every block transfers to the collective (see Send).
-func (c *Comm) Scatter(root int, blocks [][]byte) []byte {
-	if c.r.reg != nil {
-		c.r.noteColl("scatter", sumLens(blocks))
-	}
-	t0 := c.r.begin()
-	defer c.r.end(t0)
-	tag := c.nextCollTag()
-	p := c.Size()
-	if c.me == root {
-		if len(blocks) != p {
-			panic("mpi: Scatter needs one block per member")
-		}
-		for i := 0; i < p; i++ {
-			if i != root {
-				c.send(i, tag, blocks[i])
-			}
-		}
-		return blocks[root]
-	}
-	blk, _ := c.recv(root, tag)
-	return blk
-}
-
 // Allgather shares every member's data with every member; the result is
 // indexed by comm rank. Blocks may have different sizes (allgatherv
 // semantics). Cost model: the Bruck concatenation-doubling algorithm —
@@ -141,28 +114,6 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 		return float64(logSteps(c.Size()))*c.stepCost() + c.bwCost(total)
 	})
 	return append([][]byte(nil), shared...)
-}
-
-func (c *Comm) allgatherT(data []byte, tag int) [][]byte {
-	p := c.Size()
-	collected := []piece{{rank: c.me, data: data}}
-	for len(collected) < p {
-		off := len(collected)
-		cnt := off
-		if rem := p - off; rem < cnt {
-			cnt = rem
-		}
-		sendTo := (c.me - off + p) % p
-		recvFrom := (c.me + off) % p
-		c.send(sendTo, tag, encPieces(collected[:cnt]))
-		in, _ := c.recv(recvFrom, tag)
-		collected = append(collected, decPieces(in)...)
-	}
-	out := make([][]byte, p)
-	for _, pc := range collected {
-		out[pc.rank] = pc.data
-	}
-	return out
 }
 
 // AllgatherInt64s is Allgather for int64 vectors.
@@ -462,64 +413,6 @@ func (c *Comm) AllreduceFloat64(vals []float64, op Op) []float64 {
 func (c *Comm) MaxFinishTime() float64 {
 	v := c.AllreduceFloat64([]float64{c.r.Now()}, OpMax)
 	return v[0]
-}
-
-// SortedMembers returns a copy of the members in ascending world order.
-func (c *Comm) SortedMembers() []int {
-	out := append([]int(nil), c.members...)
-	sort.Ints(out)
-	return out
-}
-
-// ScanInt64 computes the inclusive prefix reduction: member i receives the
-// combination of members 0..i (binomial-chain cost model via rendezvous).
-func (c *Comm) ScanInt64(vals []int64, op Op) []int64 {
-	c.r.noteColl("scan", int64(len(vals))*8)
-	t0 := c.r.begin()
-	defer c.r.end(t0)
-	all := c.syncExchange(c.nextCollTag(), encInt64s(vals), c.allreduceCost(int64(len(vals))*8))
-	acc := decInt64s(all[0])
-	for i := 1; i <= c.me; i++ {
-		combineInt64Bytes(acc, all[i], op)
-	}
-	return acc
-}
-
-// ExscanInt64 computes the exclusive prefix reduction: member i receives
-// the combination of members 0..i-1; member 0 receives zeros.
-func (c *Comm) ExscanInt64(vals []int64, op Op) []int64 {
-	c.r.noteColl("exscan", int64(len(vals))*8)
-	t0 := c.r.begin()
-	defer c.r.end(t0)
-	all := c.syncExchange(c.nextCollTag(), encInt64s(vals), c.allreduceCost(int64(len(vals))*8))
-	acc := make([]int64, len(vals))
-	if c.me == 0 {
-		return acc
-	}
-	decInt64sInto(acc, all[0])
-	for i := 1; i < c.me; i++ {
-		combineInt64Bytes(acc, all[i], op)
-	}
-	return acc
-}
-
-// ReduceScatterInt64 reduces a vector of Size()*blockLen elements across
-// all members and scatters block i to member i.
-func (c *Comm) ReduceScatterInt64(vals []int64, blockLen int, op Op) []int64 {
-	c.r.noteColl("reduce_scatter", int64(len(vals))*8)
-	t0 := c.r.begin()
-	defer c.r.end(t0)
-	p := c.Size()
-	if len(vals) != p*blockLen {
-		panic("mpi: ReduceScatterInt64 needs Size()*blockLen elements")
-	}
-	all := c.syncExchange(c.nextCollTag(), encInt64s(vals), c.allreduceCost(int64(blockLen)*8))
-	out := make([]int64, blockLen)
-	decInt64sInto(out, all[0][8*c.me*blockLen:])
-	for _, b := range all[1:] {
-		combineInt64Bytes(out, b[8*c.me*blockLen:], op)
-	}
-	return out
 }
 
 // sumLens totals the payload bytes of a block vector (metrics only; callers

@@ -32,7 +32,7 @@ type Comm struct {
 	// local marks a node-local communicator: its rendezvous collectives are
 	// priced on the memory path (MemLatency/MemBandwidth) instead of the NIC.
 	// Set only by NewHierarchy on intra-node comms; deliberately not
-	// inherited by Split/Dup — locality of a derived group is the deriver's
+	// inherited by Split — locality of a derived group is the deriver's
 	// call, not a property that survives regrouping.
 	local bool
 }
@@ -71,10 +71,6 @@ func (c *Comm) Rank() int { return c.me }
 
 // WorldRankOf translates a comm rank to its world rank.
 func (c *Comm) WorldRankOf(commRank int) int { return c.members[commRank] }
-
-// Members returns the world ranks in comm-rank order (shared slice; do not
-// modify).
-func (c *Comm) Members() []int { return c.members }
 
 // RankOfWorld translates a world rank to a comm rank (-1 if not a member).
 func (c *Comm) RankOfWorld(world int) int {
@@ -130,57 +126,4 @@ func (c *Comm) Split(color, key int) *Comm {
 		}
 	}
 	return &Comm{r: c.r, members: members, worldToComm: w2c, me: me, ctx: ctx}
-}
-
-// Dup returns a communicator with the same group but an isolated tag space.
-// It is collective (requires all members to call it in the same order).
-func (c *Comm) Dup() *Comm {
-	ctx := c.ctx*131 + c.splits + 1
-	c.splits++
-	members := append([]int(nil), c.members...)
-	w2c := make(map[int]int, len(members))
-	for i, m := range members {
-		w2c[m] = i
-	}
-	return &Comm{r: c.r, members: members, worldToComm: w2c, me: c.me, ctx: ctx}
-}
-
-// Include creates a communicator containing exactly the given comm ranks
-// of c, ordered as listed (like MPI_Comm_create over MPI_Group_incl). It
-// is collective over c; callers not in ranks receive nil.
-func (c *Comm) Include(ranks []int) *Comm {
-	pos := -1
-	for i, r := range ranks {
-		if r < 0 || r >= len(c.members) {
-			panic("mpi: Include rank outside communicator")
-		}
-		if r == c.me {
-			pos = i
-		}
-	}
-	color := 0
-	key := pos
-	if pos < 0 {
-		color = UndefinedColor
-		key = 0
-	}
-	return c.Split(color, key)
-}
-
-// Exclude creates a communicator containing every member of c except the
-// given comm ranks, preserving order. It is collective over c; excluded
-// callers receive nil.
-func (c *Comm) Exclude(ranks []int) *Comm {
-	drop := make(map[int]bool, len(ranks))
-	for _, r := range ranks {
-		if r < 0 || r >= len(c.members) {
-			panic("mpi: Exclude rank outside communicator")
-		}
-		drop[r] = true
-	}
-	color := 0
-	if drop[c.me] {
-		color = UndefinedColor
-	}
-	return c.Split(color, c.me)
 }

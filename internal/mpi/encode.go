@@ -143,38 +143,3 @@ func decRouted(b []byte) []routedBlock {
 	}
 	return blocks
 }
-
-// pieces are (origin rank, data) pairs moved by the Bruck allgather.
-type piece struct {
-	rank int
-	data []byte
-}
-
-func encPieces(ps []piece) []byte {
-	n := 4
-	for _, p := range ps {
-		n += 8 + len(p.data)
-	}
-	out := make([]byte, 0, n)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(ps)))
-	for _, p := range ps {
-		out = binary.LittleEndian.AppendUint32(out, uint32(p.rank))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p.data)))
-		out = append(out, p.data...)
-	}
-	return out
-}
-
-func decPieces(b []byte) []piece {
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	ps := make([]piece, n)
-	for i := range ps {
-		rank := int(binary.LittleEndian.Uint32(b))
-		ln := int(binary.LittleEndian.Uint32(b[4:]))
-		b = b[8:]
-		ps[i] = piece{rank: rank, data: b[:ln:ln]}
-		b = b[ln:]
-	}
-	return ps
-}

@@ -105,23 +105,18 @@ func (r *Rank) noteColl(op string, bytes int64) {
 // returns the maximum virtual finish time in seconds. The run is
 // deterministic for a given seed.
 func Run(nprocs int, ccfg cluster.Config, seed int64, body func(r *Rank)) float64 {
-	end, _ := RunWithStats(nprocs, ccfg, seed, body)
+	end, _ := RunPlan(nprocs, ccfg, seed, nil, body)
 	return end
 }
 
-// RunWithStats is Run returning the engine's scheduler counters as well, so
-// harnesses can report simulator throughput (events per wall second).
-func RunWithStats(nprocs int, ccfg cluster.Config, seed int64, body func(r *Rank)) (float64, sim.Stats) {
-	return RunPlan(nprocs, ccfg, seed, nil, body)
-}
-
-// RunPlan is RunWithStats under a fault plan: the plan's compute stragglers
-// and delivery jitter are installed as the engine's perturber, and its
-// NIC-path degradation is threaded into the cluster config. A nil or zero
-// plan runs bit-identically to RunWithStats — no perturbation machinery is
-// engaged at all. (OST faults live in the lustre config; see
-// lustre.Config.Faults.) Determinism holds for any plan: all perturbation
-// randomness comes from generators seeded by `seed`.
+// RunPlan is Run under a fault plan, returning the engine's scheduler
+// counters as well (harnesses report simulator throughput from them): the
+// plan's compute stragglers and delivery jitter are installed as the
+// engine's perturber, and its NIC-path degradation is threaded into the
+// cluster config. A nil or zero plan runs bit-identically to Run — no
+// perturbation machinery is engaged at all. (OST faults live in the lustre
+// config; see lustre.Config.Faults.) Determinism holds for any plan: all
+// perturbation randomness comes from generators seeded by `seed`.
 func RunPlan(nprocs int, ccfg cluster.Config, seed int64, plan *fault.Plan, body func(r *Rank)) (float64, sim.Stats) {
 	scfg := sim.Config{Seed: seed}
 	if !plan.IsZero() {
@@ -184,15 +179,6 @@ func (r *Rank) JobRank() int {
 		return r.WorldRank()
 	}
 	return r.jobRank
-}
-
-// JobSize returns the number of ranks in the rank's job (WorldSize when no
-// namespace is armed).
-func (r *Rank) JobSize() int {
-	if r.jobMembers == nil {
-		return r.WorldSize()
-	}
-	return len(r.jobMembers)
 }
 
 // JobMembers returns the world ranks of the rank's job in job-rank order

@@ -20,7 +20,7 @@ import "math/bits"
 // implementations). What is sacrificed is only NIC-level contention
 // between control messages and bulk data, which is negligible for the
 // few-byte control payloads. Data-bearing operations (point-to-point
-// exchange, Alltoallv blocks, Bcast/Gather/Scatter) remain message-based.
+// exchange, Alltoallv blocks, Bcast/Gather) remain message-based.
 
 // collKey identifies one collective invocation on one communicator.
 // Sibling communicators born from one Split share ctx and advance the same

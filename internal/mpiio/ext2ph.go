@@ -408,14 +408,9 @@ func (c *call) plan(segs []datatype.Segment, pre []int64) {
 	r.SetClass(old)
 }
 
-// fdStripe returns the stripe size file-domain boundaries align to, or zero
-// when alignment is hinted off.
-func (f *File) fdStripe() int64 {
-	if f.hints.NoFDAlign {
-		return 0
-	}
-	return f.lf.Stripe().Size
-}
+// fdStripe returns the stripe size file-domain boundaries align to, as
+// tuned Lustre ADIOs do.
+func (f *File) fdStripe() int64 { return f.lf.Stripe().Size }
 
 // roundStall applies the fault plan's per-round compute noise, if any,
 // before a round's size agreement: with the configured probability the rank

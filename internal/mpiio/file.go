@@ -28,9 +28,10 @@ import (
 
 // Hints configures collective I/O, mirroring the MPI-IO hints the paper
 // discusses (cb_nodes, cb_buffer_size, and the explicit aggregator list).
-// Hints carries only knobs with an MPI_Info string equivalent; per-run state
-// that is not a hint — fault plans, recovery policy, tracing, metrics — lives
-// in RunOptions and is passed separately at open (see OpenWith).
+// Programs set the fields directly; there is no MPI_Info string parsing.
+// Per-run state that is not a hint — fault plans, recovery policy, tracing,
+// metrics — lives in RunOptions and is passed separately at open (see
+// OpenWith).
 type Hints struct {
 	// CBNodes caps the number of I/O aggregators chosen from the default
 	// one-per-node list. Zero means one aggregator per node.
@@ -41,9 +42,6 @@ type Hints struct {
 	// AggregatorList explicitly names aggregator world ranks (the paper's
 	// hint (b)). It overrides CBNodes when non-empty.
 	AggregatorList []int
-	// NoFDAlign disables aligning file-domain boundaries to the stripe
-	// size (alignment is on by default, as tuned Lustre ADIOs do).
-	NoFDAlign bool
 	// AlltoallvAlgo selects the metadata alltoallv algorithm (ablation).
 	AlltoallvAlgo mpi.AlltoallvAlgo
 	// IndBufferSize is the data-sieving window for independent
@@ -53,14 +51,14 @@ type Hints struct {
 	// IntraNode enables two-level collective I/O: PEs sharing a node merge
 	// their offset/length vectors and data into their node leader before
 	// the inter-node exchange, so only one process per node crosses the
-	// NIC (hint "parcoll_intranode"). It requires every aggregator to be
-	// its node's leader (the default selection guarantees this); otherwise,
-	// and under crash-carrying fault plans, the flat path runs instead.
+	// NIC. It requires every aggregator to be its node's leader (the
+	// default selection guarantees this); otherwise, and under
+	// crash-carrying fault plans, the flat path runs instead.
 	// Off by default: the flat protocol is bit-identical to prior releases.
 	IntraNode bool
 }
 
-// RunOptions carries per-run state that is not an MPI_Info hint: fault
+// RunOptions carries per-run state that is not an MPI-IO hint: fault
 // injection, recovery tuning, and observability sinks. It is passed at open
 // (OpenWith) alongside the Hints; a zero RunOptions is a plain, unobserved,
 // healthy run. Everything here is observe-only or deterministic by
@@ -169,7 +167,6 @@ type File struct {
 	deadWorld map[int]bool
 	degraded  bool
 	rstats    recovery.FailoverStats
-	rlog      recovery.Log
 }
 
 // OverlapStats accounts the I/O tails of split-collective operations on
@@ -204,9 +201,6 @@ func (f *File) Overlap() OverlapStats { return f.ovl }
 // a healthy run, detections/failovers/degradations plus their virtual-time
 // costs when the resilient path had work to do.
 func (f *File) Recovery() recovery.FailoverStats { return f.rstats }
-
-// RecoveryLog returns the rank's structured recovery event log.
-func (f *File) RecoveryLog() *recovery.Log { return &f.rlog }
 
 // traceRound emits one protocol-round span when tracing is enabled and feeds
 // the phase-duration histogram when metrics are armed. end may lie in the
@@ -248,7 +242,7 @@ func Open(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.Stripe
 }
 
 // OpenWith is Open with explicit per-run state: fault plan, recovery policy,
-// and observability sinks. Hints stays pure MPI_Info configuration; run
+// and observability sinks. Hints stays pure MPI-IO hint configuration; run
 // carries everything else (see RunOptions).
 func OpenWith(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.Stripe, hints Hints, run RunOptions) *File {
 	r := rankOf(comm)
@@ -355,8 +349,6 @@ func (f *File) SetAggregators(aggs []int) {
 	f.aggs = append([]int(nil), aggs...)
 	f.rstats.Reelections++
 	f.noteRecovery("reelections")
-	f.rlog.Append(f.r.Now(), f.comm.Rank(), "reelect",
-		fmt.Sprintf("aggregators re-elected away from degraded staging: %v", aggs))
 }
 
 // SetView installs a file view (collective in MPI; here each rank sets its

@@ -216,31 +216,3 @@ func TestHierStragglerPlanStaysHierarchical(t *testing.T) {
 	want, size := interleavedWant(n)
 	checkContents(t, fs, "st", want, size)
 }
-
-// TestIntraNodeHintRoundtrip pins the MPI_Info surface of the new knob.
-func TestIntraNodeHintRoundtrip(t *testing.T) {
-	h, err := ParseHints(map[string]string{"parcoll_intranode": "enable"})
-	if err != nil || !h.IntraNode {
-		t.Fatalf("enable: %+v err %v", h, err)
-	}
-	h, err = ParseHints(map[string]string{"parcoll_intranode": "disable"})
-	if err != nil || h.IntraNode {
-		t.Fatalf("disable: %+v err %v", h, err)
-	}
-	if _, err := ParseHints(map[string]string{"parcoll_intranode": "yes"}); err == nil {
-		t.Fatal("bad value accepted")
-	}
-	info := Hints{IntraNode: true}.Info()
-	found := false
-	for _, kv := range info {
-		if kv == "parcoll_intranode=enable" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Info() missing parcoll_intranode: %v", info)
-	}
-	if len(Hints{}.Info()) != 1 {
-		t.Fatalf("zero Hints should render only cb_buffer_size: %v", Hints{}.Info())
-	}
-}

@@ -191,8 +191,7 @@ func TestAggregatorListHint(t *testing.T) {
 	})
 }
 
-// A Hints literal can still repeat a rank (ParseHints rejects it): the
-// repeat counts once, instead of two file domains fighting over one
+// A Hints literal can repeat a rank: the repeat counts once, instead of two file domains fighting over one
 // aggregator's request slot and the call dying mid-round.
 func TestRepeatedAggregatorCountsOnce(t *testing.T) {
 	const n, per = 4, 3000

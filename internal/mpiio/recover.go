@@ -187,7 +187,6 @@ func (c *call) markDead(round int) {
 		// false suspicion of every live aggregator, from nothing but
 		// bookkeeping skew.
 		f.r.Compute(ft.pol.Timeout)
-		f.rlog.Append(f.r.Now(), f.comm.Rank(), "crash", fmt.Sprintf("aggregator role dead at round %d", round))
 	}
 }
 
@@ -222,8 +221,6 @@ func (c *call) heartbeat(round int) {
 			f.rstats.Detections++
 			f.noteRecovery("detections")
 			f.rstats.DetectSecs += ft.pol.Timeout
-			f.rlog.Append(f.r.Now(), me, "timeout",
-				fmt.Sprintf("aggregator %d (comm rank %d) silent in round %d", a, cr, round))
 			continue
 		}
 		ft.aggSt[a], ft.aggEnd[a], c.due[a] = decPlan(msg)
@@ -299,8 +296,6 @@ func (c *call) failover(newly []int, round int) {
 		}
 		f.rstats.Reelections++
 		f.noteRecovery("reelections")
-		f.rlog.Append(r.Now(), me, "reelect",
-			fmt.Sprintf("no aggregator survives; comm rank %d elected", owners[0]))
 	}
 
 	first := len(c.annexes)
@@ -315,8 +310,6 @@ func (c *call) failover(newly []int, round int) {
 		f.rstats.Failovers++
 		f.noteRecovery("failovers")
 		if lo >= hi {
-			f.rlog.Append(r.Now(), me, "failover",
-				fmt.Sprintf("aggregator %d had no unwritten remainder", a))
 			continue
 		}
 		subLo, subHi := computeFDs(lo, hi, len(owners), f.fdStripe())
@@ -340,8 +333,6 @@ func (c *call) failover(newly []int, round int) {
 			// from the subdomain bounds, identically on every rank.
 			c.ntimes = max(c.ntimes, round+int((x.hi-x.lo+c.cb-1)/c.cb))
 		}
-		f.rlog.Append(r.Now(), me, "failover",
-			fmt.Sprintf("aggregator %d remainder [%d,%d) -> %d owner(s)", a, lo, hi, len(owners)))
 	}
 
 	// Disseminate: every member sends its (possibly empty) clip list for
@@ -390,8 +381,6 @@ func (c *call) settle() {
 		f.degraded = true
 		f.rstats.Degradations++
 		f.noteRecovery("degradations")
-		f.rlog.Append(f.r.Now(), f.comm.Rank(), "degrade",
-			"failover budget exhausted; independent rewrite of all local data")
 		f.independent(true, ft.segs, ft.pre, c.data)
 	}
 	f.redumpLost(ft.segs, ft.pre, c.data)
@@ -418,12 +407,10 @@ func (f *File) redumpLost(segs []datatype.Segment, pre []int64, data []byte) {
 	if len(lost) == 0 {
 		return
 	}
-	var n int64
 	redump := func(off, ln, pos int64) {
 		for _, e := range storage.Intersect(lost, []storage.Extent{{Off: off, Len: ln}}) {
 			p := pos + (e.Off - off)
 			f.resilientWrite(e.Off, data[p:p+e.Len])
-			n += e.Len
 		}
 	}
 	for i, s := range segs {
@@ -436,10 +423,6 @@ func (f *File) redumpLost(segs []datatype.Segment, pre []int64, data []byte) {
 			redump(ph.Off, ph.Len, pos)
 			pos += ph.Len
 		}
-	}
-	if n > 0 {
-		f.rlog.Append(f.r.Now(), f.comm.Rank(), "redump",
-			fmt.Sprintf("re-dumped %d bytes lost to a staging-node failure", n))
 	}
 }
 
@@ -471,7 +454,7 @@ func (f *File) resilientWrite(off int64, data []byte) {
 		}
 		var sl *storage.StagingLostError
 		if errors.As(err, &sl) {
-			f.noteStagingLost(sl)
+			f.rstats.Degradations++
 			continue
 		}
 		var oe *recovery.TargetError
@@ -479,13 +462,6 @@ func (f *File) resilientWrite(off int64, data []byte) {
 			panic(fmt.Sprintf("mpiio: unrecoverable write at %d: %v", off, err))
 		}
 	}
-}
-
-// noteStagingLost records a surfaced staging loss in the recovery log and
-// telemetry. The loss itself is repaired by redumpLost.
-func (f *File) noteStagingLost(sl *storage.StagingLostError) {
-	f.rstats.Degradations++
-	f.rlog.Append(f.r.Now(), f.comm.Rank(), "staging-lost", sl.Error())
 }
 
 // independent moves this rank's own segments with no coordination, through

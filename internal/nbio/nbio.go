@@ -152,26 +152,6 @@ func (q *Request) Test() bool {
 	return false
 }
 
-// Cancel abandons an in-flight request without charging its remaining tail:
-// the progress-engine completion is withdrawn, the deferred finish step is
-// dropped, and resources are released. Completion callbacks still fire (the
-// request is done — its operation just won't deliver a result), so waiters
-// chained via OnComplete unblock. The recovery path uses this to kill
-// requests addressed to a crashed aggregator; data durability is unaffected
-// because async writes store bytes at issue time. Idempotent, and a no-op
-// on an already-complete request.
-func (q *Request) Cancel() {
-	if q.done {
-		return
-	}
-	if q.pend != nil {
-		q.pend.Cancel()
-	}
-	q.tailDone = true
-	q.finish = nil
-	q.finishUp()
-}
-
 // Waitall waits on every request in order. Deterministic: completion order
 // is the slice order, not the tail order.
 func Waitall(reqs ...*Request) {

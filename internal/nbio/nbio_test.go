@@ -162,38 +162,3 @@ func TestOpPayload(t *testing.T) {
 		}
 	})
 }
-
-func TestCancelAbandonsRequest(t *testing.T) {
-	run(func(r *mpi.Rank) {
-		finished := false
-		released := false
-		notified := false
-		q := Start(r, r.Now()+5.0, func() { finished = true }, func() { released = true }, nil)
-		q.OnComplete(func(*Request) { notified = true })
-		t0 := r.Now()
-		q.Cancel()
-		if !q.Done() {
-			t.Fatal("canceled request not done")
-		}
-		if r.Now() != t0 {
-			t.Errorf("Cancel advanced the clock %g -> %g", t0, r.Now())
-		}
-		if q.Exposed() != 0 {
-			t.Errorf("Cancel charged exposed tail %g", q.Exposed())
-		}
-		if finished {
-			t.Error("Cancel ran the deferred finish step")
-		}
-		if !released || !notified {
-			t.Errorf("released=%v notified=%v, want both true", released, notified)
-		}
-		if r.P.PendingOps() != 0 {
-			t.Errorf("canceled request left %d live pending ops", r.P.PendingOps())
-		}
-		q.Cancel() // idempotent
-		q.Wait()   // no-op on a canceled request
-		if finished {
-			t.Error("Wait after Cancel ran the finish step")
-		}
-	})
-}

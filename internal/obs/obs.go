@@ -97,14 +97,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Mean returns the sample mean (zero when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // SecondsBuckets is the standard virtual-time bucket layout: log-spaced
 // from a microsecond to ten virtual seconds.
 func SecondsBuckets() []float64 {

@@ -11,13 +11,12 @@ import (
 	"math/bits"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // Counter is a monotonically increasing event counter. It is deliberately
 // not atomic: the hot paths that increment it (the sim engine's scheduler
 // and mailboxes) are single-threaded by construction, and a plain add is
-// free. Use atomic counters (see ArenaStats) where concurrency is possible.
+// free. Use atomic counters where concurrency is possible.
 type Counter uint64
 
 // Inc adds one.
@@ -51,21 +50,6 @@ const (
 
 var arenaPools [arenaMaxBits - arenaMinBits + 1]sync.Pool
 
-// ArenaStats counts arena traffic (atomically — tests may run engines in
-// parallel processes of the same binary).
-type ArenaStats struct {
-	Gets   atomic.Uint64 // GetBuf calls served from a pool or fresh
-	Reuses atomic.Uint64 // GetBuf calls satisfied by a pooled buffer
-	Puts   atomic.Uint64 // PutBuf calls accepted into a pool
-}
-
-var arenaStats ArenaStats
-
-// ArenaCounters returns a snapshot of the arena's traffic counters.
-func ArenaCounters() (gets, reuses, puts uint64) {
-	return arenaStats.Gets.Load(), arenaStats.Reuses.Load(), arenaStats.Puts.Load()
-}
-
 func classFor(n int) int {
 	if n <= 0 {
 		return 0
@@ -81,13 +65,11 @@ func classFor(n int) int {
 // contents are unspecified (reused buffers keep old bytes); callers must
 // overwrite the full length before reading.
 func GetBuf(n int) []byte {
-	arenaStats.Gets.Add(1)
 	cls := classFor(n)
 	if cls >= len(arenaPools) {
 		return make([]byte, n)
 	}
 	if v := arenaPools[cls].Get(); v != nil {
-		arenaStats.Reuses.Add(1)
 		return (*(v.(*[]byte)))[:n]
 	}
 	return make([]byte, n, 1<<(cls+arenaMinBits))
@@ -107,7 +89,6 @@ func PutBuf(b []byte) {
 	if cls < 0 || cls >= len(arenaPools) {
 		return
 	}
-	arenaStats.Puts.Add(1)
 	b = b[:0]
 	arenaPools[cls].Put(&b)
 }

@@ -432,41 +432,3 @@ type FailoverStats struct {
 	RecoverSecs   float64 // virtual seconds replanning after detection
 	TimeToRecover float64 // max replanning span over ranks (the TTR metric)
 }
-
-// Merge accumulates o into s; TimeToRecover merges by max (it is a span, not
-// a sum).
-func (s *FailoverStats) Merge(o FailoverStats) {
-	s.Detections += o.Detections
-	s.Failovers += o.Failovers
-	s.Reelections += o.Reelections
-	s.Degradations += o.Degradations
-	s.DetectSecs += o.DetectSecs
-	s.RecoverSecs += o.RecoverSecs
-	if o.TimeToRecover > s.TimeToRecover {
-		s.TimeToRecover = o.TimeToRecover
-	}
-}
-
-// Recovered reports whether any recovery action fired.
-func (s *FailoverStats) Recovered() bool {
-	return s.Detections > 0 || s.Failovers > 0 || s.Reelections > 0 || s.Degradations > 0
-}
-
-// Event is one entry in the structured recovery log: what a rank did about
-// a failure and when. Kinds: "timeout", "failover", "reelect", "degrade".
-type Event struct {
-	At     float64 // virtual time the action completed
-	Rank   int     // acting rank (communicator rank)
-	Kind   string
-	Detail string
-}
-
-// Log is an append-only recovery log. The zero value is ready to use.
-type Log struct {
-	Events []Event
-}
-
-// Append records one event.
-func (l *Log) Append(at float64, rank int, kind, detail string) {
-	l.Events = append(l.Events, Event{At: at, Rank: rank, Kind: kind, Detail: detail})
-}

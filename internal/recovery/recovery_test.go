@@ -173,32 +173,6 @@ func TestStatsMerge(t *testing.T) {
 		r.BreakerOpens != 1 || r.BackoffSecs != 0.75 {
 		t.Fatalf("RetryStats.Add wrong: %+v", r)
 	}
-
-	var f FailoverStats
-	f.Merge(FailoverStats{Detections: 2, Failovers: 1, TimeToRecover: 0.3})
-	f.Merge(FailoverStats{Reelections: 1, Degradations: 1, TimeToRecover: 0.1, DetectSecs: 0.05})
-	if f.Detections != 2 || f.Failovers != 1 || f.Reelections != 1 || f.Degradations != 1 {
-		t.Fatalf("FailoverStats.Merge counters wrong: %+v", f)
-	}
-	if f.TimeToRecover != 0.3 {
-		t.Fatalf("TimeToRecover must merge by max: %g", f.TimeToRecover)
-	}
-	if !f.Recovered() {
-		t.Fatal("Recovered() false after recovery actions")
-	}
-	var zero FailoverStats
-	if zero.Recovered() {
-		t.Fatal("zero stats claim recovery")
-	}
-}
-
-func TestLogAppend(t *testing.T) {
-	var l Log
-	l.Append(0.1, 3, "timeout", "agg 0 silent in round 2")
-	l.Append(0.2, 3, "failover", "domain -> rank 8")
-	if len(l.Events) != 2 || l.Events[0].Kind != "timeout" || l.Events[1].At != 0.2 {
-		t.Fatalf("log = %+v", l.Events)
-	}
 }
 
 // FuzzRetrySchedule checks the backoff invariants over arbitrary

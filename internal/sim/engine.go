@@ -605,22 +605,6 @@ func (p *Proc) Recv(src, tag int) Message {
 	}
 }
 
-// TryRecv is a non-blocking Recv; ok is false when no matching message has
-// been deposited yet (regardless of its virtual arrival time).
-func (p *Proc) TryRecv(src, tag int) (Message, bool) {
-	spec := recvSpec{src: src, tag: tag}
-	m, ok := p.mb.take(spec, &p.engine.stats)
-	if !ok {
-		return Message{}, false
-	}
-	if m.Arrival > p.now {
-		p.now = m.Arrival
-	}
-	p.fireDue()
-	p.engine.stats.Recvs.Inc()
-	return m, true
-}
-
 // Resource models a shared device (NIC, OST) that serves one request at a
 // time. Bookings are kept in a merged interval ledger; Acquire books the
 // earliest gap at or after the requested time. All access happens from the

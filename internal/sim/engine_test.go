@@ -149,25 +149,6 @@ func TestWildcardInterleavedWithTagged(t *testing.T) {
 	})
 }
 
-func TestTryRecv(t *testing.T) {
-	e := NewEngine(Config{Seed: 1})
-	e.Run(2, func(p *Proc) {
-		switch p.ID() {
-		case 0:
-			if _, ok := p.TryRecv(1, AnyTag); ok {
-				t.Error("TryRecv found message before any send")
-			}
-			m := p.Recv(1, 1) // blocks until proc 1 sends
-			if m.Payload.(int) != 42 {
-				t.Errorf("got %v", m.Payload)
-			}
-		case 1:
-			p.Advance(3)
-			p.Send(0, 1, 42, p.Now())
-		}
-	})
-}
-
 // TestSchedulerOrder verifies the engine always runs the proc with the
 // smallest virtual clock, so cross-proc event interleavings follow virtual
 // time rather than goroutine scheduling.

@@ -103,8 +103,8 @@ func (h *pendHeap) pop() *Pending {
 
 // After registers fn to fire when the proc's clock reaches at. If at is
 // already due, the callback still fires at the next progress point (an
-// Advance, AdvanceTo, Recv, or explicit Progress call), never inside After
-// itself — registration is side-effect free.
+// Advance, AdvanceTo, Recv or RecvUntil call), never inside After itself —
+// registration is side-effect free.
 func (p *Proc) After(at float64, fn func()) *Pending {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: proc %d After with nil callback", p.id))
@@ -114,10 +114,6 @@ func (p *Proc) After(at float64, fn func()) *Pending {
 	p.pend.push(pd)
 	return pd
 }
-
-// Progress fires every due deferred completion (at <= Now), in (at, seq)
-// order. It never advances the clock.
-func (p *Proc) Progress() { p.fireDue() }
 
 // PendingOps reports the number of live (unfired, uncanceled) deferred
 // completions — diagnostics and tests.

@@ -114,17 +114,6 @@ func TestAfterCallbackMayRegisterMore(t *testing.T) {
 	})
 }
 
-func TestProgressDrainsDue(t *testing.T) {
-	NewEngine(Config{Seed: 1}).Run(1, func(p *Proc) {
-		fired := false
-		p.After(0.0, func() { fired = true })
-		p.Progress()
-		if !fired {
-			t.Error("Progress did not fire a due completion")
-		}
-	})
-}
-
 func TestAfterNilFnPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -128,7 +128,7 @@ func (mb *mailbox) takeBefore(spec recvSpec, deadline float64, st *Stats) (Messa
 // reaches the deadline first, it returns (Message{}, false) with the clock
 // advanced to exactly the deadline. Wildcards are not supported: failure
 // detection is always about a specific peer. A deadline already in the past
-// degenerates to a TryRecv of messages that have truly arrived.
+// degenerates to a non-blocking receive of messages that have truly arrived.
 func (p *Proc) RecvUntil(src, tag int, deadline float64) (Message, bool) {
 	if src == AnySource || tag == AnyTag {
 		panic(fmt.Sprintf("sim: proc %d RecvUntil with wildcard (src=%d, tag=%d)", p.id, src, tag))

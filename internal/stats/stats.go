@@ -1,63 +1,12 @@
 // Package stats provides the small numeric and formatting helpers the
-// experiment harness uses: repeated-measurement summaries, bandwidth
-// units, and aligned text tables.
+// experiment harness uses: bandwidth and byte units, and aligned text
+// tables.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Summary describes repeated measurements of one quantity.
-type Summary struct {
-	N                   int
-	Mean, Min, Max, Std float64
-}
-
-// Summarize computes a Summary of the samples.
-func Summarize(samples []float64) Summary {
-	s := Summary{N: len(samples)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	for _, v := range samples {
-		s.Mean += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean /= float64(s.N)
-	for _, v := range samples {
-		d := v - s.Mean
-		s.Std += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(s.Std / float64(s.N-1))
-	} else {
-		s.Std = 0
-	}
-	return s
-}
-
-// Median returns the median of the samples (0 when empty).
-func Median(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), samples...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
 
 // MBps formats a bytes-per-second rate as MB/s (10^6 bytes, as the paper
 // reports).

@@ -1,65 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("summary = %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Errorf("std = %g want %g", s.Std, want)
-	}
-}
-
-func TestSummarizeEdge(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Errorf("empty summary N = %d", s.N)
-	}
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.Std != 0 || s.Min != 7 || s.Max != 7 {
-		t.Errorf("single-sample summary = %+v", s)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{5, 1, 3}); m != 3 {
-		t.Errorf("odd median = %g", m)
-	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Errorf("even median = %g", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Errorf("empty median = %g", m)
-	}
-}
-
-// Property: Min <= Mean <= Max and Median within [Min, Max].
-func TestSummaryOrderProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		var samples []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e100 {
-				samples = append(samples, v)
-			}
-		}
-		if len(samples) == 0 {
-			return true
-		}
-		s := Summarize(samples)
-		m := Median(samples)
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && m >= s.Min && m <= s.Max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestFormatting(t *testing.T) {
 	if got := MBps(5.301e9); got != "5301.0 MB/s" {

@@ -1,8 +1,7 @@
 // Package trace records per-rank virtual-time event timelines, the
 // instrumentation style behind the paper's Section 2 dissection of
-// collective I/O. Experiments wrap operations in spans; the recorder can
-// render a per-rank summary, a merged chronological log, or JSON for
-// external tooling.
+// collective I/O. Experiments record operations as spans; the recorder sums
+// them per kind and renders a per-rank Gantt timeline.
 //
 // The recorder is engine-friendly: the simulation runs procs one at a
 // time, so no locking is needed as long as a single Recorder is shared by
@@ -10,9 +9,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -44,18 +41,6 @@ func (r *Recorder) Add(rank int, kind string, start, end float64, note string) {
 	r.events = append(r.events, Event{Rank: rank, Kind: kind, Start: start, End: end, Note: note})
 }
 
-// Span starts a span and returns a closure that completes it; use with a
-// clock accessor:
-//
-//	done := rec.Span(rank, "write", now())
-//	...
-//	done(now(), "dump 3")
-func (r *Recorder) Span(rank int, kind string, start float64) func(end float64, note string) {
-	return func(end float64, note string) {
-		r.Add(rank, kind, start, end, note)
-	}
-}
-
 // Events returns a copy of the recorded events in insertion order. Mutating
 // the returned slice cannot corrupt the recorder; callers on a hot path that
 // promise not to mutate or retain the slice can use EventsShared.
@@ -76,43 +61,6 @@ func (r *Recorder) ByKind() map[string]float64 {
 		out[e.Kind] += e.Dur()
 	}
 	return out
-}
-
-// RankSummary sums durations per kind for one rank.
-func (r *Recorder) RankSummary(rank int) map[string]float64 {
-	out := make(map[string]float64)
-	for _, e := range r.events {
-		if e.Rank == rank {
-			out[e.Kind] += e.Dur()
-		}
-	}
-	return out
-}
-
-// Chronological returns the events sorted by (start, rank).
-func (r *Recorder) Chronological() []Event {
-	out := append([]Event(nil), r.events...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	return out
-}
-
-// JSON renders the chronological event log as JSON lines.
-func (r *Recorder) JSON() (string, error) {
-	var b strings.Builder
-	for _, e := range r.Chronological() {
-		raw, err := json.Marshal(e)
-		if err != nil {
-			return "", err
-		}
-		b.Write(raw)
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
 }
 
 // Gantt renders a coarse per-rank timeline: one row per rank, one column

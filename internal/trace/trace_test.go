@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestAddAndSummaries(t *testing.T) {
@@ -16,23 +14,6 @@ func TestAddAndSummaries(t *testing.T) {
 	if byKind["sync"] != 2.5 || byKind["io"] != 2 {
 		t.Errorf("ByKind = %v", byKind)
 	}
-	r0 := r.RankSummary(0)
-	if r0["sync"] != 1 || r0["io"] != 2 {
-		t.Errorf("RankSummary(0) = %v", r0)
-	}
-	if len(r.RankSummary(7)) != 0 {
-		t.Error("unknown rank has events")
-	}
-}
-
-func TestSpanClosure(t *testing.T) {
-	r := New()
-	done := r.Span(2, "exchange", 5)
-	done(8, "round 3")
-	ev := r.Events()
-	if len(ev) != 1 || ev[0].Dur() != 3 || ev[0].Note != "round 3" {
-		t.Errorf("events = %+v", ev)
-	}
 }
 
 func TestBackwardsSpanPanics(t *testing.T) {
@@ -42,33 +23,6 @@ func TestBackwardsSpanPanics(t *testing.T) {
 		}
 	}()
 	New().Add(0, "x", 2, 1, "")
-}
-
-func TestChronological(t *testing.T) {
-	r := New()
-	r.Add(1, "b", 2, 3, "")
-	r.Add(0, "a", 1, 2, "")
-	r.Add(0, "c", 2, 4, "")
-	got := r.Chronological()
-	if got[0].Kind != "a" || got[1].Kind != "c" || got[2].Kind != "b" {
-		t.Errorf("order = %+v", got)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	r := New()
-	r.Add(0, "sync", 0, 1.5, "note")
-	out, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e Event
-	if err := json.Unmarshal([]byte(strings.TrimSpace(out)), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e != (Event{Rank: 0, Kind: "sync", Start: 0, End: 1.5, Note: "note"}) {
-		t.Errorf("round trip = %+v", e)
-	}
 }
 
 func TestGantt(t *testing.T) {
@@ -111,38 +65,5 @@ func TestEventsReturnsCopy(t *testing.T) {
 	// EventsShared exposes the backing array by contract.
 	if sh := r.EventsShared(); len(sh) != 2 || sh[0].Kind != "sync" {
 		t.Fatalf("EventsShared = %+v", sh)
-	}
-}
-
-// Property: ByKind totals always equal the sum of per-rank summaries.
-func TestSummaryConsistencyProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		r := New()
-		kinds := []string{"sync", "exchange", "io"}
-		maxRank := 0
-		for i := 0; i+2 < len(raw); i += 3 {
-			rank := int(raw[i]) % 4
-			if rank > maxRank {
-				maxRank = rank
-			}
-			start := float64(raw[i+1])
-			r.Add(rank, kinds[int(raw[i+2])%3], start, start+float64(raw[i+2]), "")
-		}
-		total := r.ByKind()
-		sum := make(map[string]float64)
-		for rank := 0; rank <= maxRank; rank++ {
-			for k, v := range r.RankSummary(rank) {
-				sum[k] += v
-			}
-		}
-		for k, v := range total {
-			if d := sum[k] - v; d > 1e-9 || d < -1e-9 {
-				return false
-			}
-		}
-		return len(sum) == len(total)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
-	"repro/internal/storage"
 )
 
 // IOR models the IOR benchmark's shared-file collective mode used in the
@@ -125,36 +122,4 @@ func (w IOR) WriteIndependent(r *mpi.Rank, env Env, name string) Result {
 		Breakdown: f.Breakdown(),
 		Metrics:   snapshotMetrics(env),
 	}
-}
-
-// WriteFPP runs IOR's file-per-process mode: every rank writes its block
-// to its own file with independent I/O — no sharing, no collective
-// coordination. The classic foil for shared-file collective I/O: it avoids
-// both the collective wall and lock conflicts, at the cost of N files.
-func (w IOR) WriteFPP(r *mpi.Rank, env Env, prefix string) Result {
-	comm := mpi.WorldComm(r)
-	me := r.JobRank()
-	f := env.FS.Open(r, fmt.Sprintf("%s.%08d", prefix, me), env.Stripe)
-	buf := make([]byte, w.Transfer)
-	elapsed := measure(comm, func() {
-		for off := int64(0); off < w.Block; off += w.Transfer {
-			n := w.Transfer
-			if off+n > w.Block {
-				n = w.Block - off
-			}
-			Fill(buf[:n], me, off)
-			storage.Write(r, f, off, buf[:n])
-		}
-	})
-	return Result{
-		Elapsed:   elapsed,
-		VirtBytes: w.Block * int64(comm.Size()) * scaleOf(env),
-		Metrics:   snapshotMetrics(env),
-	}
-}
-
-// CheckFPP reads this rank's per-process file back against the pattern.
-func (w IOR) CheckFPP(r *mpi.Rank, env Env, prefix string) error {
-	f := env.FS.Open(r, fmt.Sprintf("%s.%08d", prefix, r.JobRank()), env.Stripe)
-	return readBack(r, f, []datatype.Segment{{Off: 0, Len: w.Block}})
 }

@@ -363,18 +363,3 @@ func TestFlashAttrsInHeader(t *testing.T) {
 		}
 	})
 }
-
-func TestIORFilePerProcess(t *testing.T) {
-	env := testEnv(core.Options{})
-	w := IOR{Block: 8192, Transfer: 2048}
-	mpi.Run(4, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		res := w.WriteFPP(r, env, "fpp")
-		if res.Elapsed <= 0 {
-			t.Error("no elapsed time")
-		}
-		mpi.WorldComm(r).Barrier()
-		if err := w.CheckFPP(r, env, "fpp"); err != nil {
-			t.Error(err)
-		}
-	})
-}

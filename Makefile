@@ -48,7 +48,7 @@ faults: vet
 # (DESIGN.md §11, EXPERIMENTS.md "Reading a Perfetto dump").
 obs:
 	$(GO) vet ./internal/obs/... ./internal/cli/...
-	$(GO) test ./internal/obs/... ./internal/cli/... ./internal/trace/... -count=1
+	$(GO) test ./internal/obs/... ./internal/cli/... -count=1
 	$(GO) test . -run 'TestInstrumentedRunsMatchBare|TestObservedRunDeterminism|TestObservedMetricsPopulated|TestCriticalPathConsistency' -count=1 -v
 	$(GO) run ./cmd/collwall -procs 32 -maxprocs 32 -minprocs 32 -groups 4 -trace-out /tmp/parcoll-trace.json -metrics > /dev/null
 	$(GO) run ./examples/validatetrace /tmp/parcoll-trace.json
@@ -58,7 +58,6 @@ obs:
 fuzz:
 	$(GO) test -fuzz 'FuzzPartitionDirect' -fuzztime=10s ./internal/core
 	$(GO) test -fuzz 'FuzzSieve' -fuzztime=10s ./internal/mpiio
-	$(GO) test -fuzz 'FuzzRetrySchedule' -fuzztime=10s ./internal/recovery
 	$(GO) test -fuzz 'FuzzNodeSplit' -fuzztime=10s ./internal/mpi
 	$(GO) test -fuzz 'FuzzExtentCoalesce' -fuzztime=10s ./internal/bb
 	$(GO) test -fuzz 'FuzzExtentRedump' -fuzztime=10s ./internal/storage
@@ -72,7 +71,7 @@ hierarchical: vet
 	$(GO) test ./internal/mpiio/ -run 'TestHier' -count=1
 	$(GO) test . -run 'TestHierarchical|TestIntraNodeAggregationReducesExchange' -count=1 -v
 
-# Fail-stop recovery gate: the retry/backoff/breaker unit tests, the
+# Fail-stop recovery gate: the retry schedule and breaker unit tests, the
 # resilient-collective acceptance tests (byte-exact read-back under crashes,
 # ParColl's time-to-recover strictly below ext2ph's), and the crash-plan
 # determinism goldens (DESIGN.md §10, EXPERIMENTS.md "Recovery sweep").
@@ -150,10 +149,10 @@ loc:
 		printf '%6d  %s\n' $$n .$${d#$(CURDIR)}; \
 	done | sort -k2 | awk '{print; t += $$1} END {printf "%6d  total\n", t}'
 
-# The full verification sweep: tier-1 build+test, vet, the tenancy gate,
-# the benchmark harness's own tests (bench/ is a module of its own, so
-# ./... does not reach it), a transcript regeneration so
+# The full verification sweep: tier-1 build+test, vet, the race gate, the
+# tenancy gate, the benchmark harness's own tests (bench/ is a module of its
+# own, so ./... does not reach it), a transcript regeneration so
 # paperrepro_output.txt can't drift from the code, and the size table.
-verify: all vet tenancy paperrepro
+verify: all vet race tenancy paperrepro
 	$(GO) test -C bench ./...
 	@$(MAKE) --no-print-directory loc

@@ -31,8 +31,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // modes lists the subcommands in help order; "wall" is the default.
@@ -274,11 +274,11 @@ func runFailures(c *cli.Common, plan *fault.Plan, groups int) {
 		return
 	}
 	t := stats.NewTable("scenario", "groups", "elapsed(s)", "detect", "failover", "reelect",
-		"ttr(ms)", "goodput(GB/s)", "verified")
+		"ttr(ms)", "lost(B)", "goodput(GB/s)", "verified")
 	for _, pt := range pts {
 		t.AddRow(pt.Scenario, pt.Groups, pt.Elapsed,
 			pt.Recovery.Detections, pt.Recovery.Failovers, pt.Recovery.Reelections,
-			pt.Recovery.TimeToRecover*1e3, pt.Goodput/1e9, pt.Verified)
+			pt.Recovery.TimeToRecover*1e3, pt.LostBytes, pt.Goodput/1e9, pt.Verified)
 	}
 	fmt.Printf("Fail-stop recovery (MPI-Tile-IO write, %d procs; groups=1 is baseline ext2ph; verified = read-back matches the pattern byte-for-byte)\n", nprocs)
 	fmt.Println(t)
@@ -291,14 +291,16 @@ func renderGantt(c *cli.Common) {
 	nprocs := c.Spec.Procs
 	p := experiments.PaperPreset()
 	c.Apply(&p)
-	rec := trace.New()
+	rec := obs.NewRecorder()
 	env := experiments.EnvFor(p, p.TileScale, core.Options{})
 	mpi.RunPlan(nprocs, p.Cluster, p.Seed, nil, func(r *mpi.Rank) {
 		r.SetTracer(rec)
 		p.Tile.Write(r, env, "tile")
 	})
 	fmt.Printf("one collective tile write, %d ranks (s=sync e=exchange i=io o=other)\n\n", nprocs)
-	fmt.Print(rec.Gantt(100))
+	// Only the rank-level class spans: the protocol-round spans mpiio
+	// records inside them would overdraw the timeline.
+	fmt.Print(rec.Gantt(100, "sync", "exchange", "io", "other"))
 	fmt.Println()
 	t := stats.NewTable("class", "total seconds (all ranks)")
 	for _, k := range []string{"sync", "exchange", "io", "other"} {

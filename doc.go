@@ -21,7 +21,8 @@
 //     aggregator distribution, intermediate file views, adaptive groups
 //   - internal/hdf5lite — minimal HDF5-like container (Flash I/O path)
 //   - internal/workload — IOR, MPI-Tile-IO, NAS BT-IO, Flash I/O
-//   - internal/trace    — per-rank event timelines (cmd/collwall gantt)
+//   - internal/obs      — metrics, per-rank span timelines (cmd/collwall
+//     gantt), Perfetto export and critical paths
 //   - internal/viz      — terminal charts for the figure tools
 //   - internal/experiments — one runner per paper figure
 //

@@ -76,9 +76,6 @@ type Config struct {
 	// Faults, when it carries BBFails or DrainFails, arms the staging-tier
 	// failure model described in the package comment. Zero plans are inert.
 	Faults *fault.Plan
-	// Retry overrides the drain-retry backoff schedule; zero fields take
-	// recovery's defaults. Only consulted when Faults injects drain errors.
-	Retry recovery.Backoff
 }
 
 // Tier is a burst-buffer staging tier over an underlying backend.
@@ -158,7 +155,7 @@ func New(under storage.Backend, cfg Config) *Tier {
 	}
 	if t.injecting() {
 		t.rng = rand.New(rand.NewSource(cfg.Seed*31337 + 7))
-		t.rt = recovery.NewRetrier("bb", "node", cfg.Retry, t.rng)
+		t.rt = recovery.NewRetrier("bb", "node")
 	}
 	return t
 }
@@ -404,8 +401,8 @@ func (t *Tier) takeLoss(file string) error {
 // node-scoped background work: their counters reach RetryStats only, never
 // RetryStatsByJob.
 func (t *Tier) retryDrain(node int, dEnd float64) float64 {
-	done, _ := t.rt.Do(node, 0, dEnd, func(at float64) (float64, bool, bool) {
-		return at, t.cfg.Faults.DrainErrorAt(node, at, t.rng), false
+	done, _ := t.rt.Do(node, 0, dEnd, func(at float64) (float64, bool) {
+		return at, t.cfg.Faults.DrainErrorAt(node, at, t.rng)
 	})
 	return done
 }

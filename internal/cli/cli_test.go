@@ -6,7 +6,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func TestParseLists(t *testing.T) {
@@ -41,7 +40,7 @@ func TestPlanAndApply(t *testing.T) {
 }
 
 func TestValidateTraceEvents(t *testing.T) {
-	rec := trace.New()
+	rec := obs.NewRecorder()
 	rec.Add(0, "sync", 0, 1, "")
 	rec.Add(1, "io", 1, 2, "")
 	data, err := obs.Perfetto(rec, obs.New())

@@ -23,11 +23,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datatype"
+	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nbio"
+	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/storage"
 )
@@ -73,10 +76,12 @@ type Options struct {
 	// Hints passes through the MPI-IO hints (collective buffer size,
 	// aggregator count or list, alltoallv algorithm).
 	Hints mpiio.Hints
-	// Run passes through per-run state that is not a hint: fault plan,
-	// recovery policy, trace recorder, metrics registry. It reaches the
-	// subgroup files ParColl opens internally.
-	Run mpiio.RunOptions
+	// Lat, when non-nil, receives one sample per blocking collective call
+	// (WriteAtAll/ReadAtAll): the caller's elapsed virtual seconds inside
+	// the call. The multi-tenant layer attaches one recorder per job to
+	// report exact p50/p99 collective-call latency; it only reads virtual
+	// clocks, so an instrumented run is bit-identical to a bare one.
+	Lat *obs.LatencyRecorder
 	// ForceIntermediate always uses the intermediate-view path, even when
 	// direct FA partitioning would succeed (ablation).
 	ForceIntermediate bool
@@ -125,6 +130,7 @@ type File struct {
 	name   string
 	stripe storage.Stripe
 	opts   Options
+	fault  *fault.Plan // the run's fault plan, read once at open
 	view   datatype.View
 
 	viewGen int // bumped by SetView
@@ -147,6 +153,7 @@ func Open(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.Stripe
 		name:    name,
 		stripe:  stripe,
 		opts:    opts,
+		fault:   comm.RankHandle().Fault(),
 		view:    datatype.WholeFile(),
 		viewGen: 1,
 	}
@@ -205,7 +212,7 @@ func (f *File) WriteAtAll(logOff int64, data []byte) {
 	f.reelectDegraded()
 	f.subFile.WriteAtAll(logOff, data)
 	f.absorb()
-	if rec := f.opts.Run.Lat; rec != nil {
+	if rec := f.opts.Lat; rec != nil {
 		rec.Add(f.r.Now() - t0)
 	}
 }
@@ -238,7 +245,7 @@ func (f *File) ReadAtAll(logOff, n int64) []byte {
 	}
 	out := f.subFile.ReadAtAll(logOff, n)
 	f.absorb()
-	if rec := f.opts.Run.Lat; rec != nil {
+	if rec := f.opts.Lat; rec != nil {
 		rec.Add(f.r.Now() - t0)
 	}
 	return out
@@ -324,13 +331,13 @@ func (f *File) Recovery() recovery.FailoverStats {
 // bit-identical.
 func (f *File) reelectDegraded() {
 	if f.plan.Mode == ModeSingle || f.subFile.Hierarchical() ||
-		!f.opts.Run.Fault.HasBBFails() || !f.fs.Params().Injecting {
+		!f.fault.HasBBFails() || !f.fs.Params().Injecting {
 		return
 	}
 	r := f.r
 	// Agree on the degradation epoch at synchronized time. [sync, subgroup]
 	old := r.SetClass(mpi.ClassSync)
-	meta := f.subComm.AllgatherInt64s([]int64{int64(f.opts.Run.Fault.BBDeadCount(r.Now()))})
+	meta := f.subComm.AllgatherInt64s([]int64{int64(f.fault.BBDeadCount(r.Now()))})
 	r.SetClass(old)
 	epoch := 0
 	for _, m := range meta {
@@ -342,7 +349,7 @@ func (f *File) reelectDegraded() {
 		return
 	}
 	f.bbEpoch = epoch
-	dead, ok := f.opts.Run.Fault.BBDeadNodes(epoch)
+	dead, ok := f.fault.BBDeadNodes(epoch)
 	if !ok {
 		return // a kill-all plan leaves no healthy node to move to
 	}
@@ -358,25 +365,13 @@ func (f *File) reelectDegraded() {
 		seen[n] = true
 		aggs = append(aggs, cr)
 	}
-	if len(aggs) == 0 || equalInts(aggs, f.subFile.Aggregators()) {
+	if len(aggs) == 0 || slices.Equal(aggs, f.subFile.Aggregators()) {
 		return
 	}
 	f.subFile.SetAggregators(aggs)
 	if f.plan.MyGroup < len(f.plan.Aggregators) {
 		f.plan.Aggregators[f.plan.MyGroup] = worldOf(f.subComm, aggs)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // instanceSegs returns the physical segments of one instance of the rank's
@@ -507,7 +502,7 @@ func (f *File) ensurePlan() {
 		subHints.CBNodes = 0
 	}
 
-	subFile := mpiio.OpenWith(subComm, f.fs, f.name, f.stripe, subHints, f.opts.Run)
+	subFile := mpiio.Open(subComm, f.fs, f.name, f.stripe, subHints)
 
 	if mode == ModeIntermediate {
 		if !f.opts.MaterializeIntermediate {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bb"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mpi"
@@ -193,9 +192,7 @@ func (p Preset) CheckpointBurstUnderFailure(nprocs, groups int, ratio float64, p
 			virt = res.VirtBytes
 		}
 	})
-	if tier, ok := env.FS.(*bb.Tier); ok {
-		pt.LostBytes, pt.Redumped = tier.FaultCounters()
-	}
+	pt.LostBytes, pt.Redumped = stagingLoss(env.FS)
 	if pt.Verified && pt.Elapsed > 0 {
 		pt.Goodput = float64(virt) / pt.Elapsed
 	}

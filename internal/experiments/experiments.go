@@ -163,13 +163,13 @@ func (p Preset) run(nprocs int, body func(r *mpi.Rank)) float64 {
 	return end
 }
 
-// envPlan is EnvFor with a fault plan threaded through every layer that
-// consumes one: the storage config (OST degradation) and the MPI-IO hints
-// (per-round compute noise). The sim- and cluster-level parts of the plan
-// are installed by mpi.RunPlan at run time.
+// envPlan is EnvFor with a fault plan threaded into the storage config
+// (target degradation and failures). mpi.RunPlan installs the rest at run
+// time: the sim- and cluster-level parts, and the plan the protocol layers
+// read from the rank (per-round noise, crashes, staging deaths).
 func (p Preset) envPlan(scale float64, opts core.Options, plan *fault.Plan) workload.Env {
 	env := p.mount(scale, plan)
-	env.Opts = p.normalize(opts, plan, env.Stripe.Size)
+	env.Opts = p.normalize(opts, env.Stripe.Size)
 	return env
 }
 
@@ -198,12 +198,10 @@ func (p Preset) mount(scale float64, plan *fault.Plan) workload.Env {
 }
 
 // normalize completes a run's options against the preset and its mount:
-// the fault plan threaded into the run state, the preset's intra-node
-// hint, and the collective buffer defaulted to one stripe (4 MB virtual).
-func (p Preset) normalize(opts core.Options, plan *fault.Plan, stripeSize int64) core.Options {
-	if !plan.IsZero() {
-		opts.Run.Fault = plan
-	}
+// the preset's intra-node hint, and the collective buffer defaulted to one
+// stripe (4 MB virtual). The fault plan needs no threading here: the
+// protocol layers read it from the rank (mpi.Rank.Fault).
+func (p Preset) normalize(opts core.Options, stripeSize int64) core.Options {
 	if p.IntraNode {
 		opts.Hints.IntraNode = true
 	}
@@ -229,7 +227,6 @@ func (p Preset) newBackend(lcfg lustre.Config) storage.Backend {
 			DrainBandwidth: p.BBDrainBW,
 			Seed:           lcfg.Seed,
 			Faults:         lcfg.Faults,
-			Retry:          lcfg.Retry,
 		})
 	default:
 		panic(fmt.Sprintf("experiments: unknown backend %q (want lustre|listio|bb)", p.Backend))

@@ -7,12 +7,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -22,7 +20,7 @@ import (
 // report over the recorded spans.
 type Observed struct {
 	Result   workload.Result
-	Trace    *trace.Recorder
+	Trace    *obs.Recorder
 	Registry *obs.Registry
 	Snapshot obs.Snapshot
 	Path     obs.Report
@@ -43,10 +41,9 @@ func (o Observed) Perfetto() ([]byte, error) {
 // by the root obs tests).
 func ObservedTileWrite(p Preset, nprocs, groups int, plan *fault.Plan) Observed {
 	p.Fault = plan
-	rec := trace.New()
+	rec := obs.NewRecorder()
 	reg := obs.New()
-	opts := core.Options{NumGroups: groups, Run: mpiio.RunOptions{Trace: rec, Obs: reg}}
-	env := EnvFor(p, p.TileScale, opts)
+	env := EnvFor(p, p.TileScale, core.Options{NumGroups: groups})
 	env.FS.SetObs(reg)
 	var res workload.Result
 	end, st := mpi.RunPlan(nprocs, p.Cluster, p.Seed, p.Fault, func(r *mpi.Rank) {
@@ -98,9 +95,7 @@ func CaptureLustre(reg *obs.Registry, fs storage.Backend, elapsed float64) {
 		tails += st.Tails
 		errs += st.Errors
 		busyTot += st.BusySecs
-		if st.BusySecs > busyMax {
-			busyMax = st.BusySecs
-		}
+		busyMax = max(busyMax, st.BusySecs)
 	}
 	reg.Counter("lustre.ost.requests").Add(uint64(reqs))
 	reg.Counter("lustre.ost.bytes").Add(uint64(bytes))

@@ -126,8 +126,8 @@ func TestLegFailuresKeepTheirText(t *testing.T) {
 			p.Fault = &fault.Plan{Name: "bb-lost", BBFails: []fault.BBFail{{Node: -1, At: 1e-9}}}
 			p.BackendSweep(16, []string{"lustre", "bb", "listio", "bb"})
 		}},
-		{"dead-server", `pvfs: WritevAt on "ckpt": pvfs: server 0 permanent failure`, func(p Preset) {
-			p.Fault = &fault.Plan{Name: "dead-server", ServerFails: []fault.OSTFail{{OST: -1, Prob: 1, Permanent: true}}}
+		{"dead-server", `pvfs: WritevAt on "ckpt": pvfs: server 0 transient failure after 6 attempt(s)`, func(p Preset) {
+			p.Fault = &fault.Plan{Name: "dead-server", ServerFails: []fault.OSTFail{{OST: -1, Prob: 1}}}
 			p.CheckpointBurst(16, 1, job.BackendNames())
 		}},
 	}

@@ -10,9 +10,11 @@ package experiments
 // machine a failure drags into replanning.
 
 import (
+	"repro/internal/bb"
 	"repro/internal/fault"
 	"repro/internal/job"
 	"repro/internal/recovery"
+	"repro/internal/storage"
 )
 
 // FailurePoint is one (plan, groups) tile write-under-failure measurement.
@@ -28,6 +30,9 @@ type FailurePoint struct {
 	// Goodput is aggregate verified bytes per elapsed second (zero when
 	// verification failed — corrupt bytes are not goodput).
 	Goodput float64
+	// LostBytes is what the staging tier lost to node deaths (zero off bb,
+	// and zero when every staged byte had drained before its node died).
+	LostBytes int64
 }
 
 // TileUnderFailure runs one collective tile write at nprocs ranks and the
@@ -46,8 +51,10 @@ func (p Preset) underFailure(s job.Spec, plan *fault.Plan, name string) FailureP
 	if err != nil {
 		panic(err)
 	}
-	res, err := p.once(s.Procs, plan, w, p.envPlan(scale, OptionsFor(s), plan), name, true)
+	env := p.envPlan(scale, OptionsFor(s), plan)
+	res, err := p.once(s.Procs, plan, w, env, name, true)
 	pt := FailurePoint{Groups: s.Groups, Elapsed: res.Elapsed, Recovery: res.Recovery, Verified: err == nil}
+	pt.LostBytes, _ = stagingLoss(env.FS)
 	if plan != nil {
 		pt.Scenario = plan.Name
 	}
@@ -55,6 +62,15 @@ func (p Preset) underFailure(s job.Spec, plan *fault.Plan, name string) FailureP
 		pt.Goodput = float64(res.VirtBytes) / pt.Elapsed
 	}
 	return pt
+}
+
+// stagingLoss reads the staging tier's loss ledger after a run: bytes lost
+// to node deaths and bytes re-dumped (both zero off bb).
+func stagingLoss(fs storage.Backend) (lost, redumped int64) {
+	if tier, ok := fs.(*bb.Tier); ok {
+		return tier.FaultCounters()
+	}
+	return 0, 0
 }
 
 // RecoverySuite runs every named scenario, baseline (groups=1) against

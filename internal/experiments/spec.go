@@ -138,7 +138,7 @@ func (p Preset) TraceEnv(scale float64, plan *fault.Plan) (fs storage.Backend, e
 	shared := p.mount(scale, plan)
 	return shared.FS, func(opts core.Options) workload.Env {
 		env := shared
-		env.Opts = p.normalize(opts, plan, env.Stripe.Size)
+		env.Opts = p.normalize(opts, env.Stripe.Size)
 		return env
 	}
 }

@@ -82,17 +82,14 @@ type NetFault struct {
 	SpikeDelay  float64 // spike delay, seconds (fixed)
 	// NodeBWScale divides the named nodes' NIC bandwidth (2 = half speed).
 	NodeBWScale map[int]float64
-	// Message loss: each message whose unperturbed arrival falls inside the
-	// loss window is independently dropped with probability LossProb and
-	// retransmitted after RTO seconds, repeatedly, until a copy gets
-	// through (capped at maxRetransmits). Loss therefore never deadlocks a
-	// blocking receive — it shows up as a deterministic k*RTO delivery
-	// delay, which is exactly how a reliable transport surfaces a lossy
-	// link. LossUntil <= LossFrom means the window is unbounded.
-	LossProb  float64
-	LossFrom  float64 // window start (virtual seconds)
-	LossUntil float64 // window end; <= LossFrom = open-ended
-	RTO       float64 // retransmission timeout per lost copy
+	// Message loss: each message is independently dropped with probability
+	// LossProb and retransmitted after RTO seconds, repeatedly, until a
+	// copy gets through (capped at maxRetransmits). Loss therefore never
+	// deadlocks a blocking receive — it shows up as a deterministic k*RTO
+	// delivery delay, which is exactly how a reliable transport surfaces a
+	// lossy link.
+	LossProb float64
+	RTO      float64 // retransmission timeout per lost copy
 }
 
 // maxRetransmits bounds the geometric retransmission draw so a pathological
@@ -116,17 +113,15 @@ type Crash struct {
 // OSTFail injects request failures on one OST (or all, with OST == -1):
 // requests arriving inside a failure window [At+k*Every, At+k*Every+For)
 // fail with probability Prob (Prob >= 1 fails deterministically; For <= 0
-// makes the window [At, inf)). Transient failures are retried by lustre's
-// recovery engine with capped exponential backoff; Permanent marks the
-// window's failures as unrecoverable (a dead target), surfacing a typed
-// error to the caller instead.
+// makes the window [At, inf)). Failures are transient: lustre's recovery
+// engine retries them with capped exponential backoff, and only an
+// exhausted retry budget surfaces a typed error to the caller.
 type OSTFail struct {
-	OST       int     // OST index; -1 applies to every OST
-	Prob      float64 // per-request failure probability inside a window
-	At        float64 // start of the first failure window, seconds
-	For       float64 // window length, seconds (<= 0 = open-ended)
-	Every     float64 // window period, seconds (0 = one-shot)
-	Permanent bool    // failures are unrecoverable (no retry will succeed)
+	OST   int     // OST index; -1 applies to every OST
+	Prob  float64 // per-request failure probability inside a window
+	At    float64 // start of the first failure window, seconds
+	For   float64 // window length, seconds (<= 0 = open-ended)
+	Every float64 // window period, seconds (0 = one-shot)
 }
 
 // BBFail is a fail-stop failure of one burst-buffer staging node (or all,
@@ -217,7 +212,7 @@ func (p *Plan) ComputeScale(proc int) float64 {
 // DeliveryDelay returns extra seconds added to a message's arrival time;
 // `at` is the message's unperturbed arrival. rng is the engine's dedicated
 // perturbation generator; no draw happens unless the plan carries delivery
-// jitter or an active loss window, so healthy plans leave the generator
+// jitter or message loss, so healthy plans leave the generator
 // untouched.
 func (p *Plan) DeliveryDelay(src, dst int, at float64, rng *rand.Rand) float64 {
 	var d float64
@@ -227,8 +222,7 @@ func (p *Plan) DeliveryDelay(src, dst int, at float64, rng *rand.Rand) float64 {
 	if p.Net.SpikeProb > 0 && rng.Float64() < p.Net.SpikeProb {
 		d += p.Net.SpikeDelay
 	}
-	if p.Net.LossProb > 0 && at >= p.Net.LossFrom &&
-		(p.Net.LossUntil <= p.Net.LossFrom || at < p.Net.LossUntil) {
+	if p.Net.LossProb > 0 {
 		k := 0
 		for k < maxRetransmits && rng.Float64() < p.Net.LossProb {
 			k++
@@ -323,29 +317,25 @@ func (p *Plan) AggCrashed(rank, call, round int) bool {
 }
 
 // OSTErrorAt decides whether a request arriving at OST `ost` at virtual
-// time `at` fails, and whether that failure is permanent. rng is the file
+// time `at` fails. rng is the file
 // system's dedicated generator; no draw happens unless a failure window
 // covers (ost, at), so plans without OST failures — and requests outside
 // every window — leave it untouched.
-func (p *Plan) OSTErrorAt(ost int, at float64, rng *rand.Rand) (failed, permanent bool) {
-	if p == nil {
-		return false, false
-	}
-	return failsAt(p.OSTFails, ost, at, rng)
+func (p *Plan) OSTErrorAt(ost int, at float64, rng *rand.Rand) bool {
+	return p != nil && failsAt(p.OSTFails, ost, at, rng)
 }
 
-// failsAt walks OSTFails or ServerFails for one request: every entry that
-// strikes it fails the request, and permanence accumulates across entries.
-// Every covering entry draws, in declaration order, even after a hit: the
-// goldens pin that draw sequence.
-func failsAt(fails []OSTFail, target int, at float64, rng *rand.Rand) (failed, permanent bool) {
+// failsAt walks OSTFails or ServerFails for one request: any entry that
+// strikes it fails the request. Every covering entry draws, in declaration
+// order, even after a hit: the goldens pin that draw sequence.
+func failsAt(fails []OSTFail, target int, at float64, rng *rand.Rand) bool {
+	failed := false
 	for _, f := range fails {
 		if strikes(f.OST, target, f.Prob, f.At, f.For, f.Every, at, rng) {
 			failed = true
-			permanent = permanent || f.Permanent
 		}
 	}
-	return failed, permanent
+	return failed
 }
 
 // strikes is the one window/probability decision behind OSTErrorAt,
@@ -465,14 +455,10 @@ func (p *Plan) DrainErrorAt(node int, at float64, rng *rand.Rand) bool {
 }
 
 // ServerErrorAt decides whether a request arriving at pvfs server `server`
-// at virtual time `at` fails, and whether permanently — the pvfs sibling of
-// OSTErrorAt, same window semantics, same draw discipline, keyed by server
-// index.
-func (p *Plan) ServerErrorAt(server int, at float64, rng *rand.Rand) (failed, permanent bool) {
-	if p == nil {
-		return false, false
-	}
-	return failsAt(p.ServerFails, server, at, rng)
+// at virtual time `at` fails — the pvfs sibling of OSTErrorAt, same window
+// semantics, same draw discipline, keyed by server index.
+func (p *Plan) ServerErrorAt(server int, at float64, rng *rand.Rand) bool {
+	return p != nil && failsAt(p.ServerFails, server, at, rng)
 }
 
 // OSTDownDelay returns how long a request arriving at virtual time `at`

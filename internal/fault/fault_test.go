@@ -243,18 +243,14 @@ func TestStorageTierHooks(t *testing.T) {
 	}
 
 	// ServerErrorAt mirrors OSTErrorAt's window semantics on ServerFails.
-	if f, _ := p.ServerErrorAt(0, 2e-3, nil); !f {
+	if !p.ServerErrorAt(0, 2e-3, nil) {
 		t.Error("server request inside the window did not fail")
 	}
-	if f, _ := p.ServerErrorAt(0, 5e-3, nil); f {
+	if p.ServerErrorAt(0, 5e-3, nil) {
 		t.Error("server request after the window failed")
 	}
-	if f, _ := p.ServerErrorAt(1, 2e-3, nil); f {
+	if p.ServerErrorAt(1, 2e-3, nil) {
 		t.Error("surviving server failed")
-	}
-	perm := &Plan{ServerFails: []OSTFail{{OST: -1, Prob: 1, Permanent: true}}}
-	if f, pm := perm.ServerErrorAt(3, 10, nil); !f || !pm {
-		t.Error("permanent server failure not reported")
 	}
 }
 
@@ -309,22 +305,22 @@ func TestAggCrashed(t *testing.T) {
 func TestOSTErrorAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var nilPlan *Plan
-	if f, _ := nilPlan.OSTErrorAt(0, 1, rng); f {
+	if nilPlan.OSTErrorAt(0, 1, rng) {
 		t.Error("nil plan fails a request")
 	}
 
 	// Deterministic failure inside periodic windows [k*0.02, k*0.02+0.005).
 	p := &Plan{OSTFails: []OSTFail{{OST: 0, Prob: 1, At: 0, For: 5e-3, Every: 2e-2}}}
-	if f, perm := p.OSTErrorAt(0, 1e-3, rng); !f || perm {
-		t.Errorf("in-window request: failed=%v permanent=%v, want true,false", f, perm)
+	if !p.OSTErrorAt(0, 1e-3, rng) {
+		t.Error("in-window request did not fail")
 	}
-	if f, _ := p.OSTErrorAt(0, 1e-2, rng); f {
+	if p.OSTErrorAt(0, 1e-2, rng) {
 		t.Error("out-of-window request failed")
 	}
-	if f, _ := p.OSTErrorAt(0, 2.1e-2, rng); !f {
+	if !p.OSTErrorAt(0, 2.1e-2, rng) {
 		t.Error("second-period in-window request did not fail")
 	}
-	if f, _ := p.OSTErrorAt(1, 1e-3, rng); f {
+	if p.OSTErrorAt(1, 1e-3, rng) {
 		t.Error("other OST failed")
 	}
 
@@ -337,15 +333,6 @@ func TestOSTErrorAt(t *testing.T) {
 	if got := a.Int63(); got != before {
 		t.Error("out-of-window check consumed a random draw")
 	}
-
-	// Permanent failures are flagged; open-ended window (For <= 0).
-	dead := &Plan{OSTFails: []OSTFail{{OST: 2, Prob: 1, At: 0.1, Permanent: true}}}
-	if f, perm := dead.OSTErrorAt(2, 50, rng); !f || !perm {
-		t.Errorf("dead OST: failed=%v permanent=%v, want true,true", f, perm)
-	}
-	if f, _ := dead.OSTErrorAt(2, 0.05, rng); f {
-		t.Error("request before the window failed")
-	}
 }
 
 func TestDeliveryDelayLoss(t *testing.T) {
@@ -357,22 +344,8 @@ func TestDeliveryDelayLoss(t *testing.T) {
 		t.Errorf("certain-loss delay = %v, want %v", d, float64(maxRetransmits)*1e-3)
 	}
 
-	// Windowed loss: arrivals outside [From, Until) consume no draws.
-	w := &Plan{Net: NetFault{LossProb: 0.5, RTO: 1e-3, LossFrom: 1, LossUntil: 2}}
-	a := rand.New(rand.NewSource(4))
-	before := a.Int63()
-	a = rand.New(rand.NewSource(4))
-	if d := w.DeliveryDelay(0, 1, 0.5, a); d != 0 {
-		t.Errorf("pre-window delay = %v", d)
-	}
-	if d := w.DeliveryDelay(0, 1, 2.5, a); d != 0 {
-		t.Errorf("post-window delay = %v", d)
-	}
-	if got := a.Int63(); got != before {
-		t.Error("out-of-window messages consumed random draws")
-	}
-
-	// In-window delays are multiples of RTO and bit-identical across seeds.
+	// Delays are multiples of RTO and bit-identical across seeds.
+	w := &Plan{Net: NetFault{LossProb: 0.5, RTO: 1e-3}}
 	x, y := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
 	for i := 0; i < 200; i++ {
 		dx, dy := w.DeliveryDelay(0, 1, 1.5, x), w.DeliveryDelay(0, 1, 1.5, y)

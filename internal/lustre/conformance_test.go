@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/recovery"
 	"repro/internal/storage"
 	"repro/internal/storage/storagetest"
 )
@@ -18,7 +17,7 @@ func TestBackendConformance(t *testing.T) {
 }
 
 // TestBackendFaultConformance runs the shared fault-injection leg: every
-// OST rejects requests inside the conformance window, the short retry
+// OST rejects requests inside the conformance window, the retry
 // budget exhausts into a typed *recovery.TargetError, and a whole-operation
 // retry after the window recovers byte-exact.
 func TestBackendFaultConformance(t *testing.T) {
@@ -28,7 +27,6 @@ func TestBackendFaultConformance(t *testing.T) {
 			Name:     "conf-flaky-ost",
 			OSTFails: []fault.OSTFail{{OST: -1, Prob: 1, At: storagetest.FaultAt, For: storagetest.FaultFor}},
 		}
-		cfg.Retry = recovery.Backoff{MaxAttempts: 3}
 		return NewFS(cfg)
 	})
 }

@@ -227,8 +227,8 @@ func (fs *FS) Name() string { return "lustre" }
 // OST serves it and acknowledges; a read chunk's OST serves it, then the
 // data crosses the receive NIC. The request completes when its slowest
 // chunk does. Transient injected failures are absorbed by the retry engine
-// and cost only virtual time. A *recovery.TargetError (permanent target or
-// exhausted budget) stops the request: no further chunk is issued, a write
+// and cost only virtual time. A *recovery.TargetError (an exhausted retry
+// budget) stops the request: no further chunk is issued, a write
 // stores no bytes (all-or-nothing, so a whole-request retry is
 // idempotent), and the completion time still covers the failed attempts.
 func (f *File) Submit(r *mpi.Rank, q *storage.Req) (float64, error) {

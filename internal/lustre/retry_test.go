@@ -2,7 +2,6 @@ package lustre
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/cluster"
@@ -86,38 +85,6 @@ func TestRetryDeterministic(t *testing.T) {
 	if e1 != e2 || s1 != s2 {
 		t.Fatalf("runs differ: (%x, %+v) vs (%x, %+v)", e1, s1, e2, s2)
 	}
-}
-
-// TestPermanentFailureSurfacesTypedError: a permanently dead OST yields a
-// *recovery.TargetError from TryWrite/TryRead without storing bytes, and
-// Write panics on it.
-func TestPermanentFailureSurfacesTypedError(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Faults = &fault.Plan{OSTFails: []fault.OSTFail{{OST: 0, Prob: 1, Permanent: true}}}
-	runFSCfg(t, cfg, 1, func(r *mpi.Rank, fs *FS) {
-		// Stripe over OST 0 only: every chunk hits the dead target.
-		f := fs.Open(r, "dead", storage.Stripe{Count: 1, Size: 1024})
-		err := storage.TryWrite(r, f, 0, []byte("doomed"))
-		var oe *recovery.TargetError
-		if !errors.As(err, &oe) {
-			t.Fatalf("TryWrite error = %v, want *recovery.TargetError", err)
-		}
-		if !oe.Permanent || oe.Layer != "lustre" || oe.Target != 0 || oe.Attempts != 1 {
-			t.Fatalf("error detail = %+v", oe)
-		}
-		if f.Size() != 0 {
-			t.Fatal("failed write stored bytes")
-		}
-		if _, err := storage.TryRead(r, f, 0, 16); err == nil {
-			t.Fatal("TryRead from a dead OST succeeded")
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("Write did not panic on a permanent failure")
-			}
-		}()
-		storage.Write(r, f, 0, []byte("doomed"))
-	})
 }
 
 // TestBreakerOpensUnderSustainedFailure: a long certain-failure window trips

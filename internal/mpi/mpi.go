@@ -22,7 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // World describes one simulated MPI job.
@@ -40,7 +39,7 @@ type Rank struct {
 	prof   Prof
 	class  Class
 	depth  int // public-op nesting depth; only depth 0 records time
-	tracer *trace.Recorder
+	tracer *obs.Recorder
 	reg    *obs.Registry
 
 	// Job namespace (DESIGN.md §16). Single-job runs leave it disarmed:
@@ -67,7 +66,17 @@ type Rank struct {
 // span labeled with its profiling class, and ChargeIO emits io spans. Pass
 // nil to detach. Share one recorder across the ranks of a run (the engine
 // serializes access).
-func (r *Rank) SetTracer(rec *trace.Recorder) { r.tracer = rec }
+func (r *Rank) SetTracer(rec *obs.Recorder) { r.tracer = rec }
+
+// Tracer returns the attached event recorder (nil when none).
+func (r *Rank) Tracer() *obs.Recorder { return r.tracer }
+
+// Obs returns the attached metrics registry (nil when none).
+func (r *Rank) Obs() *obs.Registry { return r.reg }
+
+// Fault returns the run's fault plan, the one RunPlan installed in the
+// cluster (nil on a healthy run or under a zero plan).
+func (r *Rank) Fault() *fault.Plan { return r.W.Cluster.Config().Faults }
 
 // SetObs attaches a metrics registry: every top-level collective counts its
 // calls and payload bytes under "mpi.coll.<op>.{calls,bytes}". Pass nil to

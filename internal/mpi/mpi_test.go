@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // testSizes covers powers of two, non-powers, and degenerate groups.
@@ -580,7 +580,7 @@ func TestCollectiveCostScalesLogarithmically(t *testing.T) {
 }
 
 func TestTracerRecordsSpans(t *testing.T) {
-	rec := trace.New()
+	rec := obs.NewRecorder()
 	Run(4, cluster.DefaultConfig(), 1, func(r *Rank) {
 		r.SetTracer(rec)
 		c := WorldComm(r)

@@ -12,10 +12,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/pvfs"
-	"repro/internal/recovery"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // Cross-product equivalence: every way a collective call can run — blocking
@@ -110,13 +109,13 @@ func crossCase(t *testing.T, split, intra bool, backend string, xl Translator, s
 		plan = nil
 	}
 	fs := crossBackend(backend, plan)
-	rec := trace.New()
+	rec := obs.NewRecorder()
 	var file []byte
 	mpi.RunPlan(crossRanks, fatCluster(crossPEs, cluster.Block), 1, plan, func(r *mpi.Rank) {
 		rank := r.WorldRank()
 		comm := mpi.WorldComm(r)
-		f := OpenWith(comm, fs, "x", testStripe(),
-			Hints{CBBufferSize: 1024, IntraNode: intra}, RunOptions{Fault: plan, Trace: rec})
+		r.SetTracer(rec)
+		f := Open(comm, fs, "x", testStripe(), Hints{CBBufferSize: 1024, IntraNode: intra})
 		f.SetTranslator(xl)
 		f.SetView(interleavedView(rank, crossRanks, crossBlocks, crossBS))
 		t0 := r.Now()
@@ -147,7 +146,7 @@ func crossCase(t *testing.T, split, intra bool, backend string, xl Translator, s
 			compute = 2e-4
 		}
 		if plan.HasCrashes() && rank == plan.Crashes[0].Rank {
-			compute += recovery.Policy{}.Defaults().Timeout
+			compute += watchdogTimeout
 		}
 		if b, el := f.Breakdown(), r.Now()-t0; !near(b.Total()+compute, el) {
 			t.Errorf("rank %d: sync+exchange+io+other = %g plus compute %g, elapsed %g", rank, b.Total(), compute, el)

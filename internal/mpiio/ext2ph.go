@@ -419,10 +419,10 @@ func (f *File) fdStripe() int64 { return f.lf.Stripe().Size }
 // comes from the rank's proc-local seeded RNG, so runs under a plan are
 // bit-identical to each other.
 func (f *File) roundStall() {
-	if f.run.Fault == nil {
+	if f.fault == nil {
 		return
 	}
-	if d := f.run.Fault.RoundStall(f.r.WorldRank(), f.r.P.Rand()); d > 0 {
+	if d := f.fault.RoundStall(f.r.WorldRank(), f.r.P.Rand()); d > 0 {
 		f.r.Compute(d)
 	}
 }

@@ -23,15 +23,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // Hints configures collective I/O, mirroring the MPI-IO hints the paper
 // discusses (cb_nodes, cb_buffer_size, and the explicit aggregator list).
 // Programs set the fields directly; there is no MPI_Info string parsing.
-// Per-run state that is not a hint — fault plans, recovery policy, tracing,
-// metrics — lives in RunOptions and is passed separately at open (see
-// OpenWith).
+// Per-run state that is not a hint — the fault plan, tracing, metrics —
+// lives on the run, and Open reads it from the rank (mpi.Rank.Fault,
+// Tracer, Obs).
 type Hints struct {
 	// CBNodes caps the number of I/O aggregators chosen from the default
 	// one-per-node list. Zero means one aggregator per node.
@@ -56,43 +55,6 @@ type Hints struct {
 	// crash-carrying fault plans, the flat path runs instead.
 	// Off by default: the flat protocol is bit-identical to prior releases.
 	IntraNode bool
-}
-
-// RunOptions carries per-run state that is not an MPI-IO hint: fault
-// injection, recovery tuning, and observability sinks. It is passed at open
-// (OpenWith) alongside the Hints; a zero RunOptions is a plain, unobserved,
-// healthy run. Everything here is observe-only or deterministic by
-// construction, so two runs differing only in RunOptions' sinks (Trace, Obs)
-// are bit-identical in virtual time.
-type RunOptions struct {
-	// Fault, when non-nil, injects the plan's per-round compute noise into
-	// the collective round loops (see fault.RoundNoise). The experiment
-	// harness threads it through so fault scenarios reach the protocol
-	// layer. Stalls draw from the rank's proc-local seeded RNG, so runs
-	// stay deterministic.
-	Fault *fault.Plan
-	// Recovery tunes the fail-stop recovery protocol (watchdog timeout and
-	// failover budget). Zero-valued fields take recovery.Policy defaults; it
-	// only matters when Fault carries crashes, which is what arms the
-	// resilient collective path (see recover.go).
-	Recovery recovery.Policy
-	// Trace, when non-nil, records a span per protocol round and phase
-	// ("round-sync", "round-exchange", "round-io") plus the split-collective
-	// overlap spans ("hidden", "exposed"). The recorder only observes
-	// virtual clocks — never advances them and draws no randomness — so a
-	// traced run is bit-identical to an untraced one.
-	Trace *trace.Recorder
-	// Obs, when non-nil, receives protocol-level metrics: per-round phase
-	// duration histograms, hidden/exposed overlap, and recovery event
-	// counters. Like Trace it only reads virtual clocks.
-	Obs *obs.Registry
-	// Lat, when non-nil, receives one sample per blocking collective call
-	// (core.File.WriteAtAll/ReadAtAll): the caller's elapsed virtual seconds
-	// inside the call. The multi-tenant layer attaches one recorder per job
-	// to report exact p50/p99 collective-call latency; like Trace and Obs it
-	// only reads virtual clocks, so an instrumented run is bit-identical to
-	// a bare one.
-	Lat *obs.LatencyRecorder
 }
 
 func (h Hints) cb() int64 {
@@ -139,8 +101,10 @@ type File struct {
 	buf1  [1][]byte // ext1 and buf1 back req while it carries one extent
 	view  datatype.View
 	hints Hints
-	run   RunOptions
-	aggs  []int // comm ranks acting as I/O aggregators, ascending
+	fault *fault.Plan   // the run's fault plan, read once at open
+	tr    *obs.Recorder // the rank's span recorder (nil: untraced)
+	reg   *obs.Registry // the rank's metrics registry (nil: unobserved)
+	aggs  []int         // comm ranks acting as I/O aggregators, ascending
 	scale float64
 	vec   bool // backend has native list-I/O: one request per access, not per extent
 	inj   bool // backend injects request errors: storage-tier recovery armed
@@ -151,7 +115,7 @@ type File struct {
 	ovl   OverlapStats
 	hier  *fileHier // two-level collective state; nil on the flat path
 
-	// Pre-resolved obs instruments (nil when run.Obs is nil), so the round
+	// Pre-resolved obs instruments (nil when reg is nil), so the round
 	// loop pays a nil check instead of a map lookup per observation.
 	obsRound   map[string]*obs.Histogram
 	obsHidden  *obs.Histogram
@@ -206,23 +170,25 @@ func (f *File) Recovery() recovery.FailoverStats { return f.rstats }
 // the phase-duration histogram when metrics are armed. end may lie in the
 // virtual future for async I/O spans.
 func (f *File) traceRound(kind string, start, end float64, round int) {
-	if f.run.Trace == nil && f.obsRound[kind] == nil {
+	if f.tr == nil && f.obsRound[kind] == nil {
 		return
 	}
-	if f.run.Trace != nil {
-		f.run.Trace.Add(f.r.WorldRank(), kind, start, end, "round "+strconv.Itoa(round))
+	if f.tr != nil {
+		f.tr.Add(f.r.WorldRank(), kind, start, end, "round "+strconv.Itoa(round))
 	}
 	if h := f.obsRound[kind]; h != nil {
 		h.Observe(end - start)
 	}
 }
 
-// noteRecovery counts one recovery event ("detections", "reelections",
-// "failovers", "degradations") in the metrics registry. Recovery events are
-// rare, so the name concatenation is off the hot path by construction.
-func (f *File) noteRecovery(event string) {
-	if f.run.Obs != nil {
-		f.run.Obs.Counter("mpiio.recovery." + event).Inc()
+// note counts one recovery event in its FailoverStats field n and in the
+// metrics registry as mpiio.recovery.<event> ("detections", "reelections",
+// "failovers", "degradations"), so the two never disagree. Recovery events
+// are rare, so the name concatenation is off the hot path by construction.
+func (f *File) note(n *uint64, event string) {
+	*n++
+	if f.reg != nil {
+		f.reg.Counter("mpiio.recovery." + event).Inc()
 	}
 }
 
@@ -230,21 +196,17 @@ func (f *File) noteRecovery(event string) {
 // aggregators' file I/O step (nil means identity).
 func (f *File) SetTranslator(t Translator) { f.xlate = t }
 
-// Open collectively opens (creating if needed) name on fs over comm with a
-// zero RunOptions (no faults, default recovery policy, no tracing or
-// metrics). Every member must call it. The aggregator list is derived from
-// the hints and the node topology, identically on every rank. fs is any
+// Open collectively opens (creating if needed) name on fs over comm. Every
+// member must call it. The aggregator list is derived from the hints and
+// the node topology, identically on every rank. The run state comes from
+// the rank: its fault plan arms per-round noise and the resilient path, its
+// recorder receives round and overlap spans, its registry round and overlap
+// histograms and recovery counters. Recorder and registry only read
+// virtual clocks, so a traced run is bit-identical to a bare one. fs is any
 // storage backend (DESIGN.md §14); the protocol is backend-agnostic except
 // that the flush rounds switch to vectored list-I/O calls when the backend
 // supports them natively (Params().ListIO).
 func Open(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.Stripe, hints Hints) *File {
-	return OpenWith(comm, fs, name, stripe, hints, RunOptions{})
-}
-
-// OpenWith is Open with explicit per-run state: fault plan, recovery policy,
-// and observability sinks. Hints stays pure MPI-IO hint configuration; run
-// carries everything else (see RunOptions).
-func OpenWith(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.Stripe, hints Hints, run RunOptions) *File {
 	r := rankOf(comm)
 	params := fs.Params()
 	f := &File{
@@ -252,21 +214,23 @@ func OpenWith(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.St
 		comm:      comm,
 		view:      datatype.WholeFile(),
 		hints:     hints,
-		run:       run,
+		fault:     r.Fault(),
+		tr:        r.Tracer(),
+		reg:       r.Obs(),
 		scale:     params.CostScale,
 		vec:       params.ListIO,
 		inj:       params.Injecting,
 		deadWorld: make(map[int]bool),
 	}
 	f.req.Exts, f.req.Bufs = f.ext1[:0], f.buf1[:0]
-	if run.Obs != nil {
+	if reg := f.reg; reg != nil {
 		f.obsRound = map[string]*obs.Histogram{
-			"round-sync":     run.Obs.Histogram("mpiio.round.sync.secs", nil),
-			"round-exchange": run.Obs.Histogram("mpiio.round.exchange.secs", nil),
-			"round-io":       run.Obs.Histogram("mpiio.round.io.secs", nil),
+			"round-sync":     reg.Histogram("mpiio.round.sync.secs", nil),
+			"round-exchange": reg.Histogram("mpiio.round.exchange.secs", nil),
+			"round-io":       reg.Histogram("mpiio.round.io.secs", nil),
 		}
-		f.obsHidden = run.Obs.Histogram("mpiio.overlap.hidden.secs", nil)
-		f.obsExposed = run.Obs.Histogram("mpiio.overlap.exposed.secs", nil)
+		f.obsHidden = reg.Histogram("mpiio.overlap.hidden.secs", nil)
+		f.obsExposed = reg.Histogram("mpiio.overlap.exposed.secs", nil)
 	}
 	// Aggregator selection needs the node of every member; gathering it is
 	// part of open's collective cost.
@@ -347,8 +311,7 @@ func (f *File) Aggregators() []int { return f.aggs }
 // on the old set. Counted as a re-election in the failover stats.
 func (f *File) SetAggregators(aggs []int) {
 	f.aggs = append([]int(nil), aggs...)
-	f.rstats.Reelections++
-	f.noteRecovery("reelections")
+	f.note(&f.rstats.Reelections, "reelections")
 }
 
 // SetView installs a file view (collective in MPI; here each rank sets its

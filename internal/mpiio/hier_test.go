@@ -184,8 +184,7 @@ func TestHierCrashPlanFallsBackToFlat(t *testing.T) {
 	fs := lustre.NewFS(lustre.DefaultConfig())
 	mpi.RunPlan(n, fatCluster(pes, cluster.Block), 1, plan, func(r *mpi.Rank) {
 		comm := mpi.WorldComm(r)
-		f := OpenWith(comm, fs, "cr", testStripe(),
-			Hints{CBBufferSize: 1024, IntraNode: true}, RunOptions{Fault: plan})
+		f := Open(comm, fs, "cr", testStripe(), Hints{CBBufferSize: 1024, IntraNode: true})
 		if f.Hierarchical() {
 			t.Errorf("rank %d armed two-level under a crash plan", r.WorldRank())
 		}
@@ -206,8 +205,7 @@ func TestHierStragglerPlanStaysHierarchical(t *testing.T) {
 	fs := lustre.NewFS(lustre.DefaultConfig())
 	mpi.RunPlan(n, fatCluster(pes, cluster.Block), 3, plan, func(r *mpi.Rank) {
 		comm := mpi.WorldComm(r)
-		f := OpenWith(comm, fs, "st", testStripe(),
-			Hints{CBBufferSize: 1024, IntraNode: true}, RunOptions{Fault: plan})
+		f := Open(comm, fs, "st", testStripe(), Hints{CBBufferSize: 1024, IntraNode: true})
 		if !f.Hierarchical() {
 			t.Errorf("rank %d lost the two-level path under a crash-free plan", r.WorldRank())
 		}

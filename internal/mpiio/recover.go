@@ -8,7 +8,6 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/mpi"
 	"repro/internal/perf"
-	"repro/internal/recovery"
 	"repro/internal/storage"
 )
 
@@ -41,7 +40,7 @@ import (
 //   - When no aggregator survives, the lowest comm rank whose aggregator
 //     role is not dead is elected owner (deterministically, with no
 //     communication — every rank runs the same rule on the same dead set).
-//   - A failover budget (recovery.Policy.MaxFailovers) bounds the cascade:
+//   - A failover budget (maxFailovers) bounds the cascade:
 //     one failure past the budget degrades the call — every member
 //     independently rewrites all of its own data. Degradation is idempotent
 //     because collective and independent writes land identical bytes.
@@ -59,6 +58,23 @@ import (
 // dead aggregator never wrote is still held by its original owners, and the
 // annex owners collect it from them.
 
+// The resilient path's two fixed settings.
+const (
+	// watchdogTimeout is the per-round watchdog deadline, virtual seconds:
+	// a subgroup member that hears nothing from its aggregator for this
+	// long declares it dead. It must dominate the aggregator's worst
+	// per-round latency — announcements are produced one per round, and the
+	// round includes the collective-buffer write, so a timeout below the
+	// round's I/O time reads ordinary disk latency as death and falsely
+	// suspects every healthy aggregator (ROADMAP 4e). 250 ms sits ~5x above
+	// the slowest rounds in the shipped experiment geometries while staying
+	// well under whole-run times.
+	watchdogTimeout = 2.5e-1
+	// maxFailovers bounds aggregator failovers per collective call; one
+	// more failure degrades the call to independent I/O.
+	maxFailovers = 2
+)
+
 // recoveryOn reports whether this call must run the resilient round loop:
 // either the plan crashes aggregators, or the storage backend itself is
 // injecting faults (f.inj) under a plan that can kill a staging node — then
@@ -67,7 +83,7 @@ import (
 // storage faults cannot reach the selected backend leave the healthy path
 // untouched (bit-identical goldens).
 func (f *File) recoveryOn() bool {
-	return f.run.Fault.HasCrashes() || (f.inj && f.run.Fault.HasBBFails())
+	return f.fault.HasCrashes() || (f.inj && f.fault.HasBBFails())
 }
 
 // aggCrashedNow asks the plan whether THIS rank's aggregator role is dead at
@@ -75,7 +91,7 @@ func (f *File) recoveryOn() bool {
 // itself — other ranks' deaths are detected by timeout, never read from the
 // plan.
 func (f *File) aggCrashedNow(round int) bool {
-	return f.run.Fault.AggCrashed(f.r.WorldRank(), f.seq, round)
+	return f.fault.AggCrashed(f.r.WorldRank(), f.seq, round)
 }
 
 // Recovery-path tags, above the independent data tags (dataTag tops out at
@@ -103,8 +119,6 @@ func decPlan(b []byte) (st, end int64, want int) {
 // ftState is what one resilient call has learned from the heartbeats, plus
 // what it needs to repair a failure: the rank's own segments.
 type ftState struct {
-	pol recovery.Policy
-
 	segs []datatype.Segment // my view-mapped physical segments
 	pre  []int64            // prefix data positions for segs
 
@@ -121,7 +135,6 @@ type ftState struct {
 func newFTState(f *File, segs []datatype.Segment, pre []int64) *ftState {
 	nag := len(f.aggs)
 	return &ftState{
-		pol:     f.run.Recovery.Defaults(),
 		segs:    segs,
 		pre:     pre,
 		dead:    make([]bool, nag),
@@ -186,7 +199,7 @@ func (c *call) markDead(round int) {
 		// would expire before the survivors' announcements could arrive —
 		// false suspicion of every live aggregator, from nothing but
 		// bookkeeping skew.
-		f.r.Compute(ft.pol.Timeout)
+		f.r.Compute(watchdogTimeout)
 	}
 }
 
@@ -215,12 +228,11 @@ func (c *call) heartbeat(round int) {
 			c.due[a] = c.main.want[me]
 			continue
 		}
-		msg, _, ok := comm.RecvUntil(cr, ptag, ft.pol.Timeout)
+		msg, _, ok := comm.RecvUntil(cr, ptag, watchdogTimeout)
 		if !ok {
 			c.markAggDead(a)
-			f.rstats.Detections++
-			f.noteRecovery("detections")
-			f.rstats.DetectSecs += ft.pol.Timeout
+			f.note(&f.rstats.Detections, "detections")
+			f.rstats.DetectSecs += watchdogTimeout
 			continue
 		}
 		ft.aggSt[a], ft.aggEnd[a], c.due[a] = decPlan(msg)
@@ -264,7 +276,7 @@ func (c *call) failover(newly []int, round int) {
 	for _, a := range newly {
 		f.deadWorld[comm.WorldRankOf(f.aggs[a])] = true
 	}
-	if ft.failovers > ft.pol.MaxFailovers {
+	if ft.failovers > maxFailovers {
 		ft.degraded = true
 		return
 	}
@@ -294,8 +306,7 @@ func (c *call) failover(newly []int, round int) {
 			ft.degraded = true
 			return
 		}
-		f.rstats.Reelections++
-		f.noteRecovery("reelections")
+		f.note(&f.rstats.Reelections, "reelections")
 	}
 
 	first := len(c.annexes)
@@ -307,8 +318,7 @@ func (c *call) failover(newly []int, round int) {
 		if ft.known[a] {
 			lo, hi = ft.aggSt[a]+int64(round)*c.cb, ft.aggEnd[a]
 		}
-		f.rstats.Failovers++
-		f.noteRecovery("failovers")
+		f.note(&f.rstats.Failovers, "failovers")
 		if lo >= hi {
 			continue
 		}
@@ -379,8 +389,7 @@ func (c *call) settle() {
 	f, ft := c.f, c.ft
 	if ft.degraded {
 		f.degraded = true
-		f.rstats.Degradations++
-		f.noteRecovery("degradations")
+		f.note(&f.rstats.Degradations, "degradations")
 		f.independent(true, ft.segs, ft.pre, c.data)
 	}
 	f.redumpLost(ft.segs, ft.pre, c.data)
@@ -444,8 +453,7 @@ func (f *File) noteRecoverSpan(span float64) {
 // likewise survivable: the tier has already flipped the failed node to
 // write-through, so the immediate retry lands durably on the under-backend,
 // and the extents lost from earlier calls are re-dumped at the end of the
-// collective call (redumpLost). Only a permanent target failure is
-// unrecoverable at this layer and panics.
+// collective call (redumpLost).
 func (f *File) resilientWrite(off int64, data []byte) {
 	for {
 		err := storage.TryWrite(f.r, f.lf, off, data)
@@ -454,12 +462,7 @@ func (f *File) resilientWrite(off int64, data []byte) {
 		}
 		var sl *storage.StagingLostError
 		if errors.As(err, &sl) {
-			f.rstats.Degradations++
-			continue
-		}
-		var oe *recovery.TargetError
-		if errors.As(err, &oe) && oe.Permanent {
-			panic(fmt.Sprintf("mpiio: unrecoverable write at %d: %v", off, err))
+			f.note(&f.rstats.Degradations, "degradations")
 		}
 	}
 }
@@ -502,10 +505,6 @@ func (f *File) resilientRead(off, n int64) []byte {
 		var sl *storage.StagingLostError
 		if errors.As(err, &sl) {
 			panic(fmt.Sprintf("mpiio: read at %d overlaps staged data lost to a bb node failure and not yet re-dumped: %v", off, err))
-		}
-		var oe *recovery.TargetError
-		if errors.As(err, &oe) && oe.Permanent {
-			panic(fmt.Sprintf("mpiio: unrecoverable read at %d: %v", off, err))
 		}
 	}
 }

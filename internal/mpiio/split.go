@@ -32,7 +32,7 @@ func (f *File) track(q *nbio.Request) *nbio.Request {
 	q.OnComplete(func(q *nbio.Request) {
 		f.ovl.Hidden += q.Hidden()
 		f.ovl.Exposed += q.Exposed()
-		if tr := f.run.Trace; tr != nil {
+		if tr := f.tr; tr != nil {
 			if h := q.Hidden(); h > 0 {
 				tr.Add(f.r.WorldRank(), "hidden", q.Issued(), q.Issued()+h, "")
 			}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/lustre"
 	"repro/internal/mpi"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // Split collectives must be semantically invisible: the file bytes a
@@ -129,17 +129,18 @@ func TestSplitTraceObservesWithoutPerturbing(t *testing.T) {
 	// The round tracer is an observer: enabling it must not move any clock.
 	const n = 4
 	const blocks, bs = 16, 128
-	runOnce := func(rec *trace.Recorder) float64 {
+	runOnce := func(rec *obs.Recorder) float64 {
 		fs := lustre.NewFS(lustre.DefaultConfig())
 		return mpi.Run(n, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			f := OpenWith(mpi.WorldComm(r), fs, "tr", testStripe(), Hints{CBBufferSize: 1024}, RunOptions{Trace: rec})
+			r.SetTracer(rec)
+			f := Open(mpi.WorldComm(r), fs, "tr", testStripe(), Hints{CBBufferSize: 1024})
 			f.SetView(interleavedView(r.WorldRank(), n, blocks, bs))
 			q := f.WriteAllBegin(0, pattern(r.WorldRank(), blocks*bs))
 			r.Compute(1e-3)
 			f.WriteAllEnd(q)
 		})
 	}
-	rec := trace.New()
+	rec := obs.NewRecorder()
 	traced := runOnce(rec)
 	plain := runOnce(nil)
 	if traced != plain {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/trace"
 )
 
 // Critical-path analysis over the span graph of one collective call.
@@ -51,9 +49,9 @@ type Report struct {
 	BoundingKind string `json:"bounding_kind"`
 }
 
-// CriticalPath analyzes the given spans (typically trace.Recorder.Events()
+// CriticalPath analyzes the given spans (typically Recorder.Events()
 // of one collective call). An empty input yields a zero Report.
-func CriticalPath(events []trace.Event) Report {
+func CriticalPath(events []Span) Report {
 	if len(events) == 0 {
 		return Report{BoundingRank: -1}
 	}

@@ -1,7 +1,7 @@
 // Package obs is the deterministic, observe-only observability layer: a
-// typed metrics registry (counters, gauges, fixed-bucket histograms), a
-// Perfetto/Chrome trace_event exporter over internal/trace recordings, and a
-// critical-path analyzer over the span graph of a collective call.
+// typed metrics registry (counters, gauges, fixed-bucket histograms), a span
+// recorder, a Perfetto/Chrome trace_event exporter over its recordings, and
+// a critical-path analyzer over the span graph of a collective call.
 //
 // Determinism contract: the registry reads no wall clock and draws no
 // randomness; instruments only record values their callers already computed
@@ -12,7 +12,7 @@
 // two identical runs serialize to identical bytes.
 //
 // The simulation engine runs ranks one at a time, so a single Registry is
-// shared by all ranks of a run without locking, exactly like trace.Recorder.
+// shared by all ranks of a run without locking, as is a Recorder.
 package obs
 
 import (

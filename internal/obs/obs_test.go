@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -74,8 +72,8 @@ func TestSnapshotSortedAndEqual(t *testing.T) {
 	}
 }
 
-func buildTrace() *trace.Recorder {
-	rec := trace.New()
+func buildTrace() *Recorder {
+	rec := NewRecorder()
 	rec.Add(0, "sync", 0, 1, "round 0")
 	rec.Add(1, "sync", 0, 1.5, "")
 	rec.Add(0, "io", 1.5, 3, "")
@@ -130,7 +128,7 @@ func TestPerfettoShapeAndDeterminism(t *testing.T) {
 func TestCriticalPathBackwardWalk(t *testing.T) {
 	// Rank 1's io span [2,5] ends last; before it, rank 1 sync [1,2.5]
 	// overlaps; before that, rank 0 sync [0,1.2].
-	rec := trace.New()
+	rec := NewRecorder()
 	rec.Add(0, "sync", 0, 1.2, "")
 	rec.Add(1, "sync", 1, 2.5, "")
 	rec.Add(1, "io", 2, 5, "")
@@ -155,7 +153,7 @@ func TestCriticalPathBackwardWalk(t *testing.T) {
 }
 
 func TestCriticalPathIdleGap(t *testing.T) {
-	rec := trace.New()
+	rec := NewRecorder()
 	rec.Add(0, "sync", 0, 1, "")
 	rec.Add(0, "io", 2, 3, "")
 	rep := CriticalPath(rec.Events())

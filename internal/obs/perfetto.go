@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"repro/internal/trace"
 )
 
 // Perfetto / Chrome trace_event export.
 //
-// The exporter merges a trace.Recorder's spans with counter tracks into the
+// The exporter merges a Recorder's spans with counter tracks into the
 // JSON array form of the trace_event format, loadable in chrome://tracing
 // and ui.perfetto.dev. Virtual seconds map to microseconds of trace time
 // (the format's native unit). One synthetic process holds one thread per
@@ -44,9 +42,9 @@ const counterTid = 1 << 20
 // Perfetto renders the recorder's spans (and, when reg is non-nil, its
 // counter totals) as a trace_event JSON array. A nil recorder exports only
 // the registry samples.
-func Perfetto(rec *trace.Recorder, reg *Registry) ([]byte, error) {
+func Perfetto(rec *Recorder, reg *Registry) ([]byte, error) {
 	var out []TraceEvent
-	var events []trace.Event
+	var events []Span
 	if rec != nil {
 		events = rec.Events()
 	}
@@ -122,7 +120,7 @@ func Perfetto(rec *trace.Recorder, reg *Registry) ([]byte, error) {
 
 // concurrencyTracks builds one counter track per span kind: the number of
 // ranks concurrently inside a span of that kind, sampled at every span edge.
-func concurrencyTracks(events []trace.Event) []TraceEvent {
+func concurrencyTracks(events []Span) []TraceEvent {
 	type edge struct {
 		t     float64
 		delta int

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/recovery"
 	"repro/internal/storage"
 	"repro/internal/storage/storagetest"
 )
@@ -28,7 +27,6 @@ func TestBackendFaultConformance(t *testing.T) {
 			Name:        "conf-dead-servers",
 			ServerFails: []fault.OSTFail{{OST: -1, Prob: 1, At: storagetest.FaultAt, For: storagetest.FaultFor}},
 		}
-		cfg.Retry = recovery.Backoff{MaxAttempts: 3}
 		return NewFS(cfg)
 	})
 }

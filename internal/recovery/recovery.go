@@ -1,99 +1,54 @@
-// Package recovery holds the fail-stop fault-tolerance policy shared by the
-// storage backends (one retry loop with backoff and per-target circuit
-// breakers) and the mpiio collective layer (round deadlines, aggregator
-// failover budgets). It is pure policy: virtual-time arithmetic and small
-// state machines with no dependency on the simulator, so every piece is
-// unit-testable in isolation and every consumer applies it under its own
-// deterministic RNG.
+// Package recovery holds the fault-tolerance machinery the storage backends
+// share (one retry loop with a fixed backoff schedule and per-target circuit
+// breakers, and the typed error it surfaces) plus the recovery counters of
+// the storage and mpiio collective layers. It is pure policy: virtual-time
+// arithmetic and small state machines with no dependency on the simulator,
+// so every piece is unit-testable in isolation.
 //
-// Determinism contract (same as package fault): nothing here owns random
-// state. Backoff jitter draws from a *rand.Rand handed in by the caller (a
-// Retrier keeps its backend's), and a Backoff with Jitter == 0 consumes no
-// draws at all — so healthy runs, which never retry, are bit-identical with
-// or without the machinery installed.
+// Determinism contract (same as package fault): nothing here draws random
+// numbers. The retry schedule and the breaker rule are fixed constants, so
+// a retry is pure virtual-time arithmetic and healthy runs, which never
+// retry, are bit-identical with or without the machinery installed.
 package recovery
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/obs"
 )
 
 // --- retry/backoff ----------------------------------------------------------
 
-// Backoff is a capped exponential retry schedule. Attempt k (1-based count
-// of *failed* attempts so far) waits Base*Factor^(k-1) seconds, capped at
-// Cap, plus a uniform jitter draw in [0, Jitter*delay). The zero value is
-// usable: Defaults() fills in the standard schedule.
-type Backoff struct {
-	Base        float64 // delay before the first retry, seconds
-	Cap         float64 // upper bound on any single delay, seconds
-	Factor      float64 // multiplicative growth per retry
-	Jitter      float64 // jitter fraction of the capped delay (0 = none)
-	MaxAttempts int     // total attempts including the first; <= 0 = default
-}
+// The one retry schedule: the wait after a request's k-th failed attempt is
+// retryBase*2^(k-1) seconds, capped at retryCap, and a request gets
+// retryAttempts attempts in all. It is jitter-free, so the scenario goldens
+// stay exact.
+const (
+	retryBase     = 1e-4 // delay before the first retry, seconds
+	retryCap      = 5e-3 // upper bound on any single delay, seconds
+	retryAttempts = 6    // total attempts including the first
+)
 
-// Defaults returns b with unset fields replaced by the standard schedule:
-// 100 us base, 5 ms cap, doubling, no jitter, 6 attempts. The defaults are
-// deliberately jitter-free so that scenario goldens stay exact; plans that
-// want decorrelated retries opt in explicitly.
-func (b Backoff) Defaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 1e-4
+// delay returns the wait before retry number `retry` (1 = after the first
+// failure).
+func delay(retry int) float64 {
+	d := retryBase
+	for i := 1; i < retry && d < retryCap; i++ {
+		d *= 2
 	}
-	if b.Cap <= 0 {
-		b.Cap = 5e-3
-	}
-	if b.Factor <= 1 {
-		b.Factor = 2
-	}
-	if b.MaxAttempts <= 0 {
-		b.MaxAttempts = 6
-	}
-	return b
+	return min(d, retryCap)
 }
-
-// Delay returns the wait before retry number `retry` (1 = after the first
-// failure). rng is consulted only when Jitter > 0, so jitter-free schedules
-// consume no draws.
-func (b Backoff) Delay(retry int, rng *rand.Rand) float64 {
-	if retry < 1 {
-		retry = 1
-	}
-	d := b.Base
-	for i := 1; i < retry; i++ {
-		d *= b.Factor
-		if d >= b.Cap {
-			d = b.Cap
-			break
-		}
-	}
-	if d > b.Cap {
-		d = b.Cap
-	}
-	if b.Jitter > 0 {
-		d += d * b.Jitter * rng.Float64()
-	}
-	return d
-}
-
-// Exhausted reports whether `attempts` total attempts have used up the
-// budget.
-func (b Backoff) Exhausted(attempts int) bool { return attempts >= b.MaxAttempts }
 
 // --- the retry loop ---------------------------------------------------------
 
-// Retrier is one storage layer's retry engine: the backoff schedule, a
+// Retrier is one storage layer's retry engine: the fixed backoff schedule, a
 // circuit breaker per target, and the retry counters, in aggregate and per
 // issuing job. Backends arm one only when their fault plan injects errors,
 // so a healthy run never touches it; the read-only methods accept a nil
 // Retrier and report zeroes.
 type Retrier struct {
 	layer, kind string // TargetError's vocabulary
-	backoff     Backoff
 	brk         *BreakerSet
-	rng         *rand.Rand
 	stats       RetryStats
 	byJob       map[int]*RetryStats
 
@@ -103,11 +58,9 @@ type Retrier struct {
 }
 
 // NewRetrier arms a retry engine whose typed errors name targets as
-// layer/kind ("lustre"/"OST"), with b's schedule (zero fields take the
-// defaults). rng is the backend's own generator: the loop draws backoff
-// jitter from it in engine-serialized order.
-func NewRetrier(layer, kind string, b Backoff, rng *rand.Rand) *Retrier {
-	return &Retrier{layer: layer, kind: kind, backoff: b.Defaults(), brk: NewBreakerSet(), rng: rng}
+// layer/kind ("lustre"/"OST").
+func NewRetrier(layer, kind string) *Retrier {
+	return &Retrier{layer: layer, kind: kind, brk: NewBreakerSet()}
 }
 
 // Breaker returns the target's circuit breaker.
@@ -119,11 +72,11 @@ func (e *Retrier) Breaker(target int) *Breaker { return e.brk.Get(target) }
 // which consults the fault plan and books the attempt: a served attempt
 // returns its completion, a failed one the time its error came back (the
 // failing RPC still occupied the target). A failure feeds the breaker and,
-// unless it is permanent or the attempt budget is spent, backs off per the
-// schedule and goes again. Permanence and exhaustion surface as a typed
-// *TargetError with the clock already past every failed attempt: failures
-// cost time even when they do not cost correctness.
-func (e *Retrier) Do(target, job int, at float64, attempt func(at float64) (end float64, failed, perm bool)) (float64, error) {
+// unless the attempt budget is spent, backs off per the schedule and goes
+// again. Exhaustion surfaces as a typed *TargetError with the clock already
+// past every failed attempt: failures cost time even when they do not cost
+// correctness.
+func (e *Retrier) Do(target, job int, at float64, attempt func(at float64) (end float64, failed bool)) (float64, error) {
 	brk := e.brk.Get(target)
 	jr := e.byJob[job]
 	if jr == nil {
@@ -148,7 +101,7 @@ func (e *Retrier) Do(target, job int, at float64, attempt func(at float64) (end 
 				e.ObsRetries.Inc()
 			}
 		}
-		end, failed, perm := attempt(at)
+		end, failed := attempt(at)
 		if !failed {
 			brk.Success()
 			return end, nil
@@ -165,12 +118,12 @@ func (e *Retrier) Do(target, job int, at float64, attempt func(at float64) (end 
 				e.ObsOpens.Add(n)
 			}
 		}
-		if perm || e.backoff.Exhausted(attempts) {
+		if attempts >= retryAttempts {
 			e.stats.Exhausted++
 			jr.Exhausted++
-			return at, &TargetError{Layer: e.layer, Kind: e.kind, Target: target, Attempts: attempts, Permanent: perm}
+			return at, &TargetError{Layer: e.layer, Kind: e.kind, Target: target, Attempts: attempts}
 		}
-		d := e.backoff.Delay(attempts, e.rng)
+		d := delay(attempts)
 		at += d
 		e.stats.BackoffSecs += d
 		jr.BackoffSecs += d
@@ -219,40 +172,31 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Breaker is a per-target circuit breaker in virtual time. Threshold
+// The one breaker rule: breakerThreshold consecutive failures trip a
+// breaker, and it stays open breakerCooldown seconds before its half-open
+// probe.
+const (
+	breakerThreshold = 4
+	breakerCooldown  = 2e-3
+)
+
+// Breaker is a per-target circuit breaker in virtual time. breakerThreshold
 // consecutive failures trip it open; while open, HoldOff tells the caller
 // how long to stall before the breaker turns half-open; the first attempt in
 // half-open state is the probe — its outcome closes the breaker or re-opens
 // it for another cooldown. Single-goroutine use only (the simulator
 // serializes procs), so there is no locking.
 type Breaker struct {
-	Threshold int     // consecutive failures that trip the breaker; <= 0 = 4
-	Cooldown  float64 // open duration before the half-open probe; <= 0 = 2 ms
-
 	state    BreakerState
 	fails    int
 	openedAt float64
 	Opens    uint64 // cumulative trips, for stats
 }
 
-func (k *Breaker) threshold() int {
-	if k.Threshold <= 0 {
-		return 4
-	}
-	return k.Threshold
-}
-
-func (k *Breaker) cooldown() float64 {
-	if k.Cooldown <= 0 {
-		return 2e-3
-	}
-	return k.Cooldown
-}
-
 // State returns the breaker's automaton state as of virtual time `at`
 // (an open breaker whose cooldown has elapsed reads as half-open).
 func (k *Breaker) State(at float64) BreakerState {
-	if k.state == BreakerOpen && at >= k.openedAt+k.cooldown() {
+	if k.state == BreakerOpen && at >= k.openedAt+breakerCooldown {
 		return BreakerHalfOpen
 	}
 	return k.state
@@ -266,7 +210,7 @@ func (k *Breaker) HoldOff(at float64) float64 {
 	if k.state != BreakerOpen {
 		return 0
 	}
-	ready := k.openedAt + k.cooldown()
+	ready := k.openedAt + breakerCooldown
 	if at >= ready {
 		k.state = BreakerHalfOpen
 		return 0
@@ -283,7 +227,7 @@ func (k *Breaker) Success() {
 
 // Failure records a failed request at virtual time `at`. A half-open probe
 // failure re-opens immediately; in closed state the consecutive-failure
-// counter trips the breaker at Threshold.
+// counter trips the breaker at breakerThreshold.
 func (k *Breaker) Failure(at float64) {
 	if k.state == BreakerHalfOpen {
 		k.state = BreakerOpen
@@ -292,7 +236,7 @@ func (k *Breaker) Failure(at float64) {
 		return
 	}
 	k.fails++
-	if k.fails >= k.threshold() {
+	if k.fails >= breakerThreshold {
 		k.state = BreakerOpen
 		k.openedAt = at
 		k.fails = 0
@@ -300,60 +244,22 @@ func (k *Breaker) Failure(at float64) {
 	}
 }
 
-// --- collective-layer policy ------------------------------------------------
-
-// Policy parameterizes the mpiio layer's failure detection and failover.
-type Policy struct {
-	// Timeout is the per-round watchdog deadline, virtual seconds: a
-	// subgroup member that hears nothing from its aggregator for this long
-	// declares it dead. It must dominate the aggregator's worst per-round
-	// latency — announcements are produced one per round, and the round
-	// includes the collective-buffer write, so a timeout below the round's
-	// I/O time reads ordinary disk latency as death and falsely suspects
-	// every healthy aggregator. The default (250 ms) sits ~5x above the
-	// slowest rounds in the shipped experiment geometries while staying
-	// well under whole-run times. <= 0 selects the default.
-	Timeout float64
-	// MaxFailovers bounds aggregator failovers per collective call; one
-	// more failure degrades the call to independent I/O. <= 0 selects the
-	// default of 2.
-	MaxFailovers int
-}
-
-// Defaults returns p with unset fields filled in.
-func (p Policy) Defaults() Policy {
-	if p.Timeout <= 0 {
-		p.Timeout = 2.5e-1
-	}
-	if p.MaxFailovers <= 0 {
-		p.MaxFailovers = 2
-	}
-	return p
-}
-
 // --- typed errors -----------------------------------------------------------
 
 // TargetError is the typed failure a storage layer surfaces when a request
-// against one of its targets cannot be served: either the retry budget was
-// exhausted on transient errors, or the plan marked the failure permanent.
-// Every backend shares the shape; Layer and Kind name the failure domain in
+// against one of its targets exhausted the retry budget. Every backend shares the shape; Layer and Kind name the failure domain in
 // that backend's own vocabulary ("lustre"/"OST", "pvfs"/"server",
 // "bb"/"node"), so error text stays layer-appropriate while callers handle
 // one type.
 type TargetError struct {
-	Layer     string // storage layer reporting the failure
-	Kind      string // the layer's noun for its failure domain
-	Target    int    // the failing target id within that domain
-	Attempts  int    // attempts consumed before giving up
-	Permanent bool   // true: unrecoverable by retry, by injection decree
+	Layer    string // storage layer reporting the failure
+	Kind     string // the layer's noun for its failure domain
+	Target   int    // the failing target id within that domain
+	Attempts int    // attempts consumed before giving up
 }
 
 func (e *TargetError) Error() string {
-	sev := "transient"
-	if e.Permanent {
-		sev = "permanent"
-	}
-	return fmt.Sprintf("%s: %s %d %s failure after %d attempt(s)", e.Layer, e.Kind, e.Target, sev, e.Attempts)
+	return fmt.Sprintf("%s: %s %d transient failure after %d attempt(s)", e.Layer, e.Kind, e.Target, e.Attempts)
 }
 
 // --- breaker sets ------------------------------------------------------------
@@ -363,13 +269,10 @@ func (e *TargetError) Error() string {
 // wanting the same trip/cooldown machinery; a set keyed by the layer's own
 // target ids lets them share it without agreeing on a global id space.
 type BreakerSet struct {
-	Threshold int     // per-breaker trip threshold (0 = Breaker default)
-	Cooldown  float64 // per-breaker cooldown seconds (0 = Breaker default)
-	m         map[int]*Breaker
+	m map[int]*Breaker
 }
 
-// NewBreakerSet returns an empty set whose breakers use the Breaker
-// defaults.
+// NewBreakerSet returns an empty set.
 func NewBreakerSet() *BreakerSet { return &BreakerSet{} }
 
 // Get returns the breaker for target, creating it closed on first use.
@@ -379,7 +282,7 @@ func (s *BreakerSet) Get(target int) *Breaker {
 	}
 	k := s.m[target]
 	if k == nil {
-		k = &Breaker{Threshold: s.Threshold, Cooldown: s.Cooldown}
+		k = &Breaker{}
 		s.m[target] = k
 	}
 	return k

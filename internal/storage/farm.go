@@ -32,12 +32,8 @@ type FarmConfig struct {
 	// function of (target, virtual time, the farm's RNG), so determinism
 	// holds. Injected request failures are absorbed by the retry engine
 	// (capped exponential backoff plus a per-target circuit breaker) and
-	// surface as typed *recovery.TargetError only when permanent or
-	// budget-exhausted.
+	// surface as typed *recovery.TargetError only when budget-exhausted.
 	Faults *fault.Plan
-	// Retry overrides the retry engine's backoff schedule; zero fields take
-	// recovery's defaults. Only consulted when Faults injects errors.
-	Retry recovery.Backoff
 }
 
 // DefaultFarmConfig approximates the paper's test file system: 72 OSTs
@@ -57,7 +53,7 @@ func DefaultFarmConfig() FarmConfig {
 
 // FailFunc is a fault plan's verdict on one attempt against a target
 // (fault.Plan.OSTErrorAt or ServerErrorAt); it may draw from rng.
-type FailFunc func(target int, at float64, rng *rand.Rand) (failed, perm bool)
+type FailFunc func(target int, at float64, rng *rand.Rand) bool
 
 // Farm is the machinery a target farm's backends share: the targets, the
 // metadata server that serializes opens, the files, one RNG, the per-target
@@ -65,8 +61,8 @@ type FailFunc func(target int, at float64, rng *rand.Rand) (failed, perm bool)
 // policy. A backend embeds it and keeps only its cost model and Submit.
 type Farm struct {
 	Cfg FarmConfig
-	// Rng is the farm's one generator: jitter, the backend's own draws, the
-	// fault verdicts and the backoff jitter consume it in engine order.
+	// Rng is the farm's one generator: jitter, the backend's own draws and
+	// the fault verdicts consume it in engine order.
 	Rng *rand.Rand
 	// Retrier is armed only when the farm was built with a fail predicate,
 	// so a healthy run never touches it.
@@ -108,7 +104,7 @@ func NewFarm(cfg FarmConfig, layer, kind string, fails FailFunc) *Farm {
 		fm.targets[i] = sim.NewResource(kind + strconv.Itoa(i))
 	}
 	if fails != nil {
-		fm.Retrier = recovery.NewRetrier(layer, kind, cfg.Retry, fm.Rng)
+		fm.Retrier = recovery.NewRetrier(layer, kind)
 	}
 	return fm
 }
@@ -164,7 +160,7 @@ func (fm *Farm) SetLedger(l *Ledger) { fm.ledger = l }
 
 // Params returns the farm's protocol-relevant properties.
 func (fm *Farm) Params(listIO bool) Params {
-	return Params{CostScale: fm.Cfg.CostScale, Targets: fm.Cfg.Targets, ListIO: listIO, Injecting: fm.Retrier != nil}
+	return Params{CostScale: fm.Cfg.CostScale, ListIO: listIO, Injecting: fm.Retrier != nil}
 }
 
 // noise returns the multiplicative service-time factor for one request.
@@ -202,16 +198,16 @@ func (fm *Farm) Book(t, job int, at, svc float64) (wait, end float64) {
 // the jittered request overhead (the RPC that came back with an error still
 // occupied the target) and counts an error, a served one runs serve.
 func (fm *Farm) Retry(t, job int, at float64, serve func(at float64) float64) (float64, error) {
-	return fm.Retrier.Do(t, job, at, func(at float64) (float64, bool, bool) {
-		if failed, perm := fm.fails(t, at, fm.Rng); failed {
+	return fm.Retrier.Do(t, job, at, func(at float64) (float64, bool) {
+		if fm.fails(t, at, fm.Rng) {
 			st := &fm.stats[t]
 			st.Errors++
 			cost := fm.Cfg.RequestOverhead * fm.noise()
 			st.BusySecs += cost
 			_, end := fm.targets[t].Acquire(at, cost)
-			return end, true, perm
+			return end, true
 		}
-		return serve(at), false, false
+		return serve(at), false
 	})
 }
 
@@ -283,7 +279,7 @@ func (o *Object) Chunks(off, n int64, fn func(off, n int64, target int)) {
 	for n > 0 {
 		unit := off / s.Size
 		l := min((unit+1)*s.Size-off, n)
-		fn(off, l, int((int64(s.Offset)+unit%int64(s.Count))%int64(len(o.farm.targets))))
+		fn(off, l, int(unit%int64(s.Count)))
 		off += l
 		n -= l
 	}

@@ -37,9 +37,8 @@ import (
 
 // Stripe is a file's striping layout, fixed at create time.
 type Stripe struct {
-	Count  int   // number of targets the file stripes over
-	Size   int64 // stripe unit in bytes
-	Offset int   // index of the first target
+	Count int   // number of targets the file stripes over, from target 0
+	Size  int64 // stripe unit in bytes
 }
 
 // Extent is one (offset, length) run of a vectored list-I/O request.
@@ -66,8 +65,6 @@ type TargetStat struct {
 type Params struct {
 	// CostScale is the virtual-bytes-per-real-byte factor of the cost model.
 	CostScale float64
-	// Targets is the number of storage targets behind the backend.
-	Targets int
 	// ListIO reports native list I/O: a multi-extent Req costs one request
 	// round-trip per touched target plus the summed transfer, instead of a
 	// per-extent service call each. The collective flush path batches its

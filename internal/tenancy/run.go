@@ -140,7 +140,7 @@ func run(p experiments.Preset, t Trace, reg *obs.Registry) (Report, error) {
 		works[j] = w
 		recs[j] = obs.NewLatencyRecorder()
 		opts := experiments.OptionsFor(s)
-		opts.Run.Lat = recs[j]
+		opts.Lat = recs[j]
 		envs[j] = envOf(opts)
 	}
 

@@ -17,12 +17,6 @@ type BTIO struct {
 	N     int64 // solution cube edge, in cells (must be divisible by k)
 	Elem  int64 // bytes per cell (BT stores 5 doubles: 40 bytes)
 	Steps int   // number of solution dumps
-	// Compute is seconds of per-rank solver time between dumps (the BT
-	// timesteps themselves); with Split set it runs between Begin and End
-	// so the dump's I/O tail is hidden behind it.
-	Compute float64
-	// Split uses split collectives (WriteAllBegin/End) for the dumps.
-	Split bool
 }
 
 // K returns the partitioning factor for nprocs (nprocs must be a square).
@@ -104,7 +98,7 @@ func (w BTIO) DumpBytes(nprocs int) int64 {
 // frames is BT-IO's step body for rank me of n: Steps dumps of the
 // solution through the diagonal view.
 func (w BTIO) frames(me, n int) frames {
-	return frames{view: w.View(me, n), per: w.DumpBytes(n), steps: w.Steps, compute: w.Compute, split: w.Split}
+	return frames{view: w.View(me, n), per: w.DumpBytes(n), steps: w.Steps}
 }
 
 // Write appends Steps solution dumps collectively and returns this rank's

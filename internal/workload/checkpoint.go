@@ -97,7 +97,7 @@ func (w CheckpointBurst) Run(r *mpi.Rank, env Env, name string) CheckpointResult
 	// Under staging faults the closing drain is the loss-recovery barrier
 	// over this rank's blocks (decided out here, as in dump, to keep the
 	// measured closures' frames small).
-	lossy := stagingFaults(env)
+	lossy := stagingFaults(r, env)
 	var pieces []datatype.Segment
 	if lossy {
 		pieces = w.pieces(me, n, steps)
@@ -135,7 +135,6 @@ func (w CheckpointBurst) Run(r *mpi.Rank, env Env, name string) CheckpointResult
 		VirtBytes: w.BlockBytes * int64(steps) * int64(n) * scaleOf(env),
 		Breakdown: f.Breakdown(),
 		Plan:      f.LastPlan(),
-		Metrics:   snapshotMetrics(env),
 	}
 	if lossy {
 		out.Recovery = GlobalRecovery(comm, f.Recovery())

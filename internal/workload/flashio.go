@@ -79,7 +79,6 @@ func (w FlashIO) Write(r *mpi.Rank, env Env, name string) Result {
 		VirtBytes: w.CheckpointBytes(comm.Size()) * scaleOf(env),
 		Breakdown: cf.Breakdown(),
 		Plan:      cf.LastPlan(),
-		Metrics:   snapshotMetrics(env),
 	}
 }
 
@@ -98,7 +97,7 @@ func (a indepFile) ReadAtAll(off, n int64) []byte  { return a.f.ReadAt(off, n) }
 // series collapse to ~60 MB/s.
 func (w FlashIO) WriteCheckpointIndependent(r *mpi.Rank, env Env, name string) Result {
 	comm := mpi.WorldComm(r)
-	mf := mpiio.OpenWith(comm, env.FS, name, env.Stripe, env.Opts.Hints, env.Opts.Run)
+	mf := mpiio.Open(comm, env.FS, name, env.Stripe, env.Opts.Hints)
 	me := r.JobRank()
 	per := w.PerProcBytes()
 	bb := w.BlockBytes()
@@ -116,7 +115,6 @@ func (w FlashIO) WriteCheckpointIndependent(r *mpi.Rank, env Env, name string) R
 		Elapsed:   elapsed,
 		VirtBytes: w.CheckpointBytes(comm.Size()) * scaleOf(env),
 		Breakdown: mf.Breakdown(),
-		Metrics:   snapshotMetrics(env),
 	}
 }
 

@@ -54,7 +54,6 @@ func (w IOR) Write(r *mpi.Rank, env Env, name string) Result {
 		VirtBytes: w.Block * int64(comm.Size()) * scaleOf(env),
 		Breakdown: f.Breakdown(),
 		Plan:      f.LastPlan(),
-		Metrics:   snapshotMetrics(env),
 	}
 }
 
@@ -78,7 +77,6 @@ func (w IOR) Read(r *mpi.Rank, env Env, name string) Result {
 		VirtBytes: w.Block * int64(comm.Size()) * scaleOf(env),
 		Breakdown: f.Breakdown(),
 		Plan:      f.LastPlan(),
-		Metrics:   snapshotMetrics(env),
 	}
 }
 
@@ -120,6 +118,5 @@ func (w IOR) WriteIndependent(r *mpi.Rank, env Env, name string) Result {
 		Elapsed:   elapsed,
 		VirtBytes: w.Block * int64(comm.Size()) * scaleOf(env),
 		Breakdown: f.Breakdown(),
-		Metrics:   snapshotMetrics(env),
 	}
 }

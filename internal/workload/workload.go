@@ -19,7 +19,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/nbio"
-	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/storage"
 )
@@ -68,18 +67,6 @@ type Result struct {
 	// counters sum, TimeToRecover is the global maximum. Zero on healthy
 	// runs — the recovery machinery is inert without a crash-carrying plan.
 	Recovery recovery.FailoverStats
-	// Metrics is a snapshot of the run's metrics registry, taken as the
-	// workload finishes. Nil unless the run armed Opts.Run.Obs.
-	Metrics *obs.Snapshot
-}
-
-// snapshotMetrics captures the armed registry (nil otherwise) for a Result.
-func snapshotMetrics(env Env) *obs.Snapshot {
-	if env.Opts.Run.Obs == nil {
-		return nil
-	}
-	s := env.Opts.Run.Obs.Snapshot()
-	return &s
 }
 
 // Bandwidth returns the aggregate rate in bytes/second.
@@ -171,8 +158,8 @@ func readBack(r *mpi.Rank, f storage.File, pieces []datatype.Segment) error {
 
 // stagingFaults reports whether the run can lose staged bytes: an
 // injecting backend under a plan that fails staging nodes.
-func stagingFaults(env Env) bool {
-	return env.FS.Params().Injecting && env.Opts.Run.Fault.HasBBFails()
+func stagingFaults(r *mpi.Rank, env Env) bool {
+	return env.FS.Params().Injecting && r.Fault().HasBBFails()
 }
 
 // drainLost is the loss-recovery barrier that closes a write under
@@ -276,7 +263,7 @@ func dump(r *mpi.Rank, env Env, name string, write bool, layout func(me, n int) 
 	// decided out here to keep the measured closure's frame small: it sits
 	// under every collective call, and a larger one makes each rank's
 	// goroutine stack grow (and be copied) once more.
-	settle := write && fr.settle && stagingFaults(env)
+	settle := write && fr.settle && stagingFaults(r, env)
 	var pieces []datatype.Segment
 	if settle {
 		pieces = fr.segments()
@@ -318,7 +305,7 @@ func dump(r *mpi.Rank, env Env, name string, write bool, layout func(me, n int) 
 	// The aggregation collective runs only when the plan could have produced
 	// recovery work: a healthy run must not move a single extra message.
 	var rec recovery.FailoverStats
-	if env.Opts.Run.Fault.HasCrashes() {
+	if r.Fault().HasCrashes() {
 		rec = GlobalRecovery(comm, f.Recovery())
 	}
 	return Result{
@@ -328,7 +315,6 @@ func dump(r *mpi.Rank, env Env, name string, write bool, layout func(me, n int) 
 		Plan:      f.LastPlan(),
 		Overlap:   ovl,
 		Recovery:  rec,
-		Metrics:   snapshotMetrics(env),
 	}
 }
 

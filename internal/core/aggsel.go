@@ -101,27 +101,3 @@ func naiveAggregators(groups [][]int, nodeOf func(rank int) int, aggNodes []int)
 	}
 	return out
 }
-
-// aggregatorNodes derives the set of nodes allowed to host aggregators
-// from the hints, mirroring mpiio's default selection. memberNodes is the
-// node of each comm rank in rank order; explicitNodes (when non-empty) are
-// the nodes of an explicitly hinted aggregator list and win over the
-// default one-per-node list capped at cbNodes.
-func aggregatorNodes(memberNodes []int, explicitNodes []int, cbNodes int) []int {
-	src := memberNodes
-	if len(explicitNodes) > 0 {
-		src = explicitNodes
-	}
-	seen := make(map[int]bool)
-	var nodes []int
-	for _, n := range src {
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-	}
-	if len(explicitNodes) == 0 && cbNodes > 0 && cbNodes < len(nodes) {
-		nodes = nodes[:cbNodes]
-	}
-	return nodes
-}

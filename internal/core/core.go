@@ -18,7 +18,9 @@
 // synchronization that builds the "collective wall" is gone and subgroups
 // are free to progress (and drift) independently. ParColl does not change
 // MPI-IO semantics: for non-overlapping concurrent writes the resulting
-// file is byte-identical to the unpartitioned protocol's.
+// file is byte-identical to the unpartitioned protocol's — except under
+// Options.MaterializeIntermediate, which stores the intermediate file view
+// as-is and is read back correctly only through the same views.
 package core
 
 import (
@@ -108,13 +110,19 @@ type Options struct {
 }
 
 // Plan describes how the current view was partitioned (for tests, tools,
-// and the experiment harness).
+// and the experiment harness). Partition builds it; nothing writes into a
+// Plan's slices afterwards, so a copy taken once stays as it was.
 type Plan struct {
 	Mode        Mode
 	NumGroups   int
 	Groups      [][]int // world ranks per group
 	Aggregators [][]int // world ranks per group
 	MyGroup     int
+
+	// Under MaterializeIntermediate: each comm rank's logical offset in the
+	// intermediate file and the bytes of one instance of it.
+	prefix map[int]int64
+	total  int64
 }
 
 // autoGroupSize is the target processes-per-subgroup for AutoGroups; the
@@ -353,35 +361,35 @@ func (f *File) reelectDegraded() {
 	if !ok {
 		return // a kill-all plan leaves no healthy node to move to
 	}
-	// Default selection rule, minus dead staging nodes: the first member
-	// rank on each healthy node. An all-dead group has nowhere to go.
-	var aggs []int
-	seen := make(map[int]bool)
-	for cr := 0; cr < f.subComm.Size(); cr++ {
-		n := r.W.Cluster.NodeOf(f.subComm.WorldRankOf(cr))
-		if dead[n] || seen[n] {
-			continue
-		}
-		seen[n] = true
-		aggs = append(aggs, cr)
-	}
+	// The default selection rule over the group, minus dead staging nodes.
+	// An all-dead group has nowhere to go.
+	sub := f.subComm
+	nodeOf := func(cr int) int { return r.W.Cluster.NodeOf(sub.WorldRankOf(cr)) }
+	aggs := mpiio.SelectAggregators(sub.Size(), nodeOf, sub.RankOfWorld, mpiio.Hints{}, dead)
 	if len(aggs) == 0 || slices.Equal(aggs, f.subFile.Aggregators()) {
 		return
 	}
 	f.subFile.SetAggregators(aggs)
-	if f.plan.MyGroup < len(f.plan.Aggregators) {
-		f.plan.Aggregators[f.plan.MyGroup] = worldOf(f.subComm, aggs)
-	}
+	// Copy on write: plans LastPlan handed out earlier share the outer slice.
+	f.plan.Aggregators = slices.Clone(f.plan.Aggregators)
+	f.plan.Aggregators[f.plan.MyGroup] = remap(aggs, sub.WorldRankOf)
 }
 
-// instanceSegs returns the physical segments of one instance of the rank's
-// view filetype (the footprint ParColl partitions on).
-func (f *File) instanceSegs() []datatype.Segment {
-	size := f.view.Filetype.Size()
-	if size <= 0 {
-		return nil
+// footprint returns the row v contributes to Partition's table — start,
+// end, byte size and extent of one filetype instance, start and end -1 when
+// the view has nothing to partition — and that instance's segments.
+func footprint(v datatype.View) (row [4]int64, segs []datatype.Segment) {
+	if size := v.Filetype.Size(); size > 0 {
+		segs = v.Map(0, size)
 	}
-	return f.view.Map(0, size)
+	row = [4]int64{-1, -1, 0, v.Filetype.Extent()}
+	if (!v.IsContiguous() || v.Filetype.Size() > 1) && len(segs) > 0 {
+		row[0], row[1] = segs[0].Off, segs[len(segs)-1].End()
+		for _, s := range segs {
+			row[2] += s.Len
+		}
+	}
+	return row, segs
 }
 
 // ensurePlan partitions processes and file for the current view. It runs a
@@ -394,166 +402,57 @@ func (f *File) ensurePlan() {
 	f.planGen = f.viewGen
 	r, comm := f.r, f.comm
 
-	partitionable := !f.view.IsContiguous() || f.view.Filetype.Size() > 1
-	segs := f.instanceSegs()
-	st, end, size := int64(-1), int64(-1), int64(0)
-	if partitionable && len(segs) > 0 {
-		st = segs[0].Off
-		end = segs[len(segs)-1].End()
-		for _, s := range segs {
-			size += s.Len
-		}
-	}
 	// The one global step: gather every rank's view footprint. [sync]
+	row, segs := footprint(f.view)
 	old := r.SetClass(mpi.ClassSync)
-	meta := comm.AllgatherInt64s([]int64{st, end, size, f.view.Filetype.Extent()})
+	meta := comm.AllgatherInt64s(row[:])
 	r.SetClass(old)
 
-	spans := make([]span, comm.Size())
-	uniformExtent := true
-	refExtent := int64(-1)
-	for cr, m := range meta {
-		spans[cr] = span{rank: cr, st: m[0], end: m[1], size: m[2], active: m[0] >= 0 && m[1] > m[0]}
-		if !spans[cr].active {
-			continue
-		}
-		// Every rank must reach the same verdict, so compare active
-		// ranks against the first active rank's extent.
-		if refExtent == -1 {
-			refExtent = m[3]
-		} else if m[3] != refExtent {
-			uniformExtent = false
-		}
-	}
+	nodeOf := func(cr int) int { return r.W.Cluster.NodeOf(comm.WorldRankOf(cr)) }
+	plan := Partition(meta, comm.WorldRankOf, comm.RankOfWorld, nodeOf, f.opts)
+	plan.MyGroup = groupOf(plan.Groups, comm.WorldRankOf(comm.Rank()))
 
-	ngroups := f.opts.NumGroups
-	if f.opts.AutoGroups {
-		ngroups = comm.Size() / autoGroupSize
-	}
-	if ngroups < 1 {
-		ngroups = 1
-	}
-	if ngroups > comm.Size() {
-		ngroups = comm.Size()
-	}
-	anyActive := false
-	for _, s := range spans {
-		if s.active {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
-		ngroups = 1
-	}
-
-	var groups [][]int // comm ranks
-	var prefix map[int]int64
-	mode := ModeSingle
-	if ngroups > 1 {
-		if f.opts.ForceIntermediate && uniformExtent {
-			mode = ModeIntermediate
-			groups, prefix = partitionLogical(spans, ngroups)
-		} else if g, ok := partitionDirect(spans, ngroups); ok {
-			mode = ModeDirect
-			groups = g
-		} else if f.opts.DisableIntermediate || !uniformExtent {
-			mode = ModeSingle
-		} else {
-			mode = ModeIntermediate
-			groups, prefix = partitionLogical(spans, ngroups)
-		}
-	}
-	if mode == ModeSingle {
-		groups = [][]int{allRanks(comm.Size())}
-	}
-
-	// Locate my group and split the communicator. [sync]
-	myGroup := groupOf(groups, comm.Rank())
+	// Split the communicator along the plan. [sync]
 	old = r.SetClass(mpi.ClassSync)
-	subComm := comm.Split(myGroup, comm.Rank())
+	subComm := comm.Split(plan.MyGroup, comm.Rank())
 	r.SetClass(old)
 
-	// Distribute the hinted aggregators across groups (paper §4.2). Every
-	// rank computes the same assignment from the gathered metadata.
-	nodeOfComm := func(cr int) int { return r.W.Cluster.NodeOf(comm.WorldRankOf(cr)) }
-	var aggsPerGroup [][]int
 	subHints := f.opts.Hints
-	if mode != ModeSingle {
-		memberNodes := make([]int, comm.Size())
-		for cr := range memberNodes {
-			memberNodes[cr] = nodeOfComm(cr)
-		}
-		var explicitNodes []int
-		for _, w := range f.opts.Hints.AggregatorList {
-			explicitNodes = append(explicitNodes, r.W.Cluster.NodeOf(w))
-		}
-		nodes := aggregatorNodes(memberNodes, explicitNodes, f.opts.Hints.CBNodes)
-		if f.opts.NaiveAggregators {
-			aggsPerGroup = naiveAggregators(groups, nodeOfComm, nodes)
-		} else {
-			aggsPerGroup = DistributeAggregators(groups, nodeOfComm, nodes)
-		}
-		world := make([]int, len(aggsPerGroup[myGroup]))
-		for i, cr := range aggsPerGroup[myGroup] {
-			world[i] = comm.WorldRankOf(cr)
-		}
-		subHints.AggregatorList = world
+	if plan.Mode != ModeSingle {
+		subHints.AggregatorList = plan.Aggregators[plan.MyGroup]
 		subHints.CBNodes = 0
 	}
-
 	subFile := mpiio.Open(subComm, f.fs, f.name, f.stripe, subHints)
 
-	if mode == ModeIntermediate {
-		if !f.opts.MaterializeIntermediate {
-			// Exchange one instance's segment lists within the subgroup
-			// and build the group-local compact view; aggregators
-			// translate logical windows back to the physical layout.
-			// [sync, subgroup only]
-			old = r.SetClass(mpi.ClassSync)
-			lists := subComm.Allgather(encSegs(segs))
-			r.SetClass(old)
-			segLists := make([][]datatype.Segment, len(lists))
-			for i, b := range lists {
-				segLists[i] = decSegs(b)
-			}
-			cv := newCompactView(segLists, f.view.Filetype.Extent())
-			subFile.SetTranslator(cv)
-			var ft datatype.Type = datatype.Contig(0)
-			if len(segs) > 0 {
-				ft = datatype.NewExtended(datatype.NewIndexed(cv.logicalSegs(segs)), cv.size)
-			}
-			subFile.SetView(datatype.View{Disp: 0, Filetype: ft})
-		} else {
-			// Materialized intermediate file: every rank's data for one
-			// instance lives contiguously at its logical prefix, and
-			// instances tile at the total per-instance size. Aggregator
-			// requests are as dense as the unpartitioned protocol's.
-			var total int64
-			for _, sp := range spans {
-				if sp.active {
-					total += sp.size
-				}
-			}
-			base := prefix[comm.Rank()]
-			var ft datatype.Type = datatype.Contig(0)
-			if size > 0 {
-				ft = datatype.NewExtended(datatype.Contig(size), total)
-			}
-			subFile.SetView(datatype.View{Disp: base, Filetype: ft})
+	switch {
+	case plan.Mode == ModeIntermediate && !f.opts.MaterializeIntermediate:
+		// Exchange one instance's segment lists within the subgroup and
+		// build the group-local compact view; aggregators translate
+		// logical windows back to the physical layout. [sync, subgroup only]
+		old = r.SetClass(mpi.ClassSync)
+		lists := subComm.Allgather(encSegs(segs))
+		r.SetClass(old)
+		segLists := make([][]datatype.Segment, len(lists))
+		for i, b := range lists {
+			segLists[i] = decSegs(b)
 		}
-	}
-
-	// Record the plan in world ranks for observability.
-	plan := Plan{Mode: mode, NumGroups: len(groups), MyGroup: myGroup}
-	for _, g := range groups {
-		plan.Groups = append(plan.Groups, worldOf(comm, g))
-	}
-	for _, g := range aggsPerGroup {
-		plan.Aggregators = append(plan.Aggregators, worldOf(comm, g))
-	}
-	if mode == ModeSingle {
-		plan.Aggregators = [][]int{worldOf(subComm, subFile.Aggregators())}
+		cv := newCompactView(segLists, f.view.Filetype.Extent())
+		subFile.SetTranslator(cv)
+		var ft datatype.Type = datatype.Contig(0)
+		if len(segs) > 0 {
+			ft = datatype.NewExtended(datatype.NewIndexed(cv.logicalSegs(segs)), cv.size)
+		}
+		subFile.SetView(datatype.View{Disp: 0, Filetype: ft})
+	case plan.Mode == ModeIntermediate:
+		// Materialized intermediate file: every rank's data for one instance
+		// lives contiguously at its logical prefix, and instances tile at the
+		// total per-instance size. Aggregator requests are as dense as the
+		// unpartitioned protocol's.
+		var ft datatype.Type = datatype.Contig(0)
+		if size := row[2]; size > 0 {
+			ft = datatype.NewExtended(datatype.Contig(size), plan.total)
+		}
+		subFile.SetView(datatype.View{Disp: plan.prefix[comm.Rank()], Filetype: ft})
 	}
 
 	f.plan = plan
@@ -563,12 +462,99 @@ func (f *File) ensurePlan() {
 	f.absorb()
 }
 
-func worldOf(comm *mpi.Comm, crs []int) []int {
-	out := make([]int, len(crs))
-	for i, cr := range crs {
-		out[i] = comm.WorldRankOf(cr)
+// Partition is the decision ParColl takes at file-view initiation time, as
+// a value (paper §4.1–4.2): every rank calls it on the same gathered table
+// and so derives the identical plan. meta holds one footprint row per comm
+// rank, {start, end, size, extent} of one filetype instance with start and
+// end -1 when the rank has nothing to partition. worldOf and rankOfWorld
+// translate comm ranks to world ranks and back, and nodeOf gives a comm
+// rank's node. Groups and aggregators come back as world ranks; MyGroup is
+// left for the caller, the only rank-specific part.
+func Partition(meta [][]int64, worldOf, rankOfWorld, nodeOf func(int) int, opts Options) Plan {
+	n := len(meta)
+	spans := make([]span, n)
+	uniformExtent, anyActive := true, false
+	refExtent := int64(-1)
+	for cr, m := range meta {
+		spans[cr] = span{rank: cr, st: m[0], end: m[1], size: m[2], active: m[0] >= 0 && m[1] > m[0]}
+		if !spans[cr].active {
+			continue
+		}
+		anyActive = true
+		// Compare active ranks against the first active rank's extent.
+		if refExtent == -1 {
+			refExtent = m[3]
+		} else if m[3] != refExtent {
+			uniformExtent = false
+		}
 	}
-	return out
+
+	ngroups := opts.NumGroups
+	if opts.AutoGroups {
+		ngroups = n / autoGroupSize
+	}
+	ngroups = min(max(ngroups, 1), n)
+	if !anyActive {
+		ngroups = 1
+	}
+
+	var groups [][]int // comm ranks
+	var prefix map[int]int64
+	mode := ModeSingle
+	if ngroups > 1 {
+		if opts.ForceIntermediate && uniformExtent {
+			mode = ModeIntermediate
+			groups, prefix = partitionLogical(spans, ngroups)
+		} else if g, ok := partitionDirect(spans, ngroups); ok {
+			mode = ModeDirect
+			groups = g
+		} else if opts.DisableIntermediate || !uniformExtent {
+			mode = ModeSingle
+		} else {
+			mode = ModeIntermediate
+			groups, prefix = partitionLogical(spans, ngroups)
+		}
+	}
+
+	// The default or hinted aggregators; partitioned, their nodes are the
+	// ones DistributeAggregators spreads across the groups (paper §4.2).
+	aggs := mpiio.SelectAggregators(n, nodeOf, rankOfWorld, opts.Hints, nil)
+	var aggsPerGroup [][]int // comm ranks
+	switch {
+	case mode == ModeSingle:
+		groups = [][]int{allRanks(n)}
+		aggsPerGroup = [][]int{aggs}
+	case opts.NaiveAggregators:
+		aggsPerGroup = naiveAggregators(groups, nodeOf, remap(aggs, nodeOf))
+	default:
+		aggsPerGroup = DistributeAggregators(groups, nodeOf, remap(aggs, nodeOf))
+	}
+
+	plan := Plan{Mode: mode, NumGroups: len(groups), Groups: groups, Aggregators: aggsPerGroup}
+	for _, g := range groups {
+		remap(g, worldOf)
+	}
+	for _, g := range aggsPerGroup {
+		remap(g, worldOf)
+	}
+	if mode == ModeIntermediate && opts.MaterializeIntermediate {
+		plan.prefix = prefix
+		for _, sp := range spans {
+			if sp.active {
+				plan.total += sp.size
+			}
+		}
+	}
+	return plan
+}
+
+// remap replaces each comm rank in crs by to(rank), in place, and returns
+// crs. Callers pass slices they alone hold.
+func remap(crs []int, to func(int) int) []int {
+	for i, cr := range crs {
+		crs[i] = to(cr)
+	}
+	return crs
 }
 
 func allRanks(n int) []int {

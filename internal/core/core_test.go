@@ -27,27 +27,42 @@ func pattern(rank, n int) []byte {
 
 // --- Aggregator distribution: the paper's Figure 5 ---
 
+// ident is the world map of a job-free world communicator.
+func ident(i int) int { return i }
+
+// serialRows is the footprint table of n ranks writing consecutive slabs
+// of per bytes each (pattern (a)).
+func serialRows(n int, per int64) [][]int64 {
+	rows := make([][]int64, n)
+	for r := range rows {
+		rows[r] = []int64{int64(r) * per, int64(r+1) * per, per, per}
+	}
+	return rows
+}
+
 func TestAggregatorDistributionPaperFigure5Block(t *testing.T) {
 	// Block mapping: N0(P0,P1) N1(P2,P3) N2(P4,P5) N3(P6,P7); aggregator
-	// nodes N0..N3; groups {P0..P3}, {P4..P7}.
+	// nodes N0..N3 (the default one per node); groups {P0..P3}, {P4..P7}.
 	nodeOf := func(r int) int { return r / 2 }
-	groups := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	got := DistributeAggregators(groups, nodeOf, []int{0, 1, 2, 3})
+	got := Partition(serialRows(8, 100), ident, ident, nodeOf, Options{NumGroups: 2})
+	if fmt.Sprint(got.Groups) != "[[0 1 2 3] [4 5 6 7]]" {
+		t.Fatalf("groups = %v", got.Groups)
+	}
 	want := [][]int{{0, 2}, {4, 6}} // SG1: N0(P0), N1(P2); SG2: N2(P4), N3(P6)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("block distribution = %v want %v", got, want)
+	if fmt.Sprint(got.Aggregators) != fmt.Sprint(want) {
+		t.Errorf("block distribution = %v want %v", got.Aggregators, want)
 	}
 }
 
 func TestAggregatorDistributionPaperFigure5Cyclic(t *testing.T) {
 	// Cyclic mapping: N0(P0,P4) N1(P1,P5) N2(P2,P6) N3(P3,P7); three
-	// aggregator nodes N0, N2, N3.
+	// aggregator nodes N0, N2, N3, named by an explicit aggregator list.
 	nodeOf := func(r int) int { return r % 4 }
-	groups := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	got := DistributeAggregators(groups, nodeOf, []int{0, 2, 3})
+	opts := Options{NumGroups: 2, Hints: mpiio.Hints{AggregatorList: []int{0, 2, 3}}}
+	got := Partition(serialRows(8, 100), ident, ident, nodeOf, opts)
 	want := [][]int{{0, 3}, {6}} // SG1: N0(P0), N3(P3); SG2: N2(P6)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("cyclic distribution = %v want %v", got, want)
+	if fmt.Sprint(got.Aggregators) != fmt.Sprint(want) {
+		t.Errorf("cyclic distribution = %v want %v", got.Aggregators, want)
 	}
 }
 
@@ -123,13 +138,6 @@ func TestAggregatorDistributionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- File area partitioning ---
@@ -221,6 +229,64 @@ func TestPartitionLogicalInactive(t *testing.T) {
 	}
 	if total != 3 {
 		t.Errorf("inactive rank lost: groups %v", groups)
+	}
+}
+
+// scatteredRows is the footprint table of n ranks whose spans all overlap
+// (pattern (c)); extent gives each rank's filetype extent.
+func scatteredRows(n int, extent func(r int) int64) [][]int64 {
+	rows := make([][]int64, n)
+	for r := range rows {
+		rows[r] = []int64{int64(r) * 10, 1000 + int64(r)*10, 100, extent(r)}
+	}
+	return rows
+}
+
+// TestPartitionModes drives every branch of Partition's mode decision on
+// hand-built footprint tables, with no simulation.
+func TestPartitionModes(t *testing.T) {
+	uniform := func(int) int64 { return 2000 }
+	inactive := make([][]int64, 8)
+	for r := range inactive {
+		inactive[r] = []int64{-1, -1, 0, 0}
+	}
+	cases := []struct {
+		name   string
+		rows   [][]int64
+		opts   Options
+		mode   Mode
+		groups int
+	}{
+		{"one group", serialRows(8, 100), Options{NumGroups: 1}, ModeSingle, 1},
+		{"zero groups", serialRows(8, 100), Options{}, ModeSingle, 1},
+		{"all inactive", inactive, Options{NumGroups: 4}, ModeSingle, 1},
+		{"direct", serialRows(8, 100), Options{NumGroups: 4}, ModeDirect, 4},
+		{"intermediate", scatteredRows(8, uniform), Options{NumGroups: 2}, ModeIntermediate, 2},
+		{"forced intermediate", serialRows(8, 100), Options{NumGroups: 2, ForceIntermediate: true}, ModeIntermediate, 2},
+		{"intermediate disabled", scatteredRows(8, uniform), Options{NumGroups: 2, DisableIntermediate: true}, ModeSingle, 1},
+		{"auto groups P/8", serialRows(32, 100), Options{AutoGroups: true}, ModeDirect, 4},
+		{"auto groups at least 1", serialRows(4, 100), Options{AutoGroups: true}, ModeSingle, 1},
+		{"groups at most P", serialRows(8, 100), Options{NumGroups: 20}, ModeDirect, 8},
+		{"non-uniform extents", scatteredRows(8, func(r int) int64 { return 2000 + int64(r) }), Options{NumGroups: 2}, ModeSingle, 1},
+		{"non-uniform extents forced", scatteredRows(8, func(r int) int64 { return 2000 + int64(r) }),
+			Options{NumGroups: 2, ForceIntermediate: true}, ModeSingle, 1},
+	}
+	nodeOf := func(r int) int { return r / 2 }
+	for _, c := range cases {
+		plan := Partition(c.rows, ident, ident, nodeOf, c.opts)
+		if plan.Mode != c.mode || plan.NumGroups != c.groups {
+			t.Errorf("%s: mode %v with %d groups, want %v with %d", c.name, plan.Mode, plan.NumGroups, c.mode, c.groups)
+		}
+		if err := checkPlan(plan, len(c.rows), ident); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+
+	// Materialized: ranks lie at their start-ordered prefix sums, and one
+	// instance of the intermediate file holds every rank's bytes.
+	plan := Partition(scatteredRows(8, uniform), ident, ident, nodeOf, Options{NumGroups: 2, MaterializeIntermediate: true})
+	if plan.total != 800 || len(plan.prefix) != 8 || plan.prefix[3] != 300 {
+		t.Errorf("materialized: total %d, prefix %v; want 800 and rank r at 100r", plan.total, plan.prefix)
 	}
 }
 

@@ -261,3 +261,44 @@ func TestPartitionLogicalAllInactive(t *testing.T) {
 		t.Fatalf("prefix for all-inactive spans = %v, want empty", prefix)
 	}
 }
+
+// checkPlan asserts the invariants of any plan Partition returns for n comm
+// ranks with world map worldOf: every rank in exactly one group, every group
+// with at least one aggregator, each a member of its group, and single mode
+// meaning exactly one group.
+func checkPlan(plan Plan, n int, worldOf func(int) int) error {
+	if len(plan.Groups) != plan.NumGroups || len(plan.Aggregators) != plan.NumGroups {
+		return fmt.Errorf("%d groups and %d aggregator lists, want NumGroups %d", len(plan.Groups), len(plan.Aggregators), plan.NumGroups)
+	}
+	if plan.Mode == ModeSingle && plan.NumGroups != 1 {
+		return fmt.Errorf("single mode with %d groups", plan.NumGroups)
+	}
+	groupOf := make(map[int]int, n)
+	for g, members := range plan.Groups {
+		for _, w := range members {
+			if _, dup := groupOf[w]; dup {
+				return fmt.Errorf("world rank %d in two groups", w)
+			}
+			groupOf[w] = g
+		}
+	}
+	for cr := 0; cr < n; cr++ {
+		if _, ok := groupOf[worldOf(cr)]; !ok {
+			return fmt.Errorf("comm rank %d (world %d) in no group", cr, worldOf(cr))
+		}
+	}
+	if len(groupOf) != n {
+		return fmt.Errorf("groups hold %d ranks, want %d", len(groupOf), n)
+	}
+	for g, aggs := range plan.Aggregators {
+		if len(aggs) == 0 {
+			return fmt.Errorf("group %d has no aggregator", g)
+		}
+		for _, a := range aggs {
+			if gg, ok := groupOf[a]; !ok || gg != g {
+				return fmt.Errorf("aggregator %d of group %d is not a member", a, g)
+			}
+		}
+	}
+	return nil
+}

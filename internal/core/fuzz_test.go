@@ -130,10 +130,12 @@ func TestFuzzMaterializedRoundTrip(t *testing.T) {
 }
 
 // FuzzPartitionDirect is a native fuzz target over the file-area
-// partitioners: the fuzzer picks the generator seed and group count, and the
-// invariant checkers from fa_prop_test.go must hold (and nothing may panic)
-// for both direct and logical partitioning. `go test` exercises the seed
-// corpus below; `go test -fuzz=FuzzPartitionDirect ./internal/core` explores.
+// partitioners and Partition: the fuzzer picks the generator seed and group
+// count, and the invariant checkers from fa_prop_test.go must hold (and
+// nothing may panic) for direct and logical partitioning, and for Partition
+// over the same spans under a random node map, world map and option set.
+// `go test` exercises the seed corpus below; `go test
+// -fuzz=FuzzPartitionDirect ./internal/core` explores.
 func FuzzPartitionDirect(f *testing.F) {
 	f.Add(int64(1), uint8(1))
 	f.Add(int64(2), uint8(3))
@@ -148,6 +150,44 @@ func FuzzPartitionDirect(f *testing.F) {
 		}
 		if err := checkPartitionLogical(spans, ngroups); err != nil {
 			t.Errorf("logical: seed %d ngroups %d: %v", seed, ngroups, err)
+		}
+
+		n := len(spans)
+		extent := func(int) int64 { return 4096 }
+		if rng.Intn(4) == 0 {
+			extent = func(r int) int64 { return 4096 + int64(r%2) }
+		}
+		rows := make([][]int64, n)
+		for _, s := range spans {
+			rows[s.rank] = []int64{s.st, s.end, s.size, extent(s.rank)}
+		}
+		pes, place := 1+rng.Intn(4), rng.Perm(n)
+		nodeOf := func(cr int) int { return place[cr] / pes }
+		base := rng.Intn(64) // a job's comm ranks start anywhere in the world
+		worldOf := func(cr int) int { return base + cr }
+		rankOfWorld := func(w int) int {
+			if w < base || w >= base+n {
+				return -1
+			}
+			return w - base
+		}
+		opts := Options{
+			NumGroups:               ngroups,
+			AutoGroups:              rng.Intn(4) == 0,
+			ForceIntermediate:       rng.Intn(3) == 0,
+			DisableIntermediate:     rng.Intn(3) == 0,
+			NaiveAggregators:        rng.Intn(3) == 0,
+			MaterializeIntermediate: rng.Intn(2) == 0,
+			Hints:                   mpiio.Hints{CBNodes: rng.Intn(n + 1)},
+		}
+		if rng.Intn(3) == 0 {
+			// One member and one rank outside the communicator, which
+			// the selection drops.
+			opts.Hints.AggregatorList = []int{worldOf(rng.Intn(n)), base + n + rng.Intn(4)}
+		}
+		plan := Partition(rows, worldOf, rankOfWorld, nodeOf, opts)
+		if err := checkPlan(plan, n, worldOf); err != nil {
+			t.Errorf("Partition: seed %d ngroups %d %+v: %v", seed, ngroups, opts, err)
 		}
 	})
 }

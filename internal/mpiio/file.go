@@ -237,7 +237,7 @@ func Open(comm *mpi.Comm, fs storage.Backend, name string, stripe storage.Stripe
 	old := r.SetClass(mpi.ClassSync)
 	nodes := comm.AllgatherInt64s([]int64{int64(r.W.Cluster.NodeOf(r.WorldRank()))})
 	r.SetClass(old)
-	f.aggs = selectAggregators(comm, nodes, hints)
+	f.aggs = SelectAggregators(comm.Size(), func(cr int) int { return int(nodes[cr][0]) }, comm.RankOfWorld, hints, nil)
 	// Two-level collectives: build the hierarchy when asked for and viable.
 	// Viability (every aggregator leads its node) and the crash gate are pure
 	// functions of topology and options, so all ranks agree on whether the
@@ -268,15 +268,20 @@ func (f *File) Hierarchical() bool { return f.hier != nil }
 // rankOf digs the Rank out of a Comm via a tiny interface on mpi.Comm.
 func rankOf(c *mpi.Comm) *mpi.Rank { return c.RankHandle() }
 
-// selectAggregators computes the aggregator comm ranks: either the
-// explicitly hinted world ranks that belong to the communicator (a repeated
-// rank counts once — the plan holds one file domain per aggregator), or the
-// first rank on each distinct node (capped at CBNodes when set).
-func selectAggregators(comm *mpi.Comm, nodes [][]int64, hints Hints) []int {
+// SelectAggregators is the one aggregator-selection rule, shared by Open,
+// ParColl's partition and its degradation-aware re-election. It returns, in
+// comm ranks, either the hinted world ranks that are members of the
+// communicator (a repeated rank counts once — the plan holds one file domain
+// per aggregator), or the first comm rank on each distinct node that is not
+// in dead, capped at hints.CBNodes when set. n is the communicator size,
+// nodeOf gives a comm rank's node and rankOfWorld a world rank's comm rank
+// (-1 for a non-member). It reads nodes through nodeOf rather than taking a
+// per-rank table, so a caller that already holds one builds nothing.
+func SelectAggregators(n int, nodeOf, rankOfWorld func(int) int, hints Hints, dead map[int]bool) []int {
 	if len(hints.AggregatorList) > 0 {
-		var aggs []int
+		aggs := make([]int, 0, len(hints.AggregatorList))
 		for _, w := range hints.AggregatorList {
-			if cr := comm.RankOfWorld(w); cr >= 0 && !slices.Contains(aggs, cr) {
+			if cr := rankOfWorld(w); cr >= 0 && !slices.Contains(aggs, cr) {
 				aggs = append(aggs, cr)
 			}
 		}
@@ -285,17 +290,17 @@ func selectAggregators(comm *mpi.Comm, nodes [][]int64, hints Hints) []int {
 		}
 		return aggs
 	}
-	seen := make(map[int64]bool, comm.Size())
-	aggs := make([]int, 0, comm.Size())
-	for cr := 0; cr < comm.Size(); cr++ {
-		n := nodes[cr][0]
-		if !seen[n] {
-			seen[n] = true
+	nodes := 0
+	for cr := 0; cr < n; cr++ {
+		nodes = max(nodes, nodeOf(cr)+1)
+	}
+	taken := make([]bool, nodes)
+	aggs := make([]int, 0, min(n, nodes))
+	for cr := 0; cr < n && (hints.CBNodes <= 0 || len(aggs) < hints.CBNodes); cr++ {
+		if nd := nodeOf(cr); !taken[nd] && !dead[nd] {
+			taken[nd] = true
 			aggs = append(aggs, cr)
 		}
-	}
-	if hints.CBNodes > 0 && hints.CBNodes < len(aggs) {
-		aggs = aggs[:hints.CBNodes]
 	}
 	return aggs
 }

@@ -246,6 +246,7 @@ func scatteredRows(n int, extent func(r int) int64) [][]int64 {
 // hand-built footprint tables, with no simulation.
 func TestPartitionModes(t *testing.T) {
 	uniform := func(int) int64 { return 2000 }
+	skewed := func(r int) int64 { return 2000 + int64(r) }
 	inactive := make([][]int64, 8)
 	for r := range inactive {
 		inactive[r] = []int64{-1, -1, 0, 0}
@@ -267,9 +268,8 @@ func TestPartitionModes(t *testing.T) {
 		{"auto groups P/8", serialRows(32, 100), Options{AutoGroups: true}, ModeDirect, 4},
 		{"auto groups at least 1", serialRows(4, 100), Options{AutoGroups: true}, ModeSingle, 1},
 		{"groups at most P", serialRows(8, 100), Options{NumGroups: 20}, ModeDirect, 8},
-		{"non-uniform extents", scatteredRows(8, func(r int) int64 { return 2000 + int64(r) }), Options{NumGroups: 2}, ModeSingle, 1},
-		{"non-uniform extents forced", scatteredRows(8, func(r int) int64 { return 2000 + int64(r) }),
-			Options{NumGroups: 2, ForceIntermediate: true}, ModeSingle, 1},
+		{"non-uniform extents", scatteredRows(8, skewed), Options{NumGroups: 2}, ModeSingle, 1},
+		{"non-uniform extents forced", scatteredRows(8, skewed), Options{NumGroups: 2, ForceIntermediate: true}, ModeSingle, 1},
 	}
 	nodeOf := func(r int) int { return r / 2 }
 	for _, c := range cases {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-large race vet faults fuzz recovery obs hierarchical backends storage-faults tenancy paperrepro loc verify
+.PHONY: all build test bench bench-large race vet faults fuzz recovery obs hierarchical backends storage-faults tenancy paperrepro loc reach verify
 
 all: build test
 
@@ -142,12 +142,38 @@ tenancy: vet
 	$(GO) test ./internal/cli/ -run 'TestSpecEqualsFlags' -count=1
 
 # Non-test, non-comment, non-blank Go lines per package — the size metric the
-# roadmap tracks; its target direction is down.
+# roadmap tracks; its target direction is down. A test-support package (one
+# whose non-test files import "testing", such as storagetest) prints after
+# the product total and does not count in it.
 loc:
-	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+	@$(GO) list -f '{{.Dir}}{{range .Imports}}{{if eq . "testing"}} test-support{{end}}{{end}}' ./... | \
+	while read -r d tag; do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
-		printf '%6d  %s\n' $$n .$${d#$(CURDIR)}; \
-	done | sort -k2 | awk '{print; t += $$1} END {printf "%6d  total\n", t}'
+		printf '%6d  %s%s\n' $$n .$${d#$(CURDIR)} "$${tag:+  ($$tag)}"; \
+	done | sort -k2 | awk '/test-support/ {held = held $$0 "\n"; next} {print; t += $$1} END {printf "%6d  total\n%s", t, held}'
+
+# Reachability census (ROADMAP item 10): build every tool with coverage, run
+# each `run` line of reach.txt under one GOCOVERDIR, take a second profile
+# from the tests, then TestReach labels every internal/ statement run,
+# test-only or neither and prints the counts beside `make loc`. It fails
+# when an invocation fails, or when reach.txt's kept list and the census
+# disagree. About 7 minutes on two cores, most of it the 1024-rank
+# transcript line.
+REACH ?= /tmp/parcoll-reach
+reach:
+	rm -rf $(REACH) && mkdir -p $(REACH)/bin $(REACH)/cov $(REACH)/work
+	$(GO) build -cover -coverpkg=./... -o $(REACH)/bin/ ./cmd/... ./examples/...
+	$(GO) build -C bench -cover -coverpkg=repro/... -o $(REACH)/bin/bench .
+	$(GO) test -c -cover -coverpkg=./... -o $(REACH)/bin/repro.test .
+	@sed -n 's/^run //p' reach.txt | while read -r cmd; do \
+		printf "reach: %s\n" "$$cmd"; \
+		(cd $(REACH)/work && PATH=$(REACH)/bin:$$PATH GOCOVERDIR=$(REACH)/cov sh -c "$$cmd" > /dev/null) || \
+			{ printf "reach: exit %s from: %s\n" $$? "$$cmd"; exit 1; }; \
+	done
+	$(GO) tool covdata textfmt -i=$(REACH)/cov -o $(REACH)/run.out
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=$(REACH)/test.out ./... > $(REACH)/test.log || { tail -30 $(REACH)/test.log; exit 1; }
+	@$(MAKE) --no-print-directory loc > $(REACH)/loc.txt
+	REACH_RUN=$(REACH)/run.out REACH_TEST=$(REACH)/test.out REACH_LOC=$(REACH)/loc.txt $(GO) test -run '^TestReach$$' -count=1 -v .
 
 # The full verification sweep: tier-1 build+test, vet, the race gate, the
 # tenancy gate, the benchmark harness's own tests (bench/ is a module of its

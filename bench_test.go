@@ -14,10 +14,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/lustre"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -269,40 +267,5 @@ func BenchmarkAblationAlltoallAlgorithm(b *testing.B) {
 	})
 	b.Run("pairwise", func(b *testing.B) {
 		b.ReportMetric(run(b, mpi.AlltoallvPairwise)*1e3, "sync-ms")
-	})
-}
-
-// BenchmarkAblationLockModel compares the flat client-switch heuristic with
-// the extent-lock (LDLM) model on the Flash independent-write path — the
-// workload where lock ping-pong between a thousand uncoordinated writers
-// is the paper's explanation for the "w/o Coll" collapse.
-func BenchmarkAblationLockModel(b *testing.B) {
-	p := experiments.BenchPreset()
-	run := func(b *testing.B, extentLocks bool) float64 {
-		lcfg := lustre.DefaultConfig()
-		lcfg.CostScale = p.FlashScale
-		lcfg.UseExtentLocks = extentLocks
-		stripeSize := int64(4<<20) / int64(p.FlashScale)
-		var bw float64
-		for i := 0; i < b.N; i++ {
-			env := workload.Env{
-				FS:     lustre.NewFS(lcfg),
-				Stripe: storage.Stripe{Count: 64, Size: stripeSize},
-				Opts:   core.Options{Hints: mpiio.Hints{CBBufferSize: stripeSize}},
-			}
-			mpi.Run(64, p.Cluster, p.Seed, func(r *mpi.Rank) {
-				res := p.Flash.WriteCheckpointIndependent(r, env, "flash")
-				if r.WorldRank() == 0 {
-					bw = res.Bandwidth()
-				}
-			})
-		}
-		return bw
-	}
-	b.Run("switch-heuristic", func(b *testing.B) {
-		b.ReportMetric(run(b, false)/1e6, "MBps")
-	})
-	b.Run("extent-locks", func(b *testing.B) {
-		b.ReportMetric(run(b, true)/1e6, "MBps")
 	})
 }

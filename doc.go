@@ -13,8 +13,6 @@
 //   - internal/datatype — MPI-like derived datatypes and file views
 //   - internal/lustre   — striped object-storage file system (OSTs,
 //     request overhead, contention)
-//   - internal/ldlm     — Lustre distributed-lock-manager model (extent
-//     locks, expanded grants, blocking-AST revocations)
 //   - internal/mpiio    — MPI-IO with the ROMIO-style extended two-phase
 //     collective protocol (the paper's baseline) plus data sieving
 //   - internal/core     — ParColl itself: file area partitioning, I/O

@@ -37,12 +37,9 @@
 // drain-completion acknowledgments flaky instead: each drain retries
 // through the capped exponential backoff schedule and a per-node breaker,
 // its retry time charged at the Drain barrier; while a node's breaker is
-// open, new writes on that node temporarily write through. Degrade
-// implements storage.Degrader: a metadata-only migration (durable-at-issue
-// means the bytes are already below) that honors booked drain completions
-// and flips the node to write-through for good. With a zero plan none of
-// this runs: no sweep work, no draws, no breaker consults — the healthy
-// path is bit-identical to the fault-free tier.
+// open, new writes on that node temporarily write through. With a zero
+// plan none of this runs: no sweep work, no draws, no breaker consults —
+// the healthy path is bit-identical to the fault-free tier.
 package bb
 
 import (
@@ -119,7 +116,7 @@ type nodeState struct {
 	mem      *sim.Resource
 	pipe     *sim.Resource // nil unless DrainBandwidth > 0
 	failed   bool          // staging memory fail-stopped (BBFail fired)
-	wt       bool          // permanently write-through (failure or Degrade)
+	wt       bool          // permanently write-through (staging-node failure)
 
 	// dirty maps file name to the node's coalesced staged extents — the
 	// residency set reads probe for a memory-speed hit.
@@ -137,7 +134,6 @@ type staged struct {
 
 var (
 	_ storage.Backend      = (*Tier)(nil)
-	_ storage.Degrader     = (*Tier)(nil)
 	_ storage.File         = (*File)(nil)
 	_ storage.LossReporter = (*File)(nil)
 )
@@ -165,9 +161,6 @@ func New(under storage.Backend, cfg Config) *Tier {
 func (t *Tier) injecting() bool {
 	return t.cfg.Faults.HasBBFails() || t.cfg.Faults.HasDrainFails()
 }
-
-// Under returns the wrapped backend.
-func (t *Tier) Under() storage.Backend { return t.under }
 
 // Counters returns the tier's cumulative (absorbed, drained, writethrough)
 // virtual byte counts.
@@ -270,11 +263,6 @@ func (t *Tier) Remove(name string) {
 // node returns (creating) the calling rank's node id and state.
 func (t *Tier) node(r *mpi.Rank) (int, *nodeState) {
 	id := r.W.Cluster.NodeOf(r.WorldRank())
-	return id, t.nodeByID(id)
-}
-
-// nodeByID returns (creating) the node's state.
-func (t *Tier) nodeByID(id int) *nodeState {
 	ns, ok := t.nodes[id]
 	if !ok {
 		ns = &nodeState{
@@ -286,7 +274,7 @@ func (t *Tier) nodeByID(id int) *nodeState {
 		}
 		t.nodes[id] = ns
 	}
-	return ns
+	return id, ns
 }
 
 // sweep processes every staging-node failure due by virtual time now, in
@@ -489,30 +477,6 @@ func (t *Tier) Drain(r *mpi.Rank) error {
 	}
 }
 
-// Degraded reports whether the node has been flipped permanently to
-// write-through (by Degrade or a staging-node failure).
-func (t *Tier) Degraded(node int) bool {
-	ns := t.nodes[node]
-	return ns != nil && ns.wt
-}
-
-// Degrade migrates the node's staged state down to the under-backend and
-// flips it permanently to write-through. Durable-at-issue makes this
-// metadata-only: the bytes already live in the under-store, so the staged
-// entries are reclaimed at their booked drain completions (counted drained,
-// never lost) and no data moves and no time is charged. Idempotent.
-func (t *Tier) Degrade(r *mpi.Rank, node int) {
-	r.P.Sync()
-	t.sweep(r.Now())
-	ns := t.nodeByID(node)
-	if !ns.wt {
-		ns.wt = true
-	}
-	if len(ns.q) > 0 {
-		t.reclaim(ns, ns.drainEnd)
-	}
-}
-
 // Open opens the file on the under-backend and wraps the handle.
 func (t *Tier) Open(r *mpi.Rank, name string, stripe storage.Stripe) storage.File {
 	uf := t.under.Open(r, name, stripe)
@@ -618,7 +582,7 @@ func (t *Tier) countWritethrough(virt int64) {
 // stage absorbs one write request into the node's staging memory and
 // issues its drain, returning the write's virtual completion time (the
 // memory absorb). Falls back to write-through when the buffer cannot hold
-// the request, when the node is degraded (failure or Degrade), or while the
+// the request, when the node is degraded (a staging-node failure), or while the
 // node's drain breaker is open. Data is durable in the under-store on
 // return either way, and any write covering a lost range heals it.
 func (f *File) stage(r *mpi.Rank, q *storage.Req) float64 {

@@ -57,7 +57,7 @@ func TestCountersAndDurability(t *testing.T) {
 		if a != 1<<20 || w != 0 {
 			t.Fatalf("after absorb: absorbed=%d writethrough=%d, want %d/0", a, w, 1<<20)
 		}
-		if got := tier.Under().Open(r, "c", testStripe).Peek(0, 1<<20); !bytes.Equal(got, buf) {
+		if got := tier.under.Open(r, "c", testStripe).Peek(0, 1<<20); !bytes.Equal(got, buf) {
 			t.Fatal("staged write not durable in under-backend at issue time")
 		}
 		if got := storage.Read(r, f, 0, 1<<20); !bytes.Equal(got, buf) {

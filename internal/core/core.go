@@ -177,9 +177,6 @@ func (f *File) SetView(v datatype.View) {
 	f.viewGen++
 }
 
-// View returns the rank's file view.
-func (f *File) View() datatype.View { return f.view }
-
 // LastPlan reports how the current view is partitioned.
 func (f *File) LastPlan() Plan { return f.plan }
 
@@ -263,8 +260,8 @@ func (f *File) ReadAtAll(logOff, n int64) []byte {
 // semantics): the two-phase rounds run now, with each subgroup pipelining
 // its exchange and OST writes independently inside its File Area, and up to
 // two writes per aggregator still in flight on return. Compute between
-// Begin and WriteAllEnd hides their tails. No other collective may run on
-// this handle until End.
+// Begin and the request's Wait hides their tails. No other collective may
+// run on this handle until the Wait.
 func (f *File) WriteAllBegin(logOff int64, data []byte) *nbio.Request {
 	f.ensurePlan()
 	if f.plan.Mode != ModeIntermediate {
@@ -277,9 +274,6 @@ func (f *File) WriteAllBegin(logOff int64, data []byte) *nbio.Request {
 		f.absorb()
 	}, nil, sub)
 }
-
-// WriteAllEnd completes a split collective write.
-func (f *File) WriteAllEnd(q *nbio.Request) { q.Wait() }
 
 // ReadAllBegin starts a split collective read; ReadAllEnd returns the data.
 func (f *File) ReadAllBegin(logOff, n int64) *nbio.Request {

@@ -17,17 +17,16 @@
 package lustre
 
 import (
-	"fmt"
 	"slices"
 
-	"repro/internal/ldlm"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
 // Config describes the file system: the farm hardware it shares with the
-// list-I/O model, plus the lock model that is lustre's own.
+// list-I/O model, plus the client-switch and tail costs that are lustre's
+// own.
 type Config struct {
 	storage.FarmConfig
 	// SwitchPenalty is the extra service time an OST pays when a request
@@ -44,25 +43,16 @@ type Config struct {
 	// while ParColl confines each tail to one subgroup.
 	TailProb    float64
 	TailPenalty float64
-	// UseExtentLocks replaces the flat SwitchPenalty heuristic with the
-	// real mechanism it approximates: per-object extent locks managed by
-	// internal/ldlm. Every request enqueues a lock on its OST object; each
-	// conflicting holder costs one blocking-AST round trip (RevokeCost).
-	UseExtentLocks bool
-	// RevokeCost is the time one lock callback adds to a request when
-	// extent locks are enabled (callback + flush + re-grant).
-	RevokeCost float64
 }
 
 // DefaultConfig is the paper's test file system (storage.DefaultFarmConfig)
-// under Lustre's lock model.
+// with Lustre's client-switch and tail costs.
 func DefaultConfig() Config {
 	return Config{
 		FarmConfig:    storage.DefaultFarmConfig(),
 		SwitchPenalty: 1.5e-3,
 		TailProb:      0.02,
 		TailPenalty:   3e-2,
-		RevokeCost:    1.5e-3,
 	}
 }
 
@@ -74,8 +64,7 @@ func DefaultStripe() storage.Stripe { return storage.Stripe{Count: 64, Size: 4 <
 type FS struct {
 	*storage.Farm
 	cfg        Config
-	lastClient []int         // per OST: world rank of the previous requester
-	locks      *ldlm.Manager // non-nil when UseExtentLocks
+	lastClient []int // per OST: world rank of the previous requester
 
 	// Pre-resolved obs instruments (nil unless SetObs armed them). The
 	// healthy fast path pays one nil check per request.
@@ -100,9 +89,6 @@ func NewFS(cfg Config) *FS {
 		Farm:       storage.NewFarm(cfg.FarmConfig, "lustre", "OST", fails),
 		cfg:        cfg,
 		lastClient: make([]int, cfg.Targets),
-	}
-	if cfg.UseExtentLocks {
-		fs.locks = ldlm.New()
 	}
 	for i := range fs.lastClient {
 		fs.lastClient[i] = -1
@@ -130,25 +116,17 @@ func (fs *FS) SetObs(reg *obs.Registry) {
 
 // svcTime returns the service time for a request of virt bytes on OST ost
 // issued by client rank arriving at virtual time `at`, including jitter and
-// concurrency penalties: either the flat client-switch heuristic or, with
-// UseExtentLocks, the revocation round trips the LDLM reports for the
-// extent [off, off+ln). Under a fault plan, the base service time is scaled
-// by the OST's degradation factor and a request arriving inside a downtime
-// window additionally waits for the OST to come back up.
-func (fs *FS) svcTime(obj string, ost int, rank int, at float64, off, ln int64, virt float64, mode ldlm.Mode) float64 {
+// the client-switch penalty. Under a fault plan, the base service time is
+// scaled by the OST's degradation factor and a request arriving inside a
+// downtime window additionally waits for the OST to come back up.
+func (fs *FS) svcTime(ost, rank int, at, virt float64) float64 {
 	svc := fs.Svc(ost, virt)
 	st := fs.Stat(ost)
 	if fs.cfg.Faults != nil {
 		svc *= fs.cfg.Faults.OSTScale(ost)
 		svc += fs.cfg.Faults.OSTDownDelay(ost, at)
 	}
-	if fs.locks != nil {
-		key := fmt.Sprintf("%s/%d", obj, ost)
-		if revoked := fs.locks.Enqueue(key, rank, off, off+ln, mode); revoked > 0 {
-			svc += float64(revoked) * fs.cfg.RevokeCost
-			st.Switches += int64(revoked)
-		}
-	} else if fs.lastClient[ost] != rank {
+	if fs.lastClient[ost] != rank {
 		if fs.lastClient[ost] >= 0 {
 			svc += fs.cfg.SwitchPenalty
 			st.Switches++
@@ -169,19 +147,19 @@ func (fs *FS) svcTime(obj string, ost int, rank int, at float64, off, ln int64, 
 // and returns the completion time. The fast path — no injected OST errors —
 // is one svcTime call and one booking, no extra draws. Under injection the
 // chunk runs through the farm's retry engine.
-func (fs *FS) serve(obj string, ost, rank, job int, at float64, off, ln int64, virt float64, mode ldlm.Mode) (float64, error) {
+func (fs *FS) serve(ost, rank, job int, at, virt float64) (float64, error) {
 	if fs.Retrier == nil {
-		return fs.book(obj, ost, rank, job, at, off, ln, virt, mode), nil
+		return fs.book(ost, rank, job, at, virt), nil
 	}
 	return fs.Retry(ost, job, at, func(at float64) float64 {
-		return fs.book(obj, ost, rank, job, at, off, ln, virt, mode)
+		return fs.book(ost, rank, job, at, virt)
 	})
 }
 
 // book serves one chunk on its OST from virtual time `at`, through the
 // admission policy, and returns its completion.
-func (fs *FS) book(obj string, ost, rank, job int, at float64, off, ln int64, virt float64, mode ldlm.Mode) float64 {
-	wait, end := fs.Book(ost, job, at, fs.svcTime(obj, ost, rank, at, off, ln, virt, mode))
+func (fs *FS) book(ost, rank, job int, at, virt float64) float64 {
+	wait, end := fs.Book(ost, job, at, fs.svcTime(ost, rank, at, virt))
 	if fs.obsWait != nil {
 		fs.obsWait.Observe(wait)
 	}
@@ -199,20 +177,6 @@ type File struct {
 // handle is *File).
 func (fs *FS) Open(r *mpi.Rank, name string, stripe storage.Stripe) storage.File {
 	return &File{Object: fs.Farm.Open(r, name, stripe), fs: fs}
-}
-
-// Remove deletes a file's data and releases the per-file ledger state the
-// FS holds for it — with extent locks enabled, each of the file's OST
-// objects has an LDLM namespace (keyed "name/ost") that would otherwise
-// outlive the file: a recreated file of the same name would inherit the old
-// granted locks and pay phantom revocations on first touch. No time cost.
-func (fs *FS) Remove(name string) {
-	fs.Farm.Remove(name)
-	if fs.locks != nil {
-		for i := 0; i < fs.Cfg.Targets; i++ {
-			fs.locks.Forget(fmt.Sprintf("%s/%d", name, i))
-		}
-	}
 }
 
 // Params returns the backend properties the I/O protocol layers consult.
@@ -240,9 +204,9 @@ func (f *File) Submit(r *mpi.Rank, q *storage.Req) (float64, error) {
 	}
 	cl := r.W.Cluster
 	lat, nicBW := cl.Config().Latency, cl.Config().NICBandwidth
-	nic, mode := cl.TxNIC(r.WorldRank()), ldlm.PW
+	nic := cl.TxNIC(r.WorldRank())
 	if !q.Write {
-		nic, mode = cl.RxNIC(r.WorldRank()), ldlm.PR
+		nic = cl.RxNIC(r.WorldRank())
 	}
 	r.P.Sync()
 	now := r.Now()
@@ -252,7 +216,7 @@ func (f *File) Submit(r *mpi.Rank, q *storage.Req) (float64, error) {
 		if e.Len > 0 && e.Off < 0 {
 			panic("lustre: negative offset")
 		}
-		f.Chunks(e.Off, e.Len, func(o, l int64, ost int) {
+		f.Chunks(e.Off, e.Len, func(_, l int64, ost int) {
 			if err != nil {
 				return
 			}
@@ -262,7 +226,7 @@ func (f *File) Submit(r *mpi.Rank, q *storage.Req) (float64, error) {
 				_, txEnd := nic.Acquire(now, virt/nicBW)
 				at = txEnd + lat
 			}
-			end, serr := f.fs.serve(f.Name(), ost, r.WorldRank(), r.JobID(), at, o, l, virt, mode)
+			end, serr := f.fs.serve(ost, r.WorldRank(), r.JobID(), at, virt)
 			fin := end + lat
 			if serr != nil {
 				err = serr

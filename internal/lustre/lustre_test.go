@@ -366,53 +366,3 @@ func TestOSTStats(t *testing.T) {
 		t.Error("busy seconds not recorded")
 	}
 }
-
-func TestExtentLockPingPongPenalized(t *testing.T) {
-	// Alternating writers with extent locks must pay revocation costs; a
-	// single sequential writer keeps its expanded grant and pays none.
-	duration := func(writers int) float64 {
-		cfg := DefaultConfig()
-		cfg.Jitter = 0
-		cfg.TailProb = 0
-		cfg.UseExtentLocks = true
-		fs := NewFS(cfg)
-		var worst float64
-		mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-			if r.WorldRank() >= writers {
-				return
-			}
-			f := fs.Open(r, "el", storage.Stripe{Count: 1, Size: 1 << 20})
-			t0 := r.Now()
-			n := 32 / writers
-			for i := 0; i < n; i++ {
-				off := int64(i*writers+r.WorldRank()) * 4096
-				storage.Write(r, f, off, make([]byte, 4096))
-			}
-			if d := r.Now() - t0; d > worst {
-				worst = d
-			}
-		})
-		return worst
-	}
-	alone, pingpong := duration(1), duration(2)
-	if pingpong <= alone {
-		t.Errorf("extent-lock ping-pong not penalized: alone %g vs interleaved %g", alone, pingpong)
-	}
-}
-
-func TestExtentLockSequentialWriterPaysOnce(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Jitter = 0
-	cfg.TailProb = 0
-	cfg.UseExtentLocks = true
-	fs := NewFS(cfg)
-	mpi.Run(1, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		f := fs.Open(r, "sq", storage.Stripe{Count: 1, Size: 1 << 20})
-		for i := 0; i < 16; i++ {
-			storage.Write(r, f, int64(i)*4096, make([]byte, 4096))
-		}
-	})
-	if sw := fs.Stats()[0].Switches; sw != 0 {
-		t.Errorf("sequential writer paid %d revocations", sw)
-	}
-}

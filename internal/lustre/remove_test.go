@@ -11,64 +11,6 @@ import (
 	"repro/internal/storage"
 )
 
-// TestRemoveReleasesLockState is the regression test for the Remove leak:
-// deleting a file used to leave its per-OST LDLM namespaces behind, so a
-// later file reusing the name inherited stale granted locks and paid
-// phantom revocations (Switches) on first touch. With the fix, a fresh
-// single-writer file created after Remove must see zero lock conflicts —
-// exactly like a name never used before.
-func TestRemoveReleasesLockState(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UseExtentLocks = true
-	stripe := storage.Stripe{Count: 4, Size: 1 << 20}
-
-	sumSwitches := func(fs *FS) int64 {
-		var n int64
-		for _, st := range fs.Stats() {
-			n += st.Switches
-		}
-		return n
-	}
-
-	fs := NewFS(cfg)
-	var before, after int64
-	mpi.Run(2, cluster.DefaultConfig(), 1, func(r *mpi.Rank) {
-		comm := mpi.WorldComm(r)
-		// Phase 1: two ranks hammer the same extents so the LDLM grants
-		// conflicting locks and records real revocations.
-		f := fs.Open(r, "ckpt", stripe)
-		buf := make([]byte, 1<<20)
-		for i := 0; i < 4; i++ {
-			storage.Write(r, f, int64(i)<<20, buf)
-		}
-		comm.Barrier()
-		if r.WorldRank() == 0 {
-			before = sumSwitches(fs)
-			if before == 0 {
-				t.Error("phase 1 produced no lock revocations; test is vacuous")
-			}
-			fs.Remove("ckpt")
-		}
-		comm.Barrier()
-		// Phase 2: rank 0 alone reuses the name. A single writer on a fresh
-		// file can never conflict — any new Switches are phantoms from state
-		// Remove failed to release.
-		if r.WorldRank() == 0 {
-			g := fs.Open(r, "ckpt", stripe)
-			if g.Size() != 0 {
-				t.Errorf("reopen after Remove: Size() = %d, want 0", g.Size())
-			}
-			for i := 0; i < 4; i++ {
-				storage.Write(r, g, int64(i)<<20, buf)
-			}
-			after = sumSwitches(fs)
-		}
-	})
-	if after != before {
-		t.Fatalf("single-writer reopen after Remove paid %d phantom revocations", after-before)
-	}
-}
-
 // TestRemoveReleasesFileState checks the data side of Remove: the object's
 // pages are gone (a reopen reads zero size) and a recreated file holds only
 // its own bytes.

@@ -249,15 +249,6 @@ func (p *Prof) Total() float64 {
 	return t
 }
 
-// Add accumulates another profile into p (for cross-rank aggregation).
-func (p *Prof) Add(q *Prof) {
-	for i := range p.Times {
-		p.Times[i] += q.Times[i]
-	}
-	p.Msgs += q.Msgs
-	p.Bytes += q.Bytes
-}
-
 // SetClass switches the rank's active profiling class, returning the
 // previous one so callers can restore it.
 func (r *Rank) SetClass(c Class) Class {

@@ -73,14 +73,6 @@ type Breakdown struct {
 // Total returns the sum of the categories.
 func (b Breakdown) Total() float64 { return b.Sync + b.Exchange + b.IO + b.Other }
 
-// Add accumulates another breakdown.
-func (b *Breakdown) Add(o Breakdown) {
-	b.Sync += o.Sync
-	b.Exchange += o.Exchange
-	b.IO += o.IO
-	b.Other += o.Other
-}
-
 // Translator maps a logical file extent to physical file segments. ParColl
 // installs one when it switches to an intermediate file view: the two-phase
 // protocol then aggregates in the logical (virtually joined) file while the
@@ -150,12 +142,6 @@ func (o OverlapStats) HiddenFrac() float64 {
 		return 0
 	}
 	return o.Hidden / t
-}
-
-// Add accumulates another rank's stats (for global aggregation).
-func (o *OverlapStats) Add(x OverlapStats) {
-	o.Hidden += x.Hidden
-	o.Exposed += x.Exposed
 }
 
 // Overlap returns the rank's accumulated split-collective overlap stats.
@@ -323,15 +309,9 @@ func (f *File) SetAggregators(aggs []int) {
 // own, which may legitimately differ per rank).
 func (f *File) SetView(v datatype.View) { f.view = v }
 
-// View returns the current file view.
-func (f *File) View() datatype.View { return f.view }
-
 // Storage exposes the underlying storage handle — whatever backend the file
 // was opened on — for verification in tests.
 func (f *File) Storage() storage.File { return f.lf }
-
-// Comm returns the communicator the file was opened on.
-func (f *File) Comm() *mpi.Comm { return f.comm }
 
 // markProf snapshots the rank's class counters so deltas can accumulate
 // into the per-file breakdown.

@@ -70,25 +70,3 @@ func (l *LatencyRecorder) Quantile(q float64) float64 {
 	}
 	return l.samples[i]
 }
-
-// Sum returns the total of all samples (seconds).
-func (l *LatencyRecorder) Sum() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var s float64
-	for _, v := range l.samples {
-		s += v
-	}
-	return s
-}
-
-// Max returns the largest sample; NaN when empty.
-func (l *LatencyRecorder) Max() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return math.NaN()
-	}
-	l.sortLocked()
-	return l.samples[len(l.samples)-1]
-}

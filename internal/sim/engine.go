@@ -436,9 +436,6 @@ func (e *Engine) describeStates() string {
 	return b.String()
 }
 
-// NumProcs reports the number of procs in the current run.
-func (e *Engine) NumProcs() int { return len(e.procs) }
-
 // MinClock returns the minimum virtual clock across all procs. Because proc
 // clocks never move backwards, the value is a nondecreasing lower bound on
 // the time of every future event — a safe watermark for Resource.Trim.
@@ -619,9 +616,6 @@ type interval struct{ start, end float64 }
 
 // NewResource creates a named resource.
 func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire books dur seconds of exclusive use starting no earlier than at,
 // returning the booked [start, end) window. dur must be >= 0; a zero-length

@@ -37,9 +37,6 @@ type Pending struct {
 	state pendingState
 }
 
-// At returns the virtual time the completion is due.
-func (pd *Pending) At() float64 { return pd.at }
-
 // Fired reports whether the callback has run.
 func (pd *Pending) Fired() bool { return pd.state == pendFired }
 

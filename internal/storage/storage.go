@@ -189,24 +189,3 @@ type Backend interface {
 	// Name identifies the backend kind ("lustre", "listio", "bb").
 	Name() string
 }
-
-// Degrader is the optional Backend capability for mid-run hot-swap:
-// implemented by staging tiers that can migrate an open node's dirty state
-// down to the under-backend and stop staging on it — voluntarily (an
-// operator draining a node) or because the node's breaker opened. The
-// durable-at-issue contract makes migration metadata-only: the bytes are
-// already in the under-store, so Degrade reclaims the staging residency,
-// honors in-flight drains at their booked completion times, and flips the
-// node permanently to write-through. No data moves, no time is charged.
-type Degrader interface {
-	Backend
-	// Under returns the backend writes degrade to.
-	Under() Backend
-	// Degraded reports whether the node has been flipped to write-through
-	// (by Degrade, a staging-node failure, or an open drain breaker gone
-	// permanent).
-	Degraded(node int) bool
-	// Degrade migrates the node's staged state to the under-backend and
-	// flips it permanently to write-through. Idempotent.
-	Degrade(r *mpi.Rank, node int)
-}

@@ -1,6 +1,6 @@
 // Determinism regression tests. The simulator's virtual-time results must
 // be a pure function of (workload, config, seed): the scheduler breaks ties
-// by (readyAt, proc id), wildcard receives resolve by global deposit
+// by (resume time, proc id), wildcard receives resolve by global deposit
 // sequence, and no code path consults wall time or map iteration order for
 // anything that feeds the clock. These tests pin that property two ways —
 // run-to-run identity within a build, and bit-exact golden values that a

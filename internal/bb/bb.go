@@ -237,29 +237,6 @@ func (t *Tier) Params() storage.Params {
 // Name identifies the backend kind.
 func (t *Tier) Name() string { return "bb" }
 
-// Remove drops the file from the under-backend and evicts its staged
-// extents from every node (without counting them drained — they no longer
-// exist to drain), along with any pending loss bookkeeping.
-func (t *Tier) Remove(name string) {
-	t.under.Remove(name)
-	for _, ns := range t.nodes {
-		kept := ns.q[:0]
-		for _, s := range ns.q {
-			if s.file == name {
-				ns.used -= s.virt
-				continue
-			}
-			kept = append(kept, s)
-		}
-		ns.q = kept
-		delete(ns.dirty, name)
-	}
-	delete(t.lost, name)
-	delete(t.lostNew, name)
-	delete(t.lostFrom, name)
-	delete(t.ufiles, name)
-}
-
 // node returns (creating) the calling rank's node id and state.
 func (t *Tier) node(r *mpi.Rank) (int, *nodeState) {
 	id := r.W.Cluster.NodeOf(r.WorldRank())

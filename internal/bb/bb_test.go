@@ -165,28 +165,6 @@ func TestObsCounters(t *testing.T) {
 	}
 }
 
-// TestRemoveEvictsStaged: removing a file drops its staged entries and
-// dirty extents without counting them drained.
-func TestRemoveEvictsStaged(t *testing.T) {
-	buf := make([]byte, 1<<20)
-	runOne(t, Config{Capacity: 1 << 20}, func(r *mpi.Rank, tier *Tier) {
-		f := tier.Open(r, "evict", testStripe)
-		storage.Write(r, f, 0, buf)
-		tier.Remove("evict")
-		_, d, _ := tier.Counters()
-		if d != 0 {
-			t.Fatalf("Remove counted %d bytes as drained", d)
-		}
-		// Capacity must be free again: the next write absorbs.
-		g := tier.Open(r, "evict", testStripe)
-		storage.Write(r, g, 0, buf)
-		a, _, w := tier.Counters()
-		if w != 0 || a != 2<<20 {
-			t.Fatalf("after Remove: absorbed=%d writethrough=%d, want %d/0", a, w, 2<<20)
-		}
-	})
-}
-
 // TestTryWriteRoutesThroughInjectingUnder: over an under-backend whose
 // fault plan injects request errors, a Try write goes through the
 // under-backend's error path (counted write-through) so typed errors and

@@ -34,16 +34,12 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 func (c *Comm) SendWeighted(dst, tag int, data []byte, virtBytes int) {
 	t0 := c.r.begin()
 	defer c.r.end(t0)
-	c.sendN(dst, tag, data, virtBytes)
+	c.sendOwned(dst, tag, data, virtBytes)
 }
 
 // send is the unmeasured internal form used by collectives.
 func (c *Comm) send(dst, tag int, data []byte) {
-	c.sendN(dst, tag, data, len(data))
-}
-
-func (c *Comm) sendN(dst, tag int, data []byte, costBytes int) {
-	c.sendOwned(dst, tag, data, costBytes)
+	c.sendOwned(dst, tag, data, len(data))
 }
 
 // sendOwned transfers a payload the caller relinquishes (the ownership-
@@ -91,14 +87,18 @@ func (c *Comm) recv(src, tag int) ([]byte, Status) {
 		}
 		simSrc = c.members[src]
 	}
-	m := r.P.Recv(simSrc, c.encTag(tag))
-	r.P.Advance(r.W.Cluster.RecvCost())
-	cr := c.worldToComm[m.Src]
+	return c.deliver(r.P.Recv(simSrc, c.encTag(tag)), tag)
+}
+
+// deliver charges the receive overhead for a message the engine handed
+// over and returns its payload.
+func (c *Comm) deliver(m sim.Message, tag int) ([]byte, Status) {
+	c.r.P.Advance(c.r.W.Cluster.RecvCost())
 	var data []byte
 	if m.Payload != nil {
 		data = m.Payload.([]byte)
 	}
-	return data, Status{Source: cr, Tag: tag}
+	return data, Status{Source: c.worldToComm[m.Src], Tag: tag}
 }
 
 // RecvUntil blocks until a message with the given tag arrives from comm
@@ -122,12 +122,8 @@ func (c *Comm) RecvUntil(src, tag int, timeout float64) ([]byte, Status, bool) {
 	if !ok {
 		return nil, Status{}, false
 	}
-	r.P.Advance(r.W.Cluster.RecvCost())
-	var data []byte
-	if m.Payload != nil {
-		data = m.Payload.([]byte)
-	}
-	return data, Status{Source: src, Tag: tag}, true
+	data, st := c.deliver(m, tag)
+	return data, st, true
 }
 
 // Sendrecv sends sdata to dst and receives a message from src, both with

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -79,8 +80,8 @@ type Perturber interface {
 type Engine struct {
 	cfg     Config
 	procs   []*Proc
-	ready   readyHeap // procs in stateReady, keyed by (readyAt, id)
-	dl      dlHeap    // armed RecvUntil deadlines, keyed by (at, id)
+	ready   minHeap[*Proc] // procs in stateReady, keyed by (resume time, id)
+	dl      minHeap[armed] // armed RecvUntil deadlines, keyed by (at, id)
 	yieldCh chan struct{}
 	seq     uint64 // global message sequence for FIFO tie-breaks
 	panicV  any
@@ -96,20 +97,27 @@ type Engine struct {
 // The engine recovers it itself, so it never replaces the run's failure.
 type abortPanic struct{}
 
-// readyHeap is a binary min-heap of ready procs ordered by (readyAt, id).
-type readyHeap []*Proc
+// minHeap is a binary min-heap whose slots carry their key inline as (at,
+// tie). Every queue keeps its ties unique — a proc id, a registration
+// sequence — so the pop order is a pure function of the keys.
+type minHeap[T any] []slot[T]
 
-func (h readyHeap) less(i, j int) bool {
-	if h[i].readyAt != h[j].readyAt {
-		return h[i].readyAt < h[j].readyAt
-	}
-	return h[i].id < h[j].id
+type slot[T any] struct {
+	at  float64
+	tie uint64
+	v   T
 }
 
-func (h *readyHeap) push(p *Proc) {
-	*h = append(*h, p)
-	i := len(*h) - 1
-	for i > 0 {
+func (h minHeap[T]) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].tie < h[j].tie
+}
+
+func (h *minHeap[T]) push(at float64, tie uint64, v T) {
+	*h = append(*h, slot[T]{at, tie, v})
+	for i := len(*h) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
 			break
@@ -119,15 +127,14 @@ func (h *readyHeap) push(p *Proc) {
 	}
 }
 
-func (h *readyHeap) pop() *Proc {
+func (h *minHeap[T]) pop() slot[T] {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = nil
+	old[n] = slot[T]{}
 	*h = old[:n]
-	i := 0
-	for {
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		small := i
 		if l < n && h.less(l, small) {
@@ -145,13 +152,6 @@ func (h *readyHeap) pop() *Proc {
 	return top
 }
 
-func (h readyHeap) peek() *Proc {
-	if len(h) == 0 {
-		return nil
-	}
-	return h[0]
-}
-
 // NewEngine returns an engine ready for a single Run call.
 func NewEngine(cfg Config) *Engine {
 	return &Engine{
@@ -164,37 +164,23 @@ func NewEngine(cfg Config) *Engine {
 	}
 }
 
-// blockKind labels why a proc last parked (deadlock diagnostics only).
-type blockKind int
-
-const (
-	blockNone blockKind = iota
-	blockSync
-	blockRecv
-)
-
 // Proc is a simulated process. All methods must be called only from the
 // proc's own body function (the engine guarantees single-threaded access).
 type Proc struct {
-	id         int
-	now        float64
-	engine     *Engine
-	state      procState
-	readyAt    float64
-	resume     chan struct{}
-	mb         mailbox
-	pending    recvSpec // valid while blocked in Recv
-	hasPending bool
-	rng        *rand.Rand
-	blockedOn  blockKind // deadlock-report context (formatted lazily)
-	slow       float64   // multiplicative Advance slowdown (1 = healthy)
-	pend       pendHeap  // deferred completions ordered by (at, seq)
-	pendSeq    uint64
-	firing     bool // fireDue reentrancy guard
-
-	deadline    float64 // valid while blocked in RecvUntil
-	hasDeadline bool
-	dlGen       uint64 // invalidates stale dlHeap entries
+	id       int
+	now      float64
+	engine   *Engine
+	state    procState
+	resume   chan struct{}
+	mb       mailbox
+	pending  recvSpec // valid while stateBlocked
+	deadline float64  // valid while stateBlocked: the watchdog, +Inf in Recv
+	dlGen    uint64   // counts wakes; a deadline armed before the last is stale
+	rng      *rand.Rand
+	slow     float64           // multiplicative Advance slowdown (1 = healthy)
+	pend     minHeap[*Pending] // deferred completions keyed by (at, seq)
+	pendSeq  uint64
+	firing   bool // fireDue reentrancy guard
 }
 
 type recvSpec struct {
@@ -269,14 +255,16 @@ func (mb *mailbox) popFrom(key srcTag, q *msgQueue) Message {
 }
 
 // take removes and returns the earliest-deposited message matching spec.
-func (mb *mailbox) take(spec recvSpec, st *Stats) (Message, bool) {
+// An exact receive delivers in send order, so a head that arrives after
+// deadline is not taken; wildcard receives carry no deadline.
+func (mb *mailbox) take(spec recvSpec, deadline float64, st *Stats) (Message, bool) {
 	if mb.count == 0 {
 		return Message{}, false
 	}
 	if spec.src != AnySource && spec.tag != AnyTag {
 		key := srcTag{spec.src, spec.tag}
 		q := mb.queues[key]
-		if q == nil {
+		if q == nil || q.msgs[q.head].Arrival > deadline {
 			return Message{}, false
 		}
 		st.ExactPops.Inc()
@@ -340,7 +328,7 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 	}
 	done := 0
 	for _, p := range e.procs {
-		e.ready.push(p)
+		e.ready.push(0, uint64(p.id), p)
 		go func(p *Proc) {
 			defer func() {
 				if r := recover(); r != nil && r != any(abortPanic{}) && e.panicV == nil {
@@ -358,14 +346,13 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 		}(p)
 	}
 	for {
-		next := e.ready.peek()
 		// Fire a receive timeout when it is strictly the earliest event the
 		// engine could schedule (runnable procs win ties; see timeout.go).
-		if tp := e.peekTimeout(); tp != nil && (next == nil || tp.at < next.readyAt) {
+		if at, ok := e.peekTimeout(); ok && (len(e.ready) == 0 || at < e.ready[0].at) {
 			e.fireTimeout()
 			continue
 		}
-		if next == nil {
+		if len(e.ready) == 0 {
 			if done == n {
 				break
 			}
@@ -376,10 +363,11 @@ func (e *Engine) Run(n int, body func(p *Proc)) float64 {
 		if d := uint64(len(e.ready)); d > e.stats.MaxReadyDepth {
 			e.stats.MaxReadyDepth = d
 		}
-		e.ready.pop()
+		top := e.ready.pop()
+		next := top.v
 		next.state = stateRunning
-		if next.readyAt > next.now {
-			next.now = next.readyAt
+		if top.at > next.now {
+			next.now = top.at
 		}
 		e.stats.Resumes.Inc()
 		next.resume <- struct{}{}
@@ -415,23 +403,16 @@ func (e *Engine) abort() {
 	}
 }
 
+// describeStates reports every unfinished proc of a deadlocked run. Each is
+// parked in a plain Recv: Sync leaves its caller runnable, and an armed
+// RecvUntil watchdog always fires before the engine declares a deadlock.
 func (e *Engine) describeStates() string {
 	var b strings.Builder
 	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
+		if p.state != stateDone {
+			fmt.Fprintf(&b, "  proc %d: t=%.9f blocked on Recv(src=%d, tag=%d) (mailbox %d msgs)\n",
+				p.id, p.now, p.pending.src, p.pending.tag, p.mb.count)
 		}
-		var on string
-		switch p.blockedOn {
-		case blockSync:
-			on = "Sync"
-		case blockRecv:
-			on = fmt.Sprintf("Recv(src=%d, tag=%d)", p.pending.src, p.pending.tag)
-		default:
-			on = "start"
-		}
-		fmt.Fprintf(&b, "  proc %d: t=%.9f blocked on %s (mailbox %d msgs)\n",
-			p.id, p.now, on, p.mb.count)
 	}
 	return b.String()
 }
@@ -511,14 +492,12 @@ func (p *Proc) wait() {
 // earliest-clock runnable proc, Sync returns without a context switch.
 func (p *Proc) Sync() {
 	e := p.engine
-	if top := e.ready.peek(); top == nil || top.readyAt > p.now ||
-		(top.readyAt == p.now && top.id > p.id) {
+	if len(e.ready) == 0 || p.now < e.ready[0].at ||
+		(p.now == e.ready[0].at && uint64(p.id) < e.ready[0].tie) {
 		return // already first in virtual-time order
 	}
 	p.state = stateReady
-	p.readyAt = p.now
-	p.blockedOn = blockSync
-	e.ready.push(p)
+	e.ready.push(p.now, uint64(p.id), p)
 	p.yield()
 }
 
@@ -546,28 +525,28 @@ func (p *Proc) Send(dst, tag int, payload any, arrival float64) {
 	m := Message{Src: p.id, Tag: tag, Payload: payload, Arrival: arrival, seq: e.seq}
 	q := e.procs[dst]
 	q.mb.put(m)
-	if q.state == stateBlocked && q.hasPending && q.pending.matches(&m) {
-		if q.hasDeadline && m.Arrival > q.deadline {
+	if q.state == stateBlocked && q.pending.matches(&m) {
+		at := q.now
+		if m.Arrival > q.deadline {
 			// The waiter's watchdog expires before this message arrives:
-			// wake it at the deadline, empty-handed (RecvUntil rejects the
-			// late head via takeBefore).
-			q.hasDeadline = false
-			q.hasPending = false
-			q.state = stateReady
-			q.readyAt = q.deadline
+			// wake it at the deadline, empty-handed (its receive rejects
+			// the late head).
+			at = q.deadline
 			e.stats.Timeouts.Inc()
-			e.ready.push(q)
-			return
+		} else if m.Arrival > at {
+			at = m.Arrival
 		}
-		q.hasDeadline = false
-		q.hasPending = false
-		q.state = stateReady
-		q.readyAt = q.now
-		if m.Arrival > q.readyAt {
-			q.readyAt = m.Arrival
-		}
-		e.ready.push(q)
+		e.wake(q, at)
 	}
+}
+
+// wake makes a blocked proc runnable at virtual time at. It is the only
+// way out of a blocked receive, so it also retires the proc's armed
+// deadline, if any.
+func (e *Engine) wake(p *Proc, at float64) {
+	p.state = stateReady
+	p.dlGen++
+	e.ready.push(at, uint64(p.id), p)
 }
 
 func (s *recvSpec) matches(m *Message) bool {
@@ -584,20 +563,43 @@ func (s *recvSpec) matches(m *Message) bool {
 // Ownership: the returned payload belongs to the receiver; the sender
 // relinquished it at Send time.
 func (p *Proc) Recv(src, tag int) Message {
-	spec := recvSpec{src: src, tag: tag}
+	m, _ := p.recv(recvSpec{src: src, tag: tag}, noDeadline)
+	return m
+}
+
+// noDeadline is Recv's deadline: it arms no watchdog and never expires.
+var noDeadline = math.Inf(1)
+
+// recv is the one blocking receive behind Recv and RecvUntil. It delivers
+// the earliest matching message that arrives by deadline, advancing the
+// clock to its arrival; otherwise it parks the proc until a Send or the
+// watchdog wakes it. Once the clock has reached the deadline with nothing
+// delivered it returns false. Recv passes noDeadline and arms no watchdog;
+// a finite deadline needs an exact (src, tag).
+func (p *Proc) recv(spec recvSpec, deadline float64) (Message, bool) {
+	if deadline != noDeadline && (spec.src == AnySource || spec.tag == AnyTag) {
+		panic(fmt.Sprintf("sim: proc %d RecvUntil with wildcard (src=%d, tag=%d)", p.id, spec.src, spec.tag))
+	}
+	e := p.engine
 	for {
-		if m, ok := p.mb.take(spec, &p.engine.stats); ok {
+		if m, ok := p.mb.take(spec, deadline, &e.stats); ok {
 			if m.Arrival > p.now {
 				p.now = m.Arrival
 			}
 			p.fireDue()
-			p.engine.stats.Recvs.Inc()
-			return m
+			e.stats.Recvs.Inc()
+			return m, true
+		}
+		if p.now >= deadline {
+			p.fireDue()
+			return Message{}, false
 		}
 		p.pending = spec
-		p.hasPending = true
+		p.deadline = deadline
 		p.state = stateBlocked
-		p.blockedOn = blockRecv
+		if deadline != noDeadline {
+			e.dl.push(deadline, uint64(p.id), armed{p, p.dlGen})
+		}
 		p.yield()
 	}
 }

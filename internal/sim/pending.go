@@ -30,9 +30,6 @@ const (
 
 // Pending is a handle to one deferred completion.
 type Pending struct {
-	p     *Proc
-	at    float64
-	seq   uint64
 	fn    func()
 	state pendingState
 }
@@ -48,56 +45,6 @@ func (pd *Pending) Cancel() {
 	}
 }
 
-// pendHeap is a binary min-heap of deferred completions keyed by (at, seq):
-// earliest due time first, registration order breaking ties.
-type pendHeap []*Pending
-
-func (h pendHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *pendHeap) push(pd *Pending) {
-	*h = append(*h, pd)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *pendHeap) pop() *Pending {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = nil
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
-}
-
 // After registers fn to fire when the proc's clock reaches at. If at is
 // already due, the callback still fires at the next progress point (an
 // Advance, AdvanceTo, Recv or RecvUntil call), never inside After itself —
@@ -107,8 +54,8 @@ func (p *Proc) After(at float64, fn func()) *Pending {
 		panic(fmt.Sprintf("sim: proc %d After with nil callback", p.id))
 	}
 	p.pendSeq++
-	pd := &Pending{p: p, at: at, seq: p.pendSeq, fn: fn}
-	p.pend.push(pd)
+	pd := &Pending{fn: fn}
+	p.pend.push(at, p.pendSeq, pd)
 	return pd
 }
 
@@ -116,8 +63,8 @@ func (p *Proc) After(at float64, fn func()) *Pending {
 // completions — diagnostics and tests.
 func (p *Proc) PendingOps() int {
 	n := 0
-	for _, pd := range p.pend {
-		if pd.state == pendWaiting {
+	for _, s := range p.pend {
+		if s.v.state == pendWaiting {
 			n++
 		}
 	}
@@ -132,9 +79,9 @@ func (p *Proc) PendingOps() int {
 // PendingOps).
 func (p *Proc) drainPending() int {
 	n := 0
-	for _, pd := range p.pend {
-		if pd.state == pendWaiting {
-			pd.state = pendCanceled
+	for _, s := range p.pend {
+		if s.v.state == pendWaiting {
+			s.v.state = pendCanceled
 			n++
 		}
 	}
@@ -154,7 +101,7 @@ func (p *Proc) fireDue() {
 	p.firing = true
 	for len(p.pend) > 0 {
 		top := p.pend[0]
-		if top.state != pendWaiting {
+		if top.v.state != pendWaiting {
 			p.pend.pop()
 			continue
 		}
@@ -162,8 +109,8 @@ func (p *Proc) fireDue() {
 			break
 		}
 		p.pend.pop()
-		top.state = pendFired
-		top.fn()
+		top.v.state = pendFired
+		top.v.fn()
 	}
 	p.firing = false
 }

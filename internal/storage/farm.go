@@ -129,9 +129,6 @@ func (fm *Farm) Open(r *mpi.Rank, name string, stripe Stripe) *Object {
 	return o
 }
 
-// Remove deletes a file's data. No time cost.
-func (fm *Farm) Remove(name string) { delete(fm.files, name) }
-
 // Drain returns nil at once: a farm buffers nothing — every write is
 // durable on its targets by the time its completion is booked.
 func (fm *Farm) Drain(r *mpi.Rank) error { return nil }

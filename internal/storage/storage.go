@@ -142,9 +142,6 @@ type Backend interface {
 	// Open opens (creating if necessary) the named file. The stripe layout
 	// applies only on create. Open costs metadata-service time.
 	Open(r *mpi.Rank, name string, stripe Stripe) File
-	// Remove deletes a file's data and releases every per-file ledger the
-	// backend holds (lock namespaces, staged extents). No time cost.
-	Remove(name string)
 	// Drain blocks (in virtual time) until every buffered write involving
 	// the calling rank's node is durable on the final tier, charging the
 	// exposed wait to ClassIO. After the barrier it reports any staged data

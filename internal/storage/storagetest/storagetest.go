@@ -6,7 +6,6 @@
 //
 //   - data is durable at issue time (unwaited and staged writes included);
 //   - multi-extent requests move exactly the bytes one-extent requests would;
-//   - Remove forgets a file completely (a reopen sees a fresh object);
 //   - every job's requests pass the admission policy under its own JobID;
 //   - two identical runs produce identical virtual times and Stats.
 //
@@ -174,26 +173,6 @@ func Run(t *testing.T, name string, mk func() storage.Backend) {
 				if !bytes.Equal(ard.Bufs[i], abufs[i]) {
 					t.Fatalf("extent %d: async vectored read != stored bytes", i)
 				}
-			}
-		})
-	})
-
-	t.Run(name+"/remove-forgets", func(t *testing.T) {
-		run(t, mk, func(r *mpi.Rank, be storage.Backend) {
-			f := be.Open(r, "gone", stripe)
-			buf := make([]byte, 2048)
-			pattern(buf, 5, 0)
-			storage.Write(r, f, 0, buf)
-			be.Remove("gone")
-			g := be.Open(r, "gone", stripe)
-			if got := g.Size(); got != 0 {
-				t.Fatalf("reopen after Remove: Size() = %d, want 0", got)
-			}
-			// The fresh object is fully writable again.
-			pattern(buf, 6, 0)
-			storage.Write(r, g, 0, buf)
-			if got := storage.Read(r, g, 0, 2048); !bytes.Equal(got, buf) {
-				t.Fatal("reopen after Remove: write/read mismatch")
 			}
 		})
 	})
